@@ -27,10 +27,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from math import prod
-from pathlib import Path
 
 from .errors import BudgetError, ParseError, PreconditionError
-from .linear_code import LocalityProfile
+from .linear_code import LocalityProfile, _read_ascii
 
 __all__ = [
     "BoundReport",
@@ -137,7 +136,7 @@ def load_kopt_table(path) -> dict[tuple[int, int, int], tuple[int, str]]:
     the Singleton or Griesmer bound are rejected.
     """
     table: dict[tuple[int, int, int], tuple[int, str]] = {}
-    text = Path(path).read_text(encoding="ascii")
+    text = _read_ascii(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -63,7 +63,13 @@ from .constructions import (
     tamo_barg,
 )
 from .errors import BudgetError, ParseError, PreconditionError
-from .linear_code import LinearCode, code_to_lines, load_code, parse_profile_shape
+from .linear_code import (
+    LinearCode,
+    code_to_lines,
+    load_code,
+    parse_profile_shape,
+    resolve_budget,
+)
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -382,9 +388,12 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
-    if getattr(args, "budget", None) is not None and args.budget <= 0:
-        print("usage error: --budget must be positive", file=sys.stderr)
-        return 2
+    if hasattr(args, "budget"):  # --budget, else MLLRC_BUDGET
+        try:
+            resolve_budget(args.budget)
+        except PreconditionError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
     if getattr(args, "jobs", 1) < 1:
         print("usage error: --jobs must be at least 1", file=sys.stderr)
         return 2

@@ -38,6 +38,7 @@ from .linear_code import (
     LocalityClass,
     LocalityProfile,
     RepairSet,
+    _read_ascii,
     code_from_lines,
     code_to_lines,
     format_profile_shape,
@@ -916,8 +917,7 @@ _SECTION_RE = re.compile(r"^\[([a-z0-9]+)(?:\s+(\d+))?\]$")
 
 
 def _read_sections(path) -> list[tuple[str, int | None, list[str]]]:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
+    raw = _read_ascii(path).split("\n")
     sections: list[tuple[str, int | None, list[str]]] = []
     for ln in raw:
         line = ln.strip()

@@ -5,6 +5,18 @@ locality, repair-set witnesses.  Enumerations are bounded by a hard budget
 (number of vectors touched); exceeding it raises BudgetError rather than
 falling back to any approximation.  Coordinates are 0-based throughout the
 library API (the CLI layer presents them 1-based).
+
+Every exhaustive pass (the primal distance pass, the dual weight
+distribution behind the MacWilliams route, and the dual-word scans behind
+localities and repair-set witnesses) runs on one split-table kernel,
+`_SplitTable`.  The first a generator rows are encoded once into a low
+codebook of q^a words (a is the largest value with q^a <= 2^12, clamped to
+[1, k]); block b is that codebook shifted by high word b, the combination
+of the remaining rows.  A block's zero pattern is the single comparison
+low == -high[b] on a column-major uint8 table (uint16 when q > 256), so no
+block re-encodes messages; actual codewords are rebuilt only for witness
+candidates.  The budget still charges the nominal q^k (or q^dim) words
+before a pass starts, and the zero word is never visited.
 """
 
 from __future__ import annotations
@@ -45,14 +57,23 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _BUDGET_ENV = "MLLRC_BUDGET"
-_BLOCK = 1 << 15
+_LOW_WORDS = 1 << 12
 
 
 def resolve_budget(budget: int | None = None) -> int:
     """Explicit argument, else the MLLRC_BUDGET env var, else 10^8."""
     if budget is None:
         env = os.environ.get(_BUDGET_ENV)
-        budget = int(env) if env else DEFAULT_BUDGET
+        if not env:
+            return DEFAULT_BUDGET
+        bad = f"{_BUDGET_ENV} must be a positive integer, got {env!r}"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise PreconditionError(bad) from None
+        if budget <= 0:
+            raise PreconditionError(bad)
+        return budget
     budget = int(budget)
     if budget <= 0:
         raise PreconditionError(f"enumeration budget must be positive, got {budget}")
@@ -60,38 +81,85 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumeration kernels
+# enumeration kernel
 # ---------------------------------------------------------------------------
 
 
-def _digits_block(q: int, k: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the q-ary message enumeration, digit i in column i."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, k), dtype=np.int64)
-    for i in range(k):
-        out[:, i] = idx % q
-        idx //= q
-    return out
+def _low_rows(q: int, k: int) -> int:
+    """Rows in the low codebook: the largest a with q^a <= _LOW_WORDS, clamped
+    to [1, k], so the codebook never exceeds max(q, _LOW_WORDS) words."""
+    a = 1
+    while a < k and q ** (a + 1) <= _LOW_WORDS:
+        a += 1
+    return a
 
 
-def _encode_block(F: FiniteField, G: np.ndarray, msgs: np.ndarray) -> np.ndarray:
-    if F.m == 1:
-        return (msgs @ G) % F.p
-    acc = np.zeros((msgs.shape[0], G.shape[1]), dtype=np.int64)
-    for t in range(G.shape[0]):
-        acc = F.add(acc, F.mul(msgs[:, t : t + 1], G[t : t + 1, :]))
-    return acc
+def _codebook(F: FiniteField, G: np.ndarray) -> np.ndarray:
+    """All q^r words spanned by the r rows of G, one per row, in message order
+    (digit i multiplies row i; digit 0 is least significant)."""
+    n = G.shape[1]
+    words = np.zeros((1, n), dtype=np.int64)
+    for row in G:
+        multiples = F.mul(F.elements()[:, None], row[None, :])
+        words = F.add(multiples[:, None, :], words[None, :, :]).reshape(-1, n)
+    return words
 
 
-def _iter_codeword_blocks(F: FiniteField, G: np.ndarray, skip_zero: bool = True):
-    """Yield (first_message_index, codeword block) pairs in message order."""
-    k = G.shape[0]
-    total = F.q**k
-    lo = 1 if skip_zero else 0
-    while lo < total:
-        hi = min(lo + _BLOCK, total)
-        yield lo, _encode_block(F, G, _digits_block(F.q, k, lo, hi))
-        lo = hi
+def _word_chunks(F: FiniteField, G: np.ndarray):
+    """The words of _codebook(F, G) in the same order, in chunks of at most
+    max(q, _LOW_WORDS) rows, so memory stays bounded whatever the dimension."""
+    a = _low_rows(F.q, G.shape[0])
+    low = _codebook(F, G[:a])
+    if a >= G.shape[0]:  # also the lone zero word of an empty G
+        yield low
+        return
+    for top in _word_chunks(F, G[a:]):
+        for h in top:
+            yield F.add(low, h)
+
+
+class _SplitTable:
+    """Exhaustive enumeration of a row space by split tables.
+
+    The first a generator rows (a = _low_rows) are encoded once into a low
+    codebook of q^a words; the other rows give q^(k-a) high words.  Block b is
+    the low codebook shifted by high word b, so message index = c + q^a * b,
+    the same order as counting messages with digit 0 least significant.  The
+    codebook is held column-major as uint8 (uint16 when q > 256), and word
+    (b, c) is zero at coordinate j exactly when low[c, j] == -high[b, j]: one
+    comparison per block gives every zero pattern, with no per-block field
+    arithmetic.  Actual words are rebuilt only on request (witnesses).
+    """
+
+    def __init__(self, F: FiniteField, G: np.ndarray):
+        k, n = G.shape
+        a = _low_rows(F.q, k)
+        self.field = F
+        self.low = _codebook(F, G[:a])
+        self._low_t = np.ascontiguousarray(
+            self.low.T, dtype=np.uint8 if F.q <= 256 else np.uint16
+        )
+        self._neg_high_rows = F.neg(G[a:])
+        # zero counts (and zero counts + 1) fit in a byte for n < 255
+        self._count_dtype = np.uint8 if n < 255 else np.int64
+
+    def blocks(self):
+        """Yield (first, neg_high, eq, zeros) per block, skipping the zero word.
+
+        eq[j, c] says low word first + c plus the block's high word is zero at
+        coordinate j; zeros[c] is its number of zero coordinates.  neg_high is
+        the negated high word (int64), for word()."""
+        first = 1  # message 0 is the zero word
+        for chunk in _word_chunks(self.field, self._neg_high_rows):
+            for neg_high, nh in zip(chunk, chunk.astype(self._low_t.dtype)):
+                eq = self._low_t[:, first:] == nh[:, None]
+                zeros = eq.view(np.uint8).sum(axis=0, dtype=self._count_dtype)
+                yield first, neg_high, eq, zeros
+                first = 0
+
+    def word(self, c: int, neg_high: np.ndarray) -> np.ndarray:
+        """The codeword with low index c in the block of neg_high."""
+        return self.field.sub(self.low[c], neg_high)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +350,7 @@ class LinearCode:
         """Deterministic random codewords, one per row (for spot checks/demos)."""
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, self.q, size=(count, self.k), dtype=np.int64)
-        return _encode_block(self.field, self.G.a, msgs)
+        return (MatrixGF(self.field, msgs) @ self.G).a
 
     # -- distance --------------------------------------------------------------
 
@@ -294,12 +362,8 @@ class LinearCode:
         primal = self.q**self.k
         dual_side = self.q ** (self.n - self.k)
         if primal <= b:
-            best = self.n + 1
-            for _, block in _iter_codeword_blocks(self.field, self.G.a):
-                w = int(np.count_nonzero(block, axis=1).min())
-                if w < best:
-                    best = w
-            d = best
+            table = _SplitTable(self.field, self.G.a)
+            d = self.n - max(int(zeros.max()) for *_, zeros in table.blocks())
         elif dual_side <= b:
             d = self._distance_via_dual()
         else:
@@ -311,13 +375,12 @@ class LinearCode:
         return d
 
     def _weight_counts(self, G: np.ndarray) -> list[int]:
-        counts = np.zeros(self.n + 1, dtype=np.int64)
-        for _, block in _iter_codeword_blocks(self.field, G):
-            counts += np.bincount(
-                np.count_nonzero(block, axis=1), minlength=self.n + 1
-            )
-        counts[0] += 1  # zero word
-        return [int(c) for c in counts]
+        """Number of words of each weight 0..n in the row space of G."""
+        by_zeros = np.zeros(self.n + 1, dtype=np.int64)
+        for *_, zeros in _SplitTable(self.field, G).blocks():
+            by_zeros += np.bincount(zeros, minlength=self.n + 1)
+        by_zeros[self.n] += 1  # zero word
+        return [int(c) for c in by_zeros[::-1]]
 
     def _distance_via_dual(self) -> int:
         """Exact distance from the dual weight distribution via the
@@ -427,45 +490,44 @@ class LinearCode:
                 f"dual scan needs {F.q ** dim} enumerations; budget is {b}"
             )
         pos = {c: idx for idx, c in enumerate(support)}
-        t_pos = [pos[t] for t in targets]
-        best: dict[int, int | None] = {t: None for t in targets}
+        t_pos = np.array([pos[t] for t in targets], dtype=np.intp)
+        # per target: 1 + the most zeros of a word nonzero there (0: no word)
+        best = np.zeros(len(targets), dtype=np.int64)
         if dim > 0:
-            for _, block in _iter_codeword_blocks(F, K):
-                wts = np.count_nonzero(block, axis=1)
-                for t, tp in zip(targets, t_pos):
-                    sel = wts[block[:, tp] != 0]
-                    if sel.size:
-                        m = int(sel.min())
-                        if best[t] is None or m < best[t]:
-                            best[t] = m
-        out: dict[int, tuple[int | None, RepairSet | None]] = {}
+            table = _SplitTable(F, K)
+            for _, _, eq, zeros in table.blocks():
+                # a target can improve only if some word of this block has
+                # more zeros than its best so far; the rest skip this block
+                lagging = np.nonzero(best <= zeros.max())[0]
+                if lagging.size:
+                    score = np.where(eq[t_pos[lagging]], 0, zeros + 1)
+                    best[lagging] = np.maximum(best[lagging], score.max(axis=1))
+        weight = {
+            t: len(support) + 1 - int(m) if m else None for t, m in zip(targets, best)
+        }
         if not want_witnesses:
-            return {t: (best[t], None) for t in targets}
+            return {t: (weight[t], None) for t in targets}
         keys: dict[int, tuple] = {}
         wit: dict[int, RepairSet | None] = {t: None for t in targets}
-        if dim > 0:
-            for _, block in _iter_codeword_blocks(F, K):
-                wts = np.count_nonzero(block, axis=1)
-                for t, tp in zip(targets, t_pos):
-                    if best[t] is None:
-                        continue
-                    cand = np.nonzero((block[:, tp] != 0) & (wts == best[t]))[0]
-                    for ridx in cand:
-                        h = block[ridx]
-                        hn = F.mul(F.inv(int(h[tp])), h)  # normalize h_t = 1
-                        supp = tuple(
-                            support[j] for j in np.nonzero(hn)[0] if j != tp
-                        )
-                        coeffs = tuple(
-                            int(F.neg(int(hn[pos[c]]))) for c in supp
-                        )
-                        key = (supp, coeffs)
-                        if t not in keys or key < keys[t]:
-                            keys[t] = key
-                            wit[t] = RepairSet(t, supp, coeffs)
-        for t in targets:
-            out[t] = (best[t], wit[t])
-        return out
+        active = np.nonzero(best)[0]
+        if active.size:
+            rows = t_pos[active]
+            want = best[active][:, None]
+            for first, neg_high, eq, zeros in table.blocks():
+                if want.min() > zeros.max() + 1:
+                    continue  # no minimum-weight word in this block
+                score = np.where(eq[rows], 0, zeros + 1)
+                for i, ci in zip(*np.nonzero(score == want)):
+                    t, tp = targets[active[i]], int(rows[i])
+                    h = table.word(first + int(ci), neg_high)
+                    hn = F.mul(F.inv(int(h[tp])), h)  # normalize h_t = 1
+                    supp = tuple(support[j] for j in np.nonzero(hn)[0] if j != tp)
+                    coeffs = tuple(int(F.neg(int(hn[pos[c]]))) for c in supp)
+                    key = (supp, coeffs)
+                    if t not in keys or key < keys[t]:
+                        keys[t] = key
+                        wit[t] = RepairSet(t, supp, coeffs)
+        return {t: (weight[t], wit[t]) for t in targets}
 
     def locality_of_coordinate(
         self, i: int, restrict_to=None, budget: int | None = None
@@ -691,8 +753,20 @@ def save_code(code: LinearCode, path) -> None:
         fh.write("\n".join(code_to_lines(code)) + "\n")
 
 
+def _read_ascii(path) -> str:
+    """Text of an input file (universal newlines); a byte outside ASCII is a
+    ParseError, like any other malformed content."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x}; "
+            "input files are ASCII text"
+        ) from exc
+
+
 def load_code(path) -> LinearCode:
     """Parse the text format, validating every field and entry range."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = [ln.strip() for ln in fh.readlines()]
+    raw = [ln.strip() for ln in _read_ascii(path).split("\n")]
     return code_from_lines(raw, where=str(path))

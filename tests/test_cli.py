@@ -266,6 +266,31 @@ class TestErrorHandling:
         assert cli("analyze", "--in", spc_file, "--budget", "0")[0] == 2
         assert cli("certify", "--in", spc_file, "--jobs", "0")[0] == 2
 
+    @pytest.mark.parametrize("argv,name", [
+        (("analyze", "--in"), "code.txt"),
+        (("construct", "gcc", "--spec"), "gcc.spec"),
+        (("construct", "pyramid", "--spec"), "pyr.spec"),
+        (("bound", "cm", "--n", "20", "--d", "8", "--r", "4", "--q", "2",
+          "--oracle", "table", "--table"), "kopt.txt"),
+    ])
+    def test_non_ascii_input_is_parse_error(self, cli, tmp_path, argv, name):
+        bad = tmp_path / name
+        bad.write_bytes("# caf\u00e9\n".encode("utf-8"))
+        rc, out, err = cli(*argv, str(bad))
+        assert (rc, out) == (2, "")
+        assert err.startswith("parse error:") and "0xc3" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_budget_env_is_usage_error(self, cli, monkeypatch,
+                                                 spc_file, value):
+        monkeypatch.setenv("MLLRC_BUDGET", value)
+        for argv in (("analyze", "--in", spc_file), ("certify", "--in", spc_file)):
+            rc, out, err = cli(*argv)
+            assert (rc, out) == (2, "")
+            assert err.startswith("usage error:") and "MLLRC_BUDGET" in err
+        # an explicit --budget takes precedence over the variable
+        assert cli("analyze", "--in", spc_file, "--budget", "100")[0] == 0
+
     def test_malformed_groups(self, cli, tmp_path):
         tb_file = tmp_path / "tb.code"
         save_code(tamo_barg(13, 12, 6, 3), tb_file)

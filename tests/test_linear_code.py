@@ -7,10 +7,12 @@ trivial cases (repetition, SPC) are asserted directly.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+import mllrc.linear_code as linear_code
 from mllrc.errors import BudgetError, ParseError, PreconditionError
 from mllrc.galois import MatrixGF, field_new, mat_rank
 from mllrc.linear_code import (
@@ -23,6 +25,7 @@ from mllrc.linear_code import (
     format_profile_shape,
     load_code,
     parse_profile_shape,
+    resolve_budget,
     save_code,
 )
 
@@ -147,6 +150,224 @@ def test_budget_env_override(monkeypatch):
         C.min_distance()
     monkeypatch.delenv("MLLRC_BUDGET")
     assert C.min_distance() == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
+def test_budget_env_malformed(monkeypatch, value):
+    monkeypatch.setenv("MLLRC_BUDGET", value)
+    assert resolve_budget(7) == 7  # an explicit budget wins
+    with pytest.raises(PreconditionError, match="MLLRC_BUDGET"):
+        resolve_budget()
+    C = LinearCode(field_new(2), [[1, 1, 0, 0], [0, 1, 1, 1]])
+    with pytest.raises(PreconditionError):
+        C.min_distance()
+
+
+# ---------------------------------------------------------------------------
+# split-table enumeration kernel against itertools references
+# ---------------------------------------------------------------------------
+
+# One (n, k) per code.  Per field the shapes give a single block (k <= a, the
+# low codebook's row count) and several blocks (k > a, or n - k > a for the
+# dual scans); GF(257) runs the uint16 codebook.
+_KERNEL_CASES = [
+    ((2, 1), [(8, 4), (15, 13), (15, 2)]),
+    ((3, 1), [(6, 3), (9, 8), (9, 1)]),
+    ((2, 2), [(5, 2), (8, 7), (8, 1)]),
+    ((3, 2), [(5, 2), (5, 4), (6, 2)]),
+    ((13, 1), [(5, 2), (5, 4), (5, 1)]),
+    ((2, 4), [(5, 2), (5, 4), (5, 1)]),
+    ((257, 1), [(3, 1), (3, 2)]),
+]
+
+
+class _Ref:
+    """Brute-force reference: every word listed by itertools message
+    enumeration, with field arithmetic from plain-Python tables."""
+
+    def __init__(self, F):
+        el = F.elements()
+        self.q = F.q
+        self.add = F.add(el[:, None], el[None, :]).tolist()
+        self.mul = F.mul(el[:, None], el[None, :]).tolist()
+        self.neg = [row.index(0) for row in self.add]
+        self.inv = [0] + [row.index(1) for row in self.mul[1:]]
+
+    def words(self, rows):
+        n = len(rows[0])
+        out = []
+        for msg in itertools.product(range(self.q), repeat=len(rows)):
+            w = [0] * n
+            for c, row in zip(msg, rows):
+                if c:
+                    mc = self.mul[c]
+                    for j, g in enumerate(row):
+                        w[j] = self.add[w[j]][mc[g]]
+            out.append(tuple(w))
+        return out
+
+    def weights(self, words, n):
+        counts = [0] * (n + 1)
+        for w in words:
+            counts[sum(1 for v in w if v)] += 1
+        return counts
+
+    def repair(self, dual_words, i, support):
+        """(locality, RepairSet) of coordinate i with helpers in support, or
+        None: the lightest dual word inside support through i, ties broken
+        by the least (helpers, coefficients)."""
+        best = None
+        for h in dual_words:
+            if not h[i] or any(v for j, v in enumerate(h) if v and j not in support):
+                continue
+            s = self.inv[h[i]]
+            hn = [self.mul[s][v] for v in h]
+            helpers = tuple(j for j, v in enumerate(hn) if v and j != i)
+            key = (len(helpers), helpers, tuple(self.neg[hn[j]] for j in helpers))
+            if best is None or key < best:
+                best = key
+        if best is None:
+            return None
+        return best[0], RepairSet(i, best[1], best[2])
+
+
+def _random_full_code(F, n, k, rng):
+    """Random [n, k] code with no zero column, from a seeded random.Random."""
+    while True:
+        A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
+        if all(any(row[j] for row in A) for j in range(n)) and mat_rank(
+            MatrixGF(F, A)
+        ) == k:
+            return LinearCode(F, A)
+
+
+def _classes(locs):
+    """Coordinate classes by locality, as the library groups them."""
+    by_r = {}
+    for c, r in sorted(locs.items()):
+        by_r.setdefault(r, []).append(c)
+    return LocalityProfile(
+        tuple(LocalityClass(r, tuple(cs)) for r, cs in sorted(by_r.items()))
+    )
+
+
+def test_kernel_cases_cover_single_and_multi_block():
+    for (p, m), shapes in _KERNEL_CASES:
+        q = p**m
+        assert any(k <= linear_code._low_rows(q, k) for _, k in shapes)
+        assert any(k > linear_code._low_rows(q, k) for _, k in shapes)
+    assert any(n - k > linear_code._low_rows(p**m, n - k)
+               for (p, m), shapes in _KERNEL_CASES for n, k in shapes)
+
+
+@pytest.mark.parametrize(
+    "field,shape",
+    [(f, s) for f, shapes in _KERNEL_CASES for s in shapes],
+    ids=lambda v: "x".join(map(str, v)),
+)
+def test_kernel_matches_itertools_reference(field, shape):
+    F = field_new(*field)
+    n, k = shape
+    rng = random.Random(repr((field, shape)))
+    C = _random_full_code(F, n, k, rng)
+    ref = _Ref(F)
+    primal = ref.words(C.G.tolist())
+    dual_words = ref.words(C.H.tolist())
+
+    # distance: primal pass and, where the dual is smaller, MacWilliams
+    d = min(sum(1 for v in w if v) for w in primal if any(w))
+    assert C.min_distance() == d
+    if F.q ** (n - k) < F.q**k:
+        assert LinearCode(F, C.G.a).min_distance(budget=F.q ** (n - k)) == d
+    assert C._weight_counts(C.G.a) == ref.weights(primal, n)
+    assert C._weight_counts(C.H.a) == ref.weights(dual_words, n)
+
+    # loose and strict profiles; a coordinate without a repair relation is
+    # a PreconditionError in both
+    everything = set(range(n))
+    loose = {i: ref.repair(dual_words, i, everything) for i in range(n)}
+    if any(v is None for v in loose.values()):
+        for mode in ("loose", "strict"):
+            with pytest.raises(PreconditionError):
+                C.locality_profile(mode)
+    else:
+        prof = _classes({i: v[0] for i, v in loose.items()})
+        assert C.locality_profile("loose") == prof
+        strict = {
+            i: ref.repair(dual_words, i, set(cls.coordinates))
+            for cls in prof.classes for i in cls.coordinates
+        }
+        if any(v is None for v in strict.values()) or [
+            c.coordinates for c in _classes({i: v[0] for i, v in strict.items()}).classes
+        ] != [c.coordinates for c in prof.classes]:
+            with pytest.raises(PreconditionError):
+                C.locality_profile("strict")
+        else:
+            assert C.locality_profile("strict") == _classes(
+                {i: v[0] for i, v in strict.items()}
+            )
+        ok, wit = C.verify_profile(prof, "strict")
+        expect = {}
+        for cls in prof.classes:
+            for i in cls.coordinates:
+                v = strict[i]
+                expect[i] = v[1] if v is not None and v[0] <= cls.locality else None
+        assert wit == expect
+        assert ok == all(w is not None for w in expect.values())
+
+    # witnesses of a generous one-class claim: every coordinate that has a
+    # repair relation gets the reference's witness
+    claim = LocalityProfile((LocalityClass(n, tuple(range(n))),))
+    ok, wit = C.verify_profile(claim)
+    assert wit == {i: v and v[1] for i, v in loose.items()}
+    assert ok == all(v is not None for v in loose.values())
+
+    for i in range(n):
+        helpers = set(rng.sample(range(n), rng.randrange(n)))
+        want = ref.repair(dual_words, i, helpers | {i})
+        if want is None:
+            with pytest.raises(PreconditionError):
+                C.locality_of_coordinate(i, restrict_to=helpers)
+        else:
+            assert C.locality_of_coordinate(i, restrict_to=helpers) == want
+
+
+@pytest.mark.parametrize("low_words", [1, 9, 1 << 12])
+def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
+    # a small codebook bound forces several chunk levels on small inputs
+    monkeypatch.setattr(linear_code, "_LOW_WORDS", low_words)
+    rng = random.Random(low_words)
+    for field, n, k in [((2, 1), 5, 7), ((3, 1), 4, 5), ((2, 2), 3, 4),
+                        ((3, 2), 3, 3), ((257, 1), 2, 2)]:
+        F = field_new(*field)
+        G = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
+        table = linear_code._SplitTable(F, np.array(G, dtype=np.int64))
+        seen = [(0,) * n]  # the zero word is never yielded
+        for first, neg_high, eq, zeros in table.blocks():
+            for c in range(eq.shape[1]):
+                w = table.word(first + c, neg_high)
+                assert eq[:, c].tolist() == (w == 0).tolist()
+                assert zeros[c] == n - np.count_nonzero(w)
+                seen.append(tuple(w.tolist()))
+        # message digit 0 is least significant; itertools varies the last
+        # position fastest, so the reference lists the rows reversed
+        assert seen == _Ref(F).words(G[::-1])
+
+
+def test_kernel_budget_edge_is_still_refused():
+    # the budget charges the nominal q^k / q^dim words before enumerating
+    F = field_new(3)
+    C = _random_full_code(F, 9, 8, random.Random(5))
+    assert C.q ** (C.n - C.k) == 3
+    with pytest.raises(BudgetError):
+        LinearCode(F, C.G.a).min_distance(budget=2)
+    assert LinearCode(F, C.G.a).min_distance(budget=3) == C.min_distance()
+    D = _random_full_code(F, 9, 1, random.Random(5))  # dual dimension 8
+    with pytest.raises(BudgetError):
+        D.locality_profile(budget=3**8 - 1)
+    with pytest.raises(BudgetError):
+        D.locality_of_coordinate(0, budget=3**8 - 1)
+    D.locality_profile(budget=3**8)
 
 
 # ---------------------------------------------------------------------------
