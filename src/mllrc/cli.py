@@ -235,7 +235,8 @@ def _cmd_certify(args) -> int:
             (path, _oracle(args), args.mode, args.budget) for path in args.input
         ]
         if args.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            workers = min(args.jobs, len(tasks))  # fork starts every worker at once
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 certs = list(pool.map(_certify_one, tasks))
         else:
             certs = [_certify_one(task) for task in tasks]
@@ -372,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--expect-optimal", choices=["singleton", "alphabet"],
                     help="exit 1 unless this verdict is true for every input")
     ce.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers for batch certification")
+                    help="parallel workers for batch certification (never "
+                    "more than the number of inputs)")
     _add_oracle(ce)
     _add_report(ce)
     _add_out(ce)

@@ -30,7 +30,6 @@ from .galois import (
     MatrixGF,
     field_from_order,
     field_new,
-    mat_kernel,
     mat_rref,
 )
 from .linear_code import (
@@ -38,6 +37,7 @@ from .linear_code import (
     LocalityClass,
     LocalityProfile,
     RepairSet,
+    _SplitTable,
     _read_ascii,
     code_from_lines,
     code_to_lines,
@@ -163,36 +163,81 @@ def tamo_barg(q: int, n: int, k: int, r: int) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 _SUPPORT_SEARCH_CAP = 1 << 20
+# Column subsets row-reduced together: enough to amortise the numpy calls, few
+# enough that a chunk's (subsets x k x size) stack stays small.
+_SUBSET_CHUNK = 256
 
 
-def _full_support_kernel_word(field: FiniteField, cols: np.ndarray):
-    """A kernel vector of the column block with no zero entry, or None.
+def _rref_stack(F: FiniteField, B: np.ndarray):
+    """Row-reduce every matrix of the stack B (N x k x s) in lockstep.
 
-    Such a vector is exactly a dual word whose support is the whole column
-    set.  The kernel is enumerated completely (its dimension is tiny here);
-    the first full-support combination in message order is returned.
+    Each matrix gets the reduction of mat_rref: column by column, the pivot is
+    the first nonzero entry from the current row down, scaled to 1 and cleared
+    above and below.  Returns the reduced stack, the (N x s) mask of pivot
+    columns and the ranks.
     """
-    K = mat_kernel(MatrixGF(field, cols)).a
-    dim = K.shape[0]
-    if dim == 0:
-        return None
-    total = field.q**dim
-    if total > _SUPPORT_SEARCH_CAP:
-        raise BudgetError(
-            f"kernel enumeration needs {total} combinations "
-            f"(cap {_SUPPORT_SEARCH_CAP})"
-        )
-    for idx in range(1, total):
-        v = np.zeros(cols.shape[1], dtype=np.int64)
-        t = idx
-        for row in range(dim):
-            digit = t % field.q
-            t //= field.q
-            if digit:
-                v = field.add(v, field.mul(digit, K[row]))
-        if np.all(v != 0):
-            return v
-    return None
+    N, k, s = B.shape
+    B = B.copy()
+    rank = np.zeros(N, dtype=np.int64)
+    pivot = np.zeros((N, s), dtype=bool)
+    rows = np.arange(k)
+    for c in range(s):
+        cand = (B[:, :, c] != 0) & (rows >= rank[:, None])
+        idx = np.flatnonzero(cand.any(axis=1))
+        if idx.size == 0:
+            continue
+        at, top = np.arange(idx.size), rank[idx]
+        found = cand[idx].argmax(axis=1)
+        M = B[idx]
+        M[at, top], M[at, found] = M[at, found], M[at, top]
+        M[at, top] = F.mul(M[at, top], F.inv(M[at, top, c])[:, None])
+        factor = M[:, :, c].copy()
+        factor[at, top] = 0
+        B[idx] = F.sub(M, F.mul(factor[:, :, None], M[at, top][:, None, :]))
+        pivot[idx, c] = True
+        rank[idx] += 1
+    return B, pivot, rank
+
+
+def _full_support_flags(F: FiniteField, A: np.ndarray, subsets):
+    """For each column subset S of A, in order: is some dual word's support
+    exactly S, i.e. does the kernel of A[:, S] hold a vector with no zero?
+
+    Subsets are read _SUBSET_CHUNK at a time and each chunk is row-reduced in
+    lockstep.  Kernel dimension 0 means no.  Dimension 1 means yes iff the
+    free column of the RREF is nonzero in every pivot row.  A larger kernel is
+    scanned word by word from its RREF basis with the split-table kernel.  A
+    kernel of more than _SUPPORT_SEARCH_CAP words raises BudgetError when its
+    subset's turn comes, after the flags of all earlier subsets.
+    """
+    it = iter(subsets)
+    while chunk := list(itertools.islice(it, _SUBSET_CHUNK)):
+        S = np.array(chunk, dtype=np.int64)
+        R, pivot, rank = _rref_stack(F, A[:, S].transpose(1, 0, 2))
+        dims = S.shape[1] - rank
+        R_free = R[np.arange(len(S)), :, pivot.argmin(axis=1)]
+        in_rank = np.arange(R.shape[1]) < rank[:, None]
+        one_free_full = np.all((R_free != 0) | ~in_rank, axis=1)
+        for b, dim in enumerate(dims.tolist()):
+            if dim == 0:
+                yield False
+                continue
+            total = F.q**dim
+            if total > _SUPPORT_SEARCH_CAP:
+                raise BudgetError(
+                    f"kernel enumeration needs {total} combinations "
+                    f"(cap {_SUPPORT_SEARCH_CAP})"
+                )
+            if dim == 1:
+                yield bool(one_free_full[b])
+                continue
+            free = np.flatnonzero(~pivot[b])
+            K = np.zeros((dim, S.shape[1]), dtype=np.int64)
+            K[np.arange(dim), free] = 1
+            K[:, pivot[b]] = F.neg(R[b, : rank[b]][:, free].T)
+            yield any(
+                bool((zeros == 0).any()) for *_, zeros in _SplitTable(F, K).blocks()
+            )
 
 
 def _exact_cover(n: int, groups: list[tuple[int, ...]]):
@@ -223,8 +268,11 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
     """Partition all coordinates into disjoint (r+1)-sets, each the exact
     support of some dual word (so each set is a self-contained repair group).
 
-    Every (r+1)-subset is tested for a full-support dual word; the
-    lexicographically smallest exact cover by such subsets is returned,
+    The candidates are the supports of the weight-(r+1) dual words: every
+    (r+1)-subset S is tested for a dual word whose support is exactly S.  The
+    subsets are streamed in combinations order and row-reduced together in
+    fixed-size chunks; a kernel of more than 2^20 words raises BudgetError.
+    The lexicographically smallest exact cover by the candidates is returned,
     ordered by smallest element.  Raises if no partition exists.
     """
     n = code.n
@@ -235,12 +283,10 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
             f"n = {n} is not a multiple of r+1 = {r + 1}; no partition into "
             "repair groups exists"
         )
-    A = code.G.a
-    cands = [
-        S
-        for S in itertools.combinations(range(n), r + 1)
-        if _full_support_kernel_word(code.field, A[:, list(S)]) is not None
-    ]
+    subsets, tested = itertools.tee(itertools.combinations(range(n), r + 1))
+    cands = list(
+        itertools.compress(subsets, _full_support_flags(code.field, code.G.a, tested))
+    )
     part = _exact_cover(n, cands)
     if part is None:
         raise PreconditionError(
@@ -276,9 +322,8 @@ def _normalize_groups(code: LinearCode, repair_groups) -> tuple[tuple[int, ...],
             f"repair groups must partition all {code.n} coordinates "
             f"(got {len(flat)})"
         )
-    A = code.G.a
-    for g in groups:
-        if _full_support_kernel_word(code.field, A[:, list(g)]) is None:
+    for g, ok in zip(groups, _full_support_flags(code.field, code.G.a, groups)):
+        if not ok:
             raise PreconditionError(
                 f"coordinates {g} carry no dual word with full support; "
                 "not a valid repair group"

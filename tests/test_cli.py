@@ -23,6 +23,7 @@ from mllrc import (
     save_pyramid_spec,
     tamo_barg,
 )
+import mllrc.cli as cli_module
 from mllrc.cli import run
 from mllrc.galois import field_new
 
@@ -213,6 +214,39 @@ class TestCertify:
                          "--oracle", "table", "--format", "kv")
         assert rc == 0
         assert rep == seq
+
+    def test_jobs_above_input_count_starts_one_worker_per_input(
+        self, cli, tmp_path, monkeypatch
+    ):
+        f1, f2 = tmp_path / "c1.code", tmp_path / "c2.code"
+        cli("construct", "gcc2", "--r", "3", "--j", "0", "--out", str(f1))
+        cli("construct", "gcc2", "--r", "2", "--j", "0", "--out", str(f2))
+        argv = ("certify", "--in", str(f1), str(f2), "--oracle", "table",
+                "--format", "kv")
+        rc, serial, _ = cli(*argv, "--jobs", "1")
+        assert rc == 0
+        sizes = []
+
+        class Recording(cli_module.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", Recording)
+        rc, parallel, _ = cli(*argv, "--jobs", "3")
+        assert rc == 0
+        assert parallel == serial
+        assert sizes == [2]
+
+    def test_jobs_worker_parse_error_names_the_file(self, cli, tmp_path):
+        good, bad = tmp_path / "good.code", tmp_path / "bad.code"
+        cli("construct", "gcc2", "--r", "3", "--j", "0", "--out", str(good))
+        bad.write_text("q=2 p=2 m=1 n=4 k=2\n1 0 1\n")
+        argv = ("certify", "--in", str(good), str(bad), "--oracle", "table")
+        rc, _, serial_err = cli(*argv)
+        assert rc == 2
+        assert serial_err.startswith(f"parse error: {bad}:")
+        assert cli(*argv, "--jobs", "2")[0::2] == (2, serial_err)
 
     def test_pyramid_certificate(self, cli, tmp_path):
         spec_file = tmp_path / "pyr.spec"

@@ -12,10 +12,12 @@ oracles and cross-checked by hand where small.
 
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from mllrc import constructions
 from mllrc.bounds import (
     griesmer_max_k,
     ml_alphabet_two,
@@ -48,7 +50,7 @@ from mllrc.constructions import (
     save_pyramid_spec,
     tamo_barg,
 )
-from mllrc.errors import ParseError, PreconditionError
+from mllrc.errors import BudgetError, ParseError, PreconditionError
 from mllrc.galois import (
     MatrixGF,
     field_from_order,
@@ -268,6 +270,202 @@ class TestRepairGroups:
         for groups in cases:
             with pytest.raises(PreconditionError):
                 algorithm1_ml_lrc(code, 2, 3, repair_groups=groups)
+
+
+def full_support_reference(F, A, S) -> bool:
+    """Some dual word has support exactly S: list every x in (F*)^S with
+    itertools.product and test A[:, S] x = 0.  A kernel of more than 2^20
+    words is refused with the library's BudgetError message."""
+    cols = A[:, list(S)]
+    dim = len(S) - mat_rank(MatrixGF(F, cols))
+    if dim and F.q**dim > 1 << 20:
+        raise BudgetError(
+            f"kernel enumeration needs {F.q**dim} combinations (cap {1 << 20})"
+        )
+    X = np.array(list(itertools.product(range(1, F.q), repeat=len(S))))
+    acc = np.zeros((A.shape[0], len(X)), dtype=np.int64)
+    for j in range(len(S)):
+        acc = F.add(acc, F.mul(cols[:, j][:, None], X[:, j][None, :]))
+    return bool(np.any(np.all(acc == 0, axis=0)))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (BudgetError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def detect_reference(code, r):
+    cands = [
+        S
+        for S in itertools.combinations(range(code.n), r + 1)
+        if full_support_reference(code.field, code.G.a, S)
+    ]
+    part = constructions._exact_cover(code.n, cands)
+    if part is None:
+        raise PreconditionError(
+            f"no partition of the {code.n} coordinates into disjoint repair "
+            f"groups of size {r + 1}"
+        )
+    return part
+
+
+def normalize_reference(code, groups):
+    for g in groups:
+        if not full_support_reference(code.field, code.G.a, g):
+            raise PreconditionError(
+                f"coordinates {g} carry no dual word with full support; "
+                "not a valid repair group"
+            )
+    return tuple(sorted(groups))
+
+
+def random_columns(rng, F, k, n):
+    """k x n matrix with some zero and some repeated columns."""
+    A = np.array([[rng.randrange(F.q) for _ in range(n)] for _ in range(k)])
+    for _ in range(rng.randrange(3)):
+        A[:, rng.randrange(n)] = A[:, rng.randrange(n)]
+    if rng.random() < 0.3:
+        A[:, rng.randrange(n)] = 0
+    return A
+
+
+def grouped_code(rng, F, n, size):
+    """A code whose coordinates fall into disjoint blocks of `size`, each of
+    rank < size, mixed by random row operations and a random column
+    permutation.  With probability 0.6 every block's rows are orthogonal to a
+    random full-support vector, so the blocks are repair groups."""
+    planted = rng.random() < 0.6
+    blocks = []
+    for _ in range(n // size):
+        rank = rng.randint(1, size - 1)
+        y = [rng.randrange(1, F.q) for _ in range(size)]
+        block = np.zeros((rank, size), dtype=np.int64)
+        while mat_rank(MatrixGF(F, block)) < rank:
+            block = np.array(
+                [[rng.randrange(F.q) for _ in range(size)] for _ in range(rank)]
+            )
+            if planted:  # solve for the last entry of each row: row . y = 0
+                for row in block:
+                    dot = 0
+                    for a, b in zip(row[:-1], y[:-1]):
+                        dot = F.add(dot, F.mul(int(a), b))
+                    row[-1] = F.div(F.neg(dot), y[-1])
+        blocks.append(block)
+    k = sum(len(b) for b in blocks)
+    G = np.zeros((k, n), dtype=np.int64)
+    row = 0
+    for i, b in enumerate(blocks):
+        G[row : row + len(b), i * size : (i + 1) * size] = b
+        row += len(b)
+    for _ in range(2 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        G[i] = F.add(G[i], F.mul(rng.randrange(F.q), G[j]))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return LinearCode(F, G[:, perm])
+
+
+# Largest subset size whose (q-1)^size full-support vectors the reference lists.
+REFERENCE_SIZES = {2: 7, 3: 6, 4: 5, 9: 4, 13: 3, 16: 3}
+
+
+class TestFullSupportFlags:
+    @pytest.mark.parametrize("chunk", [1, 3, constructions._SUBSET_CHUNK])
+    @pytest.mark.parametrize("q", sorted(REFERENCE_SIZES))
+    def test_matches_brute_force(self, monkeypatch, q, chunk):
+        monkeypatch.setattr(constructions, "_SUBSET_CHUNK", chunk)
+        F = field_from_order(q)
+        rng = random.Random(1000 * q + chunk)
+        dims = set()
+        for _ in range(20):
+            n = rng.randint(2, 7)
+            A = random_columns(rng, F, rng.randint(1, 4), n)
+            size = rng.randint(2, min(n, REFERENCE_SIZES[q]))
+            subsets = list(itertools.combinations(range(n), size))
+            expect = [full_support_reference(F, A, S) for S in subsets]
+            got = list(constructions._full_support_flags(F, A, subsets))
+            assert got == expect, (q, A.tolist(), size)
+            dims |= {
+                min(size - mat_rank(MatrixGF(F, A[:, list(S)])), 2)
+                for S in subsets
+            }
+        assert dims == {0, 1, 2}
+
+    @pytest.mark.parametrize("q,dim", [(2, 20), (16, 5)])
+    def test_cap_edge(self, q, dim):
+        F = field_from_order(q)
+        A = np.zeros((1, dim + 1), dtype=np.int64)
+        at_cap = tuple(range(dim))  # q^dim = 2^20 words: scanned
+        assert list(constructions._full_support_flags(F, A, [at_cap])) == [True]
+        with pytest.raises(BudgetError) as exc:
+            list(constructions._full_support_flags(F, A, [tuple(range(dim + 1))]))
+        assert str(exc.value) == (
+            f"kernel enumeration needs {q ** (dim + 1)} combinations "
+            f"(cap {1 << 20})"
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 3, constructions._SUBSET_CHUNK])
+    def test_budget_error_after_earlier_flags(self, monkeypatch, chunk):
+        # GF(16), one row, columns 0 and 1 equal, 2..7 zero: the last 6-subset
+        # has a 16^6-word kernel, every earlier one a 16^5 = 2^20-word kernel
+        monkeypatch.setattr(constructions, "_SUBSET_CHUNK", chunk)
+        F = field_from_order(16)
+        A = np.zeros((1, 8), dtype=np.int64)
+        A[0, :2] = 3
+        subsets = list(itertools.combinations(range(8), 6))
+        got = []
+        with pytest.raises(BudgetError, match="needs 16777216 combinations"):
+            for flag in constructions._full_support_flags(F, A, subsets):
+                got.append(flag)
+        assert got == [{0, 1} <= set(S) for S in subsets[:-1]]
+
+    def test_detect_and_normalize_raise_in_order(self):
+        F = field_from_order(16)
+        over_cap = (
+            "BudgetError",
+            "kernel enumeration needs 16777216 combinations (cap 1048576)",
+        )
+        code = LinearCode(F, [[3, 0, 0, 0, 0, 0, 0]])  # a 16^6-word kernel
+        assert outcome(detect_repair_groups, code, 6) == over_cap
+        # columns 0..6 independent (no dual word), 7..13 a 16^6-word kernel
+        G = np.zeros((7, 14), dtype=np.int64)
+        G[:, :7] = np.eye(7, dtype=np.int64)
+        G[0, 7] = 1
+        code = LinearCode(F, G)
+        first, second = tuple(range(7)), tuple(range(7, 14))
+        assert outcome(constructions._normalize_groups, code, [first, second]) == (
+            "PreconditionError",
+            f"coordinates {first} carry no dual word with full support; "
+            "not a valid repair group",
+        )
+        assert outcome(constructions._normalize_groups, code, [second, first]) == (
+            over_cap
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 3, constructions._SUBSET_CHUNK])
+    @pytest.mark.parametrize("q", sorted(REFERENCE_SIZES))
+    def test_detect_and_normalize_match_reference(self, monkeypatch, q, chunk):
+        monkeypatch.setattr(constructions, "_SUBSET_CHUNK", chunk)
+        F = field_from_order(q)
+        rng = random.Random(7 * q + chunk)
+        found = 0
+        for _ in range(6):
+            size = rng.randint(2, min(4, REFERENCE_SIZES[q]))
+            n = size * rng.randint(1, 8 // size)
+            code = grouped_code(rng, F, n, size)
+            expect = outcome(detect_reference, code, size - 1)
+            assert outcome(detect_repair_groups, code, size - 1) == expect
+            found += isinstance(expect[0], tuple)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            groups = [tuple(sorted(perm[i : i + size])) for i in range(0, n, size)]
+            assert outcome(constructions._normalize_groups, code, groups) == (
+                outcome(normalize_reference, code, groups)
+            )
+        assert found
 
 
 # ---------------------------------------------------------------------------
