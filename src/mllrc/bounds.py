@@ -28,6 +28,8 @@ import itertools
 from dataclasses import dataclass, replace
 from math import prod
 
+import numpy as np
+
 from .errors import BudgetError, ParseError, PreconditionError
 from .linear_code import LocalityProfile, _read_ascii
 
@@ -71,6 +73,8 @@ def griesmer_max_k(q: int, n: int, d: int) -> int:
     total = 0
     power = 1
     while True:
+        if 1 <= d <= power:  # every remaining term is 1
+            return k + max(0, n - total)
         total += _ceil_div(d, power)
         if total > n:
             return k
@@ -169,39 +173,59 @@ def _exhaustive_max_dim_q2(n: int, d: int, stop_at: int, budget: int) -> tuple[i
     strictly increasing integers, each minimal in its coset modulo the span
     so far, and every new codeword is weight-checked.  Stops early once
     ``stop_at`` (a proven upper bound) is reached.  ``budget`` caps the
-    number of primitive coset checks; returns (best_found, completed) where
-    completed=False means the search aborted and best_found is only a lower
-    bound.
+    number of primitive coset checks: a node with span S charges |S| for
+    every candidate it examines, and the search aborts at the first charge
+    that takes the total above ``budget``.  Returns (best_found, completed),
+    where completed=False means the search aborted and best_found is only a
+    lower bound.
+
+    The chosen basis vectors have distinct leading bits, so a candidate is
+    least in its coset exactly when it is 0 at every leading bit.  A node
+    therefore keeps only its passing candidates: a child's are the parent's
+    later ones that are 0 at the new leading bit and keep weight >= d on
+    the new coset, found by one array filter.  Candidates that fail are
+    charged in bulk, in the same visit order, so every search returns what
+    the candidate-by-candidate scan returns.
     """
-    cands = [v for v in range(1, 1 << n) if v.bit_count() >= d]
+    weight = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):  # weight[w] = popcount(w) for every n-bit word w
+        weight = np.concatenate((weight, weight + 1))
+    cands = (np.flatnonzero(weight[1:] >= d) + 1).astype(np.min_scalar_type((1 << n) - 1))
+    total = len(cands)
     best = 0
     work = 0
 
-    def extend(span: list[int], idx0: int, k: int) -> bool:
+    def extend(span: np.ndarray, vals: np.ndarray, idxs: np.ndarray, idx0: int,
+               k: int) -> bool:
         nonlocal best, work
         if k > best:
             best = k
             if best >= stop_at:
                 return True
-        for idx in range(idx0, len(cands)):
-            v = cands[idx]
-            ok = True
-            work += len(span)
+        size = len(span)
+        last = idx0
+        for j in range(len(idxs)):
+            idx = int(idxs[j])
+            work += (idx - last + 1) * size
             if work > budget:
                 raise _SearchBudgetExceeded
-            for c in span:
-                if c:
-                    x = v ^ c
-                    if x < v or x.bit_count() < d:
-                        ok = False
-                        break
-            if ok:
-                if extend(span + [v ^ c for c in span], idx + 1, k + 1):
-                    return True
+            last = idx + 1
+            v = vals[j]
+            coset = span ^ v
+            later = vals[j + 1:]
+            free = (later & (1 << (int(v).bit_length() - 1))) == 0
+            later = later[free]
+            ok = weight[later[:, None] ^ coset].min(axis=1) >= d
+            if extend(np.concatenate((span, coset)), later[ok], idxs[j + 1:][free][ok],
+                      idx + 1, k + 1):
+                return True
+        work += (total - last) * size
+        if work > budget:
+            raise _SearchBudgetExceeded
         return False
 
     try:
-        extend([0], 0, 0)
+        extend(np.zeros(1, dtype=cands.dtype), cands, np.arange(total, dtype=cands.dtype), 0, 0)
     except _SearchBudgetExceeded:
         return best, False
     return best, True
@@ -223,8 +247,11 @@ class KOptOracle:
     The exhaustive stage (q = 2, n <= cap) searches binary *linear* codes
     only; it is flagged exact, with the caveat that a non-linear code could
     in principle exceed the best linear one.  Searches that would exceed
-    ``search_budget`` primitive checks abort deterministically and produce
-    no value, so the chain falls through.  The analytic stage returns
+    ``search_budget`` primitive coset checks (2*10^6 unless given; the
+    enumeration budget ``budget=`` / MLLRC_BUDGET does not apply) abort
+    deterministically, raise nothing and produce no value, so the chain
+    falls through.  A user ``table`` is validated entry by entry; the
+    bundled table was validated at import.  The analytic stage returns
     min(Singleton, Griesmer) and is flagged non-exact: always a valid upper
     bound, unusable for optimality certification.  The singleton stage
     returns n - d + 1 and exists so bounds can be evaluated in pure
@@ -247,11 +274,13 @@ class KOptOracle:
         self.search_budget = search_budget
         self.mode = ",".join(chain)
         self._chain = chain
-        entries = BUNDLED_KOPT_TABLE if table is None else table
         self.table: dict[tuple[int, int, int], tuple[int, str]] = {}
-        for (q, n, d), (k, prov) in entries.items():
-            _validate_table_entry(q, n, d, k)
-            self.table[(q, n, d)] = (k, str(prov))
+        if table is None:  # the bundled table is validated once, at import
+            self.table.update(BUNDLED_KOPT_TABLE)
+        else:
+            for (q, n, d), (k, prov) in table.items():
+                _validate_table_entry(q, n, d, k)
+                self.table[(q, n, d)] = (k, str(prov))
         self.cap = cap
         self._memo: dict[tuple[int, int, int], KOptValue | None] = {}
 
@@ -533,6 +562,12 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     (clamped at 0), else at ceil(n_s/(r_s+1)).  truncate=False replaces the
     per-class truncation min(n_i, t_i(r_i+1)) by the raw t_i(r_i+1) —
     a weaker but still valid relaxation used for dominance analysis.
+
+    A box of more than ``grid_budget`` cells raises BudgetError before any
+    cell is evaluated.  The scan over t_s is computed once per (length left
+    by the prefix, cap on t_s) pair and the oracle once per residual
+    length; the result, witness and skipped order are those of the
+    cell-by-cell scan in C order.
     """
     shape = _normalize_shape(profile, allow_empty_class=True)
     n = sum(n_i for n_i, _ in shape)
@@ -542,9 +577,9 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
         raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
     if oracle is None:
         oracle = KOptOracle.default()
-    s = len(shape)
+    head = shape[:-1]
     n_last, r_last = shape[-1]
-    prefix_caps = [_ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
+    prefix_caps = [_ceil_div(n_i, r_i + 1) for n_i, r_i in head]
     kappa_last = _ceil_div(n_last, r_last + 1)
     cap_last_max = kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last)
     grid_size = prod(c + 1 for c in prefix_caps) * (cap_last_max + 1)
@@ -557,30 +592,49 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     skipped: list[tuple[int, ...]] = []
     sources: set[str] = set()
     all_exact = True
+    # The last-axis scan depends only on the length the prefix leaves and on
+    # cap_last: memo[(rest, cap_last)] = (least value, largest t_s reaching
+    # it, skipped t_s in order).  answers holds one oracle query per residual.
+    memo: dict[tuple[int, int], tuple[int | None, int, tuple[int, ...]]] = {}
+    answers: dict[int, KOptValue | None] = {}
     for t_prefix in itertools.product(*(range(c + 1) for c in prefix_caps)):
-        used = sum(t_i * r_i for t_i, (_, r_i) in zip(t_prefix, shape[:-1]))
+        used = 0
+        rest = n
+        for t_i, (n_i, r_i) in zip(t_prefix, head):
+            used += t_i * r_i
+            rest -= min(n_i, t_i * (r_i + 1)) if truncate else t_i * (r_i + 1)
         if k_hint is None:
             cap_last = kappa_last
         else:
             cap_last = max(0, (k_hint - 1 - used) // r_last)
-        for t_s in range(cap_last + 1):
-            t = t_prefix + (t_s,)
-            if truncate:
-                removed = sum(
-                    min(n_i, t_i * (r_i + 1)) for t_i, (n_i, r_i) in zip(t, shape)
-                )
-            else:
-                removed = sum(t_i * (r_i + 1) for t_i, (_, r_i) in zip(t, shape))
-            kv = oracle.query(q, n - removed, d)
-            if kv is None:
-                skipped.append(t)
-                continue
-            sources.add(kv.source)
-            all_exact = all_exact and kv.exact
-            value = used + t_s * r_last + kv.value
-            if best is None or value <= best:
-                best = value
-                witness = t
+        scan = memo.get((rest, cap_last))
+        if scan is None:
+            low = None
+            arg = 0
+            missing = []
+            for t_s in range(cap_last + 1):
+                gone = t_s * (r_last + 1)
+                resid = rest - (min(n_last, gone) if truncate else gone)
+                if resid in answers:
+                    kv = answers[resid]
+                else:
+                    kv = answers[resid] = oracle.query(q, resid, d)
+                if kv is None:
+                    missing.append(t_s)
+                    continue
+                sources.add(kv.source)
+                all_exact = all_exact and kv.exact
+                value = t_s * r_last + kv.value
+                if low is None or value <= low:
+                    low = value
+                    arg = t_s
+            scan = memo[rest, cap_last] = (low, arg, tuple(missing))
+        low, arg, missing = scan
+        if missing:
+            skipped.extend(t_prefix + (t_s,) for t_s in missing)
+        if low is not None and (best is None or used + low <= best):
+            best = used + low
+            witness = t_prefix + (arg,)
     if best is None:
         raise PreconditionError(
             "oracle produced no value for any deletion tuple; extend the table "

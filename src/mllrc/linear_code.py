@@ -261,7 +261,10 @@ def parse_profile_shape(text: str) -> tuple[tuple[int, int], ...]:
     stripped = re.sub(r"\s+", "", text)
     if not pairs or stripped != canonical:
         raise ParseError(f"malformed profile string: {text!r}")
-    shape = tuple(sorted(((int(a), int(b)) for a, b in pairs), key=lambda p: p[1]))
+    try:
+        shape = tuple(sorted(((int(a), int(b)) for a, b in pairs), key=lambda p: p[1]))
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"malformed profile string: {exc}") from exc
     locs = [r for _, r in shape]
     if len(locs) != len(set(locs)):
         raise ParseError(f"profile localities must be distinct: {text!r}")

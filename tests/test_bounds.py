@@ -7,9 +7,16 @@ Oracles used here, all implemented inside this file with no shared code:
 - ``grid_min``: a direct re-implementation of the deletion-grid minimum for
   the multi-class alphabet bound.
 - direct formula re-evaluation for the three-class Singleton-type bound.
+- ``ref_exhaustive_max_dim_q2``, ``ref_ml_alphabet`` and
+  ``ref_griesmer_max_k``: the candidate-by-candidate search, the
+  cell-by-cell grid loop and the term-by-term Griesmer sum that the library
+  versions replaced.  ``ref_ml_alphabet`` shares only ``_normalize_shape``
+  with the library, so profile errors carry the same text.
 """
 
 import itertools
+import random
+from math import prod
 
 import pytest
 
@@ -17,6 +24,8 @@ from mllrc.bounds import (
     BUNDLED_KOPT_TABLE,
     BoundReport,
     KOptOracle,
+    _exhaustive_max_dim_q2,
+    _normalize_shape,
     cm_bound,
     griesmer_max_k,
     kopt,
@@ -474,3 +483,247 @@ def test_singleton_relaxed_alphabet_bound_dominates_three_classes():
                 rep = ml_alphabet(shape, d=d, q=3, oracle=o, k_hint=k,
                                   truncate=False)
                 assert rep.bound_value < k, (shape, k, d)
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the candidate-by-candidate k_opt search, the
+# cell-by-cell deletion grid and the term-by-term Griesmer sum; the library
+# versions must give the same answers, reports and errors
+# ---------------------------------------------------------------------------
+
+
+class _RefSearchBudgetExceeded(Exception):
+    pass
+
+
+def ref_exhaustive_max_dim_q2(n, d, stop_at, budget):
+    cands = [v for v in range(1, 1 << n) if v.bit_count() >= d]
+    best = 0
+    work = 0
+
+    def extend(span, idx0, k):
+        nonlocal best, work
+        if k > best:
+            best = k
+            if best >= stop_at:
+                return True
+        for idx in range(idx0, len(cands)):
+            v = cands[idx]
+            ok = True
+            work += len(span)
+            if work > budget:
+                raise _RefSearchBudgetExceeded
+            for c in span:
+                if c:
+                    x = v ^ c
+                    if x < v or x.bit_count() < d:
+                        ok = False
+                        break
+            if ok:
+                if extend(span + [v ^ c for c in span], idx + 1, k + 1):
+                    return True
+        return False
+
+    try:
+        extend([0], 0, 0)
+    except _RefSearchBudgetExceeded:
+        return best, False
+    return best, True
+
+
+def ref_ml_alphabet(profile, d, q, oracle=None, k_hint=None, truncate=True,
+                    grid_budget=10**6):
+    shape = _normalize_shape(profile, allow_empty_class=True)
+    n = sum(n_i for n_i, _ in shape)
+    if d < 1:
+        raise PreconditionError(f"distance must be >= 1, got {d}")
+    if k_hint is not None and k_hint < 1:
+        raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
+    if oracle is None:
+        oracle = KOptOracle.default()
+    n_last, r_last = shape[-1]
+    prefix_caps = [ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
+    kappa_last = ceil_div(n_last, r_last + 1)
+    cap_last_max = kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last)
+    grid_size = prod(c + 1 for c in prefix_caps) * (cap_last_max + 1)
+    if grid_size > grid_budget:
+        raise BudgetError(
+            f"deletion grid has {grid_size} cells, above the budget {grid_budget}"
+        )
+    best = None
+    witness = None
+    skipped = []
+    sources = set()
+    all_exact = True
+    for t_prefix in itertools.product(*(range(c + 1) for c in prefix_caps)):
+        used = sum(t_i * r_i for t_i, (_, r_i) in zip(t_prefix, shape[:-1]))
+        if k_hint is None:
+            cap_last = kappa_last
+        else:
+            cap_last = max(0, (k_hint - 1 - used) // r_last)
+        for t_s in range(cap_last + 1):
+            t = t_prefix + (t_s,)
+            if truncate:
+                removed = sum(
+                    min(n_i, t_i * (r_i + 1)) for t_i, (n_i, r_i) in zip(t, shape)
+                )
+            else:
+                removed = sum(t_i * (r_i + 1) for t_i, (_, r_i) in zip(t, shape))
+            kv = oracle.query(q, n - removed, d)
+            if kv is None:
+                skipped.append(t)
+                continue
+            sources.add(kv.source)
+            all_exact = all_exact and kv.exact
+            value = used + t_s * r_last + kv.value
+            if best is None or value <= best:
+                best = value
+                witness = t
+    if best is None:
+        raise PreconditionError(
+            "oracle produced no value for any deletion tuple; extend the table "
+            "or change mode"
+        )
+    return BoundReport(
+        name="ml-alphabet",
+        bound_value=best,
+        witness=witness,
+        exact=all_exact and not skipped,
+        mode_flags=tuple(sorted(sources)),
+        skipped=tuple(skipped),
+        collapse_applied=False,
+        effective_shape=shape,
+    )
+
+
+def ref_griesmer_max_k(q, n, d):
+    k = 0
+    total = 0
+    power = 1
+    while True:
+        total += ceil_div(d, power)
+        if total > n:
+            return k
+        k += 1
+        if k > n:
+            return n
+        power *= q
+
+
+def test_exhaustive_search_matches_reference():
+    outcomes = set()
+    for n in range(1, 15):
+        for d in range(1, n + 2):
+            ceiling = min(singleton_max_k(n, d), griesmer_max_k(2, n, d))
+            for stop_at in {ceiling, ceiling + 1, 1}:
+                for budget in (1, 777, 20_000, 200_000, 2_000_000):
+                    got = _exhaustive_max_dim_q2(n, d, stop_at, budget)
+                    assert got == ref_exhaustive_max_dim_q2(n, d, stop_at, budget), (
+                        n, d, stop_at, budget)
+                    outcomes.add(got[1])
+    assert outcomes == {True, False}  # both the abort and the completed path ran
+
+
+def _random_table(rng):
+    table = {}
+    for _ in range(40):
+        q = rng.choice([2, 2, 3])
+        n = rng.randint(2, 20)
+        d = rng.randint(2, n)
+        table[(q, n, d)] = (rng.randint(0, min(singleton_max_k(n, d),
+                                                 griesmer_max_k(q, n, d))), "random")
+    return table
+
+
+_ORACLE_MODES = ("table", "exhaustive", "analytic", "singleton",
+                 "table,exhaustive,analytic", "exhaustive,table", "table,singleton")
+
+
+def _random_grid_call(rng, tables):
+    """One seeded ml_alphabet call: (shape, d, q, kwargs, oracle key)."""
+    big = rng.random() < 0.1  # large boxes under the cheap oracles
+    s = rng.randint(1, 4)
+    locs = sorted(rng.sample(range(1, 8), s))
+    shape = [(0 if rng.random() < 0.15 else rng.randint(1, 40 if big else 9), r)
+             for r in locs]
+    if rng.random() < 0.04:  # invalid profiles: same error text expected
+        i = rng.randrange(s)
+        shape[i] = rng.choice([(-1, shape[i][1]), (shape[i][0], 0),
+                               (shape[i][0], shape[-1][1])])
+    n = sum(n_i for n_i, _ in shape)
+    kwargs = {
+        "k_hint": None if rng.random() < 0.4 else rng.randint(0 if rng.random() < 0.03 else 1,
+                                                              max(1, n + 2)),
+        "truncate": rng.random() < 0.5,
+    }
+    d = rng.randint(0 if rng.random() < 0.03 else 1, n + 2)
+    q = rng.choice([2, 2, 2, 3, 4, 13])
+    mode = rng.choice(("analytic", "singleton")) if big else rng.choice(_ORACLE_MODES)
+    key = (mode, rng.randrange(len(tables)), rng.choice([777, 20_000]))
+    if rng.random() < 0.1 and all(r_i >= 1 and n_i >= 0 for n_i, r_i in shape):
+        caps = [ceil_div(n_i, r_i + 1) for n_i, r_i in shape]
+        k_hint = kwargs["k_hint"]
+        if k_hint is not None and k_hint >= 1:
+            caps[-1] = max(0, (k_hint - 1) // shape[-1][1])
+        kwargs["grid_budget"] = prod(c + 1 for c in caps) - rng.randint(0, 1)
+    return tuple(shape), d, q, kwargs, key
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (BudgetError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_ml_alphabet_matches_reference_grid():
+    rng = random.Random(20161)
+    tables = [None, _random_table(rng), _random_table(rng)]
+    pools = ({}, {})
+
+    def oracle(pool, key):
+        if key not in pool:
+            mode, table, budget = key
+            pool[key] = KOptOracle(mode, table=tables[table], search_budget=budget)
+        return pool[key]
+
+    seen = {"skipped": 0, "error": 0, "budget": 0, "empty": 0, "four": 0, "at_budget": 0}
+    for _ in range(2000):
+        shape, d, q, kwargs, key = _random_grid_call(rng, tables)
+        got = _outcome(ml_alphabet, shape, d, q, oracle=oracle(pools[0], key), **kwargs)
+        want = _outcome(ref_ml_alphabet, shape, d, q, oracle=oracle(pools[1], key),
+                        **kwargs)
+        assert got == want, (shape, d, q, kwargs, key)
+        if isinstance(got, BoundReport):
+            seen["skipped"] += bool(got.skipped)
+            seen["at_budget"] += "grid_budget" in kwargs
+        else:
+            seen["error"] += 1
+            seen["budget"] += got[0] == "BudgetError"
+        seen["empty"] += any(n_i == 0 for n_i, _ in shape)
+        seen["four"] += len(shape) == 4
+    assert min(seen.values()) > 0, seen
+
+
+def test_griesmer_matches_reference_sum():
+    for q in range(2, 6):
+        for n in range(-2, 50):
+            for d in range(-3, 60):
+                assert griesmer_max_k(q, n, d) == ref_griesmer_max_k(q, n, d), (q, n, d)
+    # the closed form for the all-ones tail answers huge lengths at once
+    assert griesmer_max_k(2, 10**12, 2) == 10**12 - 1
+
+
+def test_default_oracles_share_the_import_validated_table(monkeypatch):
+    import mllrc.bounds as bounds_module
+
+    def refuse(*entry):
+        raise ParseError(f"validated again: {entry}")
+
+    monkeypatch.setattr(bounds_module, "_validate_table_entry", refuse)
+    oracle = KOptOracle.singleton_only()
+    assert oracle.table == BUNDLED_KOPT_TABLE
+    oracle.table[(2, 9, 6)] = (2, "local")
+    assert (2, 9, 6) not in BUNDLED_KOPT_TABLE  # each oracle holds its own copy
+    with pytest.raises(ParseError, match="validated again"):
+        KOptOracle(table={(2, 12, 8): (2, "user entry")})

@@ -6,6 +6,7 @@ entry.  Expected numbers reuse values independently frozen in the bounds and
 constructions tests.
 """
 
+import random
 import subprocess
 import sys
 
@@ -174,6 +175,17 @@ class TestBound:
         lines = out.splitlines()
         assert "bound=7" in lines
         assert "witness=1,1" in lines
+
+    def test_cm_aborted_exhaustive_searches_are_skipped(self, cli):
+        # k_opt(2, 14, 4) and k_opt(2, 11, 4) need more than the 2*10^6 coset
+        # checks of the exhaustive stage, so t = 0 and t = 1 get no value
+        rc, out, _ = cli("bound", "cm", "--n", "14", "--d", "4", "--r", "2",
+                         "--q", "2", "--oracle", "exhaustive", "--format", "kv")
+        assert rc == 0
+        assert out.splitlines() == [
+            "name=cm", "bound=7", "witness=3", "exact=false",
+            "flags=edge,exhaustive", "skipped=0;1", "collapsed=false", "shape=(14,2)",
+        ]
 
 
 class TestCertify:
@@ -354,3 +366,109 @@ class TestDeterminism:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "ml-singleton bound: 6"
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing of the bound readers: every failure is a documented prefix
+# with its exit code, never an escaping exception
+# ---------------------------------------------------------------------------
+
+_EXIT_OF_PREFIX = {"usage error:": 2, "parse error:": 2, "precondition error:": 2,
+                   "file error:": 2, "budget error:": 1}
+
+
+def _assert_documented(result, argv):
+    rc, out, err = result
+    if rc == 0:
+        assert out and not err, argv
+        return
+    prefixes = [p for p in _EXIT_OF_PREFIX if err.startswith(p)]
+    assert prefixes and rc == _EXIT_OF_PREFIX[prefixes[0]], (argv, rc, err[:200])
+    assert out == "" and "Traceback" not in err, argv
+
+
+def _fuzz_number(rng, upper):
+    if rng.random() < 0.85:
+        return str(rng.randint(1, upper))
+    return rng.choice(["0", str(10 ** rng.randint(3, 30)), "9" * 5000, "٣"])
+
+
+def _mutate(rng, text, alphabet):
+    for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text + text[:i]
+    return text
+
+
+def _fuzz_profile(rng):
+    pairs = [f"({_fuzz_number(rng, 12)},{r if rng.random() < 0.9 else _fuzz_number(rng, 6)})"
+             for r in rng.sample(range(1, 7), rng.randint(1, 4))]
+    text = rng.choice([",", ", ", " ,"]).join(pairs)
+    return _mutate(rng, text, "(),-+ 0123456789x\t\n٣")
+
+
+def _fuzz_table_line(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice(["", "# comment", "   "])
+    if kind == 1:  # a sound entry
+        q, n = rng.choice([2, 3]), rng.randint(2, 16)
+        d = rng.randint(2, n)
+        return f"{q} {n} {d} {rng.randint(0, min(n - d + 1, 2))} fuzz entry"
+    fields = [_fuzz_number(rng, 20) for _ in range(4)] + ["provenance"]
+    if rng.random() < 0.3:
+        fields[rng.randrange(4)] = "-" + fields[0]
+    line = " ".join(fields[:rng.randint(3, 5)])
+    return _mutate(rng, line, " 0123456789-x#\té")
+
+
+class TestFuzz:
+    def test_profile_strings(self, cli):
+        rng = random.Random(5)
+        for _ in range(300):
+            text = _fuzz_profile(rng)
+            if rng.random() < 0.5:
+                argv = ("bound", "ml-singleton", f"--profile={text}",
+                        "--k", str(rng.randint(1, 12)))
+            else:
+                argv = ("bound", "ml-alphabet", f"--profile={text}",
+                        "--d", str(rng.randint(1, 12)), "--q", str(rng.choice([2, 3, 13])),
+                        "--oracle", rng.choice(["analytic", "singleton", "table", "default"]))
+            _assert_documented(cli(*argv), argv)
+
+    def test_kopt_table_files(self, cli, tmp_path):
+        rng = random.Random(6)
+        for case in range(200):
+            path = tmp_path / f"kopt{case}.txt"
+            text = "\n".join(_fuzz_table_line(rng) for _ in range(rng.randint(0, 6)))
+            path.write_bytes(text.encode("utf-8"))
+            if rng.random() < 0.05:
+                path = tmp_path / "missing.txt"
+            if rng.random() < 0.5:
+                argv = ("bound", "cm", "--n", str(rng.randint(1, 16)),
+                        "--d", str(rng.randint(1, 10)), "--r", str(rng.randint(1, 4)),
+                        "--q", str(rng.choice([2, 3])))
+            else:
+                argv = ("bound", "ml-alphabet", "--profile", "(3,2),(8,3)",
+                        "--d", str(rng.randint(1, 10)), "--q", str(rng.choice([2, 3])))
+            argv += ("--oracle", rng.choice(["table", "analytic"]), "--table", str(path))
+            _assert_documented(cli(*argv), argv)
+
+    def test_overlong_profile_number_is_parse_error(self, cli):
+        rc, out, err = cli("bound", "ml-singleton", "--profile", f"({'9' * 5000},2)",
+                           "--k", "3")
+        assert (rc, out) == (2, "")
+        assert err.startswith("parse error: malformed profile string")
+
+    def test_huge_length_analytic_bound_is_immediate(self, cli):
+        # one deletion cell at n = 10^12: the Griesmer sum is closed-form
+        rc, out, _ = cli("bound", "ml-alphabet", "--profile", f"({10**12},{10**12})",
+                         "--d", "2", "--q", "2", "--oracle", "analytic", "--format", "kv")
+        assert rc == 0
+        assert f"bound={10**12 - 1}" in out.splitlines()
