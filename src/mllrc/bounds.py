@@ -503,12 +503,18 @@ def ml_singleton(profile, k: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+# Cells of a deletion grid evaluated before a bound is refused.
+_GRID_BUDGET = 10**6
+
+
 def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None,
              k_hint: int | None = None) -> BoundReport:
     """k <= min_t [t*r + k_opt(q, n - t(r+1), d)] over t in [0, t*].
 
     t* = ceil(n/(r+1)), additionally capped at ceil(k_hint/r) when a
     candidate dimension is supplied.  Reports the largest minimizing t.
+    More than _GRID_BUDGET values of t raise BudgetError before any is
+    evaluated, as ml_alphabet's deletion grid does.
     """
     if n < 1 or d < 1 or r < 1:
         raise PreconditionError(f"need n, d, r >= 1, got n={n}, d={d}, r={r}")
@@ -519,6 +525,10 @@ def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None,
     cap = _ceil_div(n, r + 1)
     if k_hint is not None:
         cap = min(cap, _ceil_div(k_hint, r))
+    if cap + 1 > _GRID_BUDGET:
+        raise BudgetError(
+            f"deletion grid has {cap + 1} cells, above the budget {_GRID_BUDGET}"
+        )
     best = None
     witness = None
     skipped: list[tuple[int, ...]] = []
@@ -553,7 +563,7 @@ def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None,
 
 def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
                 k_hint: int | None = None, truncate: bool = True,
-                grid_budget: int = 10**6) -> BoundReport:
+                grid_budget: int = _GRID_BUDGET) -> BoundReport:
     """k <= min over the deletion box of
     sum_i t_i r_i + k_opt(q, n - sum_i min(n_i, t_i(r_i+1)), d).
 

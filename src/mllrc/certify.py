@@ -132,8 +132,14 @@ def certify(
     helpers confined to each class).  oracle feeds the alphabet-dependent
     bound (default: table, then exhaustive search, then analytic).
     """
+    return _certify(code, oracle, mode, budget, witnesses=False)
+
+
+def _certify(code, oracle, mode, budget, witnesses: bool) -> Certificate:
+    """certify; with witnesses=True the profile scan also keeps the repair
+    sets, for code.verify_profile to return without another scan."""
     d = code.min_distance(budget)
-    profile = code.locality_profile(mode=mode, budget=budget)
+    profile = code.locality_profile(mode=mode, budget=budget, keep_witnesses=witnesses)
     shape = profile.shape()
     sb = ml_singleton(shape, code.k)
     if d > sb.bound_value:
@@ -256,7 +262,7 @@ def full_analysis(
     """Certificate plus per-coordinate repair-set witnesses, the rate-limit
     value for the profile, and the bound-consistency check at the certified
     point.  Output ordering is deterministic (coordinates ascending)."""
-    cert = certify(code, oracle=oracle, mode=mode, budget=budget)
+    cert = _certify(code, oracle, mode, budget, witnesses=True)
     ok, wit = code.verify_profile(cert.profile, mode=mode, budget=budget)
     if not ok or any(w is None for w in wit.values()):
         raise PreconditionError(

@@ -30,6 +30,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -383,11 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every run() call: parsing
+    does not change it, and each call gets a fresh namespace."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     if hasattr(args, "budget"):  # --budget, else MLLRC_BUDGET

@@ -28,6 +28,8 @@ from .errors import BudgetError, ParseError, PreconditionError
 from .galois import (
     FiniteField,
     MatrixGF,
+    _kernel_basis,
+    _rref_stack,
     field_from_order,
     field_new,
     mat_rref,
@@ -168,37 +170,6 @@ _SUPPORT_SEARCH_CAP = 1 << 20
 _SUBSET_CHUNK = 256
 
 
-def _rref_stack(F: FiniteField, B: np.ndarray):
-    """Row-reduce every matrix of the stack B (N x k x s) in lockstep.
-
-    Each matrix gets the reduction of mat_rref: column by column, the pivot is
-    the first nonzero entry from the current row down, scaled to 1 and cleared
-    above and below.  Returns the reduced stack, the (N x s) mask of pivot
-    columns and the ranks.
-    """
-    N, k, s = B.shape
-    B = B.copy()
-    rank = np.zeros(N, dtype=np.int64)
-    pivot = np.zeros((N, s), dtype=bool)
-    rows = np.arange(k)
-    for c in range(s):
-        cand = (B[:, :, c] != 0) & (rows >= rank[:, None])
-        idx = np.flatnonzero(cand.any(axis=1))
-        if idx.size == 0:
-            continue
-        at, top = np.arange(idx.size), rank[idx]
-        found = cand[idx].argmax(axis=1)
-        M = B[idx]
-        M[at, top], M[at, found] = M[at, found], M[at, top]
-        M[at, top] = F.mul(M[at, top], F.inv(M[at, top, c])[:, None])
-        factor = M[:, :, c].copy()
-        factor[at, top] = 0
-        B[idx] = F.sub(M, F.mul(factor[:, :, None], M[at, top][:, None, :]))
-        pivot[idx, c] = True
-        rank[idx] += 1
-    return B, pivot, rank
-
-
 def _full_support_flags(F: FiniteField, A: np.ndarray, subsets):
     """For each column subset S of A, in order: is some dual word's support
     exactly S, i.e. does the kernel of A[:, S] hold a vector with no zero?
@@ -231,10 +202,7 @@ def _full_support_flags(F: FiniteField, A: np.ndarray, subsets):
             if dim == 1:
                 yield bool(one_free_full[b])
                 continue
-            free = np.flatnonzero(~pivot[b])
-            K = np.zeros((dim, S.shape[1]), dtype=np.int64)
-            K[np.arange(dim), free] = 1
-            K[:, pivot[b]] = F.neg(R[b, : rank[b]][:, free].T)
+            K = _kernel_basis(F, R[b], np.flatnonzero(pivot[b]).tolist())
             yield any(
                 bool((zeros == 0).any()) for *_, zeros in _SplitTable(F, K).blocks()
             )
@@ -1016,7 +984,7 @@ def _base_field_from_kv(kv: dict[str, str], where: str) -> FiniteField:
     if "p" in kv or "m" in kv:
         p = _kv_int(kv, "p", where) if "p" in kv else q
         m = _kv_int(kv, "m", where) if "m" in kv else 1
-        if p**m != q:
+        if m > q.bit_length() or p**m != q:  # no field, or p^m > q: skip the power
             raise ParseError(f"{where}: q={q} is not p^m = {p}^{m}")
         try:
             return field_new(p, m, modulus)

@@ -147,6 +147,10 @@ class FiniteField:
     """GF(p^m) with integer-encoded elements and vectorized exact arithmetic."""
 
     def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
+        if p > MAX_FIELD_SIZE:  # also keeps the trial division short
+            raise PreconditionError(
+                f"field characteristic {p} exceeds supported maximum {MAX_FIELD_SIZE}"
+            )
         if not _is_prime(p):
             raise PreconditionError(f"field characteristic must be prime, got {p}")
         if m < 1:
@@ -534,6 +538,37 @@ def mat_rref(M: MatrixGF) -> tuple[MatrixGF, tuple[int, ...]]:
     return MatrixGF(F, A), tuple(pivots)
 
 
+def _rref_stack(F: FiniteField, B: np.ndarray):
+    """Row-reduce every matrix of the stack B (N x k x s) in lockstep.
+
+    Each matrix gets the reduction of mat_rref: column by column, the pivot is
+    the first nonzero entry from the current row down, scaled to 1 and cleared
+    above and below.  Returns the reduced stack, the (N x s) mask of pivot
+    columns and the ranks.
+    """
+    N, k, s = B.shape
+    B = B.copy()
+    rank = np.zeros(N, dtype=np.int64)
+    pivot = np.zeros((N, s), dtype=bool)
+    rows = np.arange(k)
+    for c in range(s):
+        cand = (B[:, :, c] != 0) & (rows >= rank[:, None])
+        idx = np.flatnonzero(cand.any(axis=1))
+        if idx.size == 0:
+            continue
+        at, top = np.arange(idx.size), rank[idx]
+        found = cand[idx].argmax(axis=1)
+        M = B[idx]
+        M[at, top], M[at, found] = M[at, found], M[at, top]
+        M[at, top] = F.mul(M[at, top], F.inv(M[at, top, c])[:, None])
+        factor = M[:, :, c].copy()
+        factor[at, top] = 0
+        B[idx] = F.sub(M, F.mul(factor[:, :, None], M[at, top][:, None, :]))
+        pivot[idx, c] = True
+        rank[idx] += 1
+    return B, pivot, rank
+
+
 def mat_rank(M: MatrixGF) -> int:
     """Rank over the matrix's own field."""
     return len(mat_rref(M)[1])
@@ -545,16 +580,19 @@ def mat_kernel(M: MatrixGF) -> MatrixGF:
     Canonical (RREF-derived) basis: rows are ordered by their free column and
     each row has a 1 in its free column, so equal matrices give equal kernels.
     """
-    F = M.field
     R, piv = mat_rref(M)
-    pivset = set(piv)
-    free = [c for c in range(M.ncols) if c not in pivset]
-    K = np.zeros((len(free), M.ncols), dtype=np.int64)
-    for i, f in enumerate(free):
-        K[i, f] = 1
-        for j, pc in enumerate(piv):
-            K[i, pc] = F.neg(int(R.a[j, f]))
-    return MatrixGF(F, K)
+    return MatrixGF(M.field, _kernel_basis(M.field, R.a, piv))
+
+
+def _kernel_basis(F: FiniteField, R: np.ndarray, piv) -> np.ndarray:
+    """mat_kernel's basis read from a reduced matrix R and its pivot columns:
+    row i has a 1 at the i-th free column f and -R[j, f] at pivot piv[j]."""
+    pivots = set(piv)
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    K = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, list(piv)] = F.neg(R[: len(piv)][:, free].T)
+    return K
 
 
 def mat_systematic(M: MatrixGF) -> tuple[MatrixGF, tuple[int, ...]]:

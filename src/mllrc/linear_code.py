@@ -17,10 +17,27 @@ low == -high[b] on a column-major uint8 table (uint16 when q > 256), so no
 block re-encodes messages; actual codewords are rebuilt only for witness
 candidates.  The budget still charges the nominal q^k (or q^dim) words
 before a pass starts, and the zero word is never visited.
+
+Locality has a second route, span search: coordinate t has locality s when
+s is the least size of a set S of other allowed coordinates whose generator
+columns span column t.  Level 1 is a lookup of parallel columns; each level
+s >= 2 row-reduces [G_S | g_t] for every s-subset S in combinations order,
+batched across the unresolved targets (_span_level), and t is resolved at
+the first S whose last column is not a pivot.  A minimal S has independent
+columns, so its coefficients are unique and nonzero and the first S is the
+dual scan's lexicographically least witness.  LinearCode._locality_scan
+predicts each level's cost as (open targets) x C(|support| - 1, s) tests of
+k(s+1) units, charged against the same budget, and hands the open targets
+to the dual scan when its q^dim words fit the budget and number fewer than
+_WORDS_PER_UNIT times the level's units, or when the level does not fit.
+Locality is refused only when both routes are over the budget.  Every
+locality answer goes through LinearCode._repairs, which keeps the exact
+results (localities and witnesses together) on the code.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -29,7 +46,16 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetError, ParseError, PreconditionError
-from .galois import FiniteField, MatrixGF, field_new, mat_kernel, mat_rank
+from .galois import (
+    FiniteField,
+    MatrixGF,
+    _kernel_basis,
+    _rref_stack,
+    field_new,
+    mat_kernel,
+    mat_rank,
+    mat_rref,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -58,6 +84,16 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 _BUDGET_ENV = "MLLRC_BUDGET"
 _LOW_WORDS = 1 << 12
+# Span tests row-reduced together: enough to amortise the numpy calls, few
+# enough that a chunk's (tests x k x (s+1)) stack stays small.
+_SPAN_CHUNK = 256
+# Dual-scan words that cost as much as one span-test unit (one entry of a
+# k x (s+1) rank test), for the route choice in LinearCode._locality_scan.
+# Timed through LinearCode.locality_profile on the perfbench corpus (2-core
+# x86-64, Python 3.11, numpy 2.4): the dual scan took 8-16 ns a word on
+# [12,6]_13, [11,5]_13, [15,10]_16 and [45,23]_2, span search 125-180 ns a
+# predicted unit on [12,6]_13, [15,8]_16 and [20,8]_2.
+_WORDS_PER_UNIT = 16
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -160,6 +196,59 @@ class _SplitTable:
     def word(self, c: int, neg_high: np.ndarray) -> np.ndarray:
         """The codeword with low index c in the block of neg_high."""
         return self.field.sub(self.low[c], neg_high)
+
+
+def _parallel_columns(F: FiniteField, A: np.ndarray, targets):
+    """Level 1 of _span_level, by lookup: per nonzero target column t, the
+    first other column j with a_t = c * a_j, as ((j,), [c])."""
+    m = A.shape[1]
+    heads = A[(A != 0).argmax(axis=0), np.arange(m)]  # first nonzero entries
+    unit = F.mul(A, F.inv(np.where(heads != 0, heads, 1))[None, :])
+    keys = [col.tobytes() for col in unit.T]
+    by_key: dict[bytes, list[int]] = {}
+    for j in np.flatnonzero(heads).tolist():
+        by_key.setdefault(keys[j], []).append(j)
+    found = {}
+    for t in targets:
+        j = next((j for j in by_key.get(keys[t], ()) if j != t), None)
+        if j is not None:
+            found[t] = ((j,), [F.div(int(heads[t]), int(heads[j]))])
+    return found
+
+
+def _span_level(F: FiniteField, A: np.ndarray, targets, s: int):
+    """Per target column t of A: the first s-subset S of the other columns, in
+    combinations order, whose span holds column t, with the coefficients of
+    column t over the columns of S.  Targets with no such S are left out.
+
+    [A_S | a_t] is row-reduced for _SPAN_CHUNK subsets at a time, taken in
+    turn from every target not yet resolved; S spans a_t exactly when the
+    last column is not a pivot.  The first such S of a target at its least s
+    has independent columns, so its RREF is the identity over the last
+    column's coefficients."""
+    m = A.shape[1]
+    streams = {
+        t: itertools.combinations([j for j in range(m) if j != t], s) for t in targets
+    }
+    found: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    while streams:
+        per = max(1, _SPAN_CHUNK // len(streams))
+        tags, cols = [], []
+        for t, it in list(streams.items()):
+            got = list(itertools.islice(it, per))
+            if len(got) < per:
+                del streams[t]
+            tags += [t] * len(got)
+            cols += [S + (t,) for S in got]
+        if not cols:
+            break
+        R, pivot, _ = _rref_stack(F, A[:, cols].transpose(1, 0, 2))
+        for b in np.flatnonzero(~pivot[:, s]).tolist():
+            t = tags[b]
+            if t not in found:
+                found[t] = (cols[b][:s], R[b, :s, s])
+                streams.pop(t, None)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +398,9 @@ class LinearCode:
         self.G = Gm
         self._H = parity_check
         self._d: int | None = None
+        # support -> {target: (locality or None, witness or None)}, exact
+        # results of _repairs; a witness of None with a locality was not asked
+        self._repairs_done: dict[tuple[int, ...], dict] = {}
 
     # -- basic parameters ----------------------------------------------------
 
@@ -473,25 +565,19 @@ class LinearCode:
         self,
         support: tuple[int, ...],
         targets: tuple[int, ...],
-        budget: int | None,
+        K: np.ndarray,
         want_witnesses: bool,
     ) -> dict[int, tuple[int | None, RepairSet | None]]:
         """Min weight of dual words supported within `support` through each target.
 
-        Enumerates the kernel of G restricted to `support` (exactly the dual
-        words vanishing outside it).  Witnesses are normalized to h_target = 1
-        and chosen as the lexicographically smallest (helper set, coefficient
-        vector) among minimum-weight candidates.
+        Enumerates K, a basis of the kernel of G restricted to `support`
+        (exactly the dual words vanishing outside it).  Witnesses are
+        normalized to h_target = 1 and chosen as the lexicographically
+        smallest (helper set, coefficient vector) among minimum-weight
+        candidates.
         """
         F = self.field
-        b = resolve_budget(budget)
-        sub = MatrixGF(F, self.G.a[:, list(support)])
-        K = mat_kernel(sub).a
         dim = K.shape[0]
-        if F.q**dim > b:
-            raise BudgetError(
-                f"dual scan needs {F.q ** dim} enumerations; budget is {b}"
-            )
         pos = {c: idx for idx, c in enumerate(support)}
         t_pos = np.array([pos[t] for t in targets], dtype=np.intp)
         # per target: 1 + the most zeros of a word nonzero there (0: no word)
@@ -532,6 +618,95 @@ class LinearCode:
                         wit[t] = RepairSet(t, supp, coeffs)
         return {t: (weight[t], wit[t]) for t in targets}
 
+    def _repairs(
+        self,
+        support: tuple[int, ...],
+        targets: tuple[int, ...],
+        budget: int | None,
+        cap: int | None = None,
+        witnesses: bool = True,
+    ) -> dict[int, tuple[int | None, RepairSet | None]]:
+        """Locality and witness of each target with helpers from `support`.
+
+        (None, None) means no repair relation inside the support, or, under
+        `cap`, none of size <= cap.  Witnesses are the lexicographically least
+        (helpers, coefficients); with witnesses=False they may be None.
+        Exact results are kept on the code, so a profile and its witnesses
+        come from one scan.
+        """
+        done = self._repairs_done.setdefault(support, {})
+        todo = tuple(
+            t for t in targets
+            if t not in done
+            or (witnesses and done[t][0] is not None and done[t][1] is None)
+        )
+        if todo:
+            done.update(self._locality_scan(support, todo, budget, cap, witnesses))
+        out = {}
+        for t in targets:
+            loc, wit = done.get(t, (None, None))
+            within = loc is not None and (cap is None or loc <= cap)
+            out[t] = (loc, wit) if within else (None, None)
+        return out
+
+    def _locality_scan(self, support, targets, budget, cap, witnesses):
+        """Exact (locality, witness) per target, by span search or dual scan.
+
+        Span search (see _span_level) looks for the least s such that some
+        s-subset of the other support columns spans the target's column.
+        Level 1 is a lookup of parallel columns and is charged nothing.
+        Before each level s >= 2 its cost is predicted as (open targets) x
+        C(|support| - 1, s) rank tests of k(s+1) units each, charged against
+        the budget.  The open targets go to the dual scan of q^dim words
+        instead when that fits the budget and is predicted cheaper, or when
+        the level does not fit; when neither fits, BudgetError.  Targets
+        still open after level `cap` are left out of the result.  Every
+        target column must be nonzero.
+        """
+        F, k = self.field, self.k
+        b = resolve_budget(budget)
+        m = len(support)
+        R, piv = mat_rref(MatrixGF(F, self.G.a[:, list(support)]))
+        A = R.a[: len(piv)]
+        free = [j for j in range(m) if j not in piv]
+        dual_words = F.q ** len(free)
+        pos = {c: idx for idx, c in enumerate(support)}
+        # no dual word is nonzero at a pivot column whose row vanishes on
+        # every free column: such a target has no repair relation
+        rel = {
+            t: pos[t] in free or A[piv.index(pos[t]), free].any() for t in targets
+        }
+        out = {t: (None, None) for t in targets if not rel[t]}
+        open_ = [pos[t] for t in targets if rel[t]]
+        found, spent, s = _parallel_columns(F, A, open_), 0, 1
+        while True:
+            for p, (S, coeffs) in found.items():
+                t = support[p]
+                helpers = tuple(support[j] for j in S)
+                out[t] = (s, RepairSet(t, helpers, tuple(int(c) for c in coeffs)))
+            open_ = [p for p in open_ if p not in found]
+            s += 1
+            if not open_ or (cap is not None and s > cap):
+                return out
+            level = len(open_) * comb(m - 1, s) * k * (s + 1)
+            span_fits = spent + level <= b
+            if dual_words <= b and (
+                not span_fits or dual_words < level * _WORDS_PER_UNIT
+            ):
+                break
+            if not span_fits:
+                raise BudgetError(
+                    f"locality needs {dual_words} dual words or {spent + level} "
+                    f"span-test units; budget is {b}"
+                )
+            spent += level
+            found = _span_level(F, A, open_, s)
+        rest = tuple(support[p] for p in open_)
+        K = _kernel_basis(F, A, piv)
+        scan = self._dual_support_scan(support, rest, K, witnesses)
+        out.update((t, (w - 1, wit)) for t, (w, wit) in scan.items())
+        return out
+
     def locality_of_coordinate(
         self, i: int, restrict_to=None, budget: int | None = None
     ) -> tuple[int, RepairSet]:
@@ -551,53 +726,63 @@ class LinearCode:
             support = tuple(sorted(set(restrict_to) | {i}))
             if any(not 0 <= c < self.n for c in support):
                 raise PreconditionError("restrict_to coordinates out of range")
-        res = self._dual_support_scan(support, (i,), budget, want_witnesses=True)
-        w, witness = res[i]
-        if w is None:
+        loc, witness = self._repairs(support, (i,), budget)[i]
+        if loc is None:
             raise PreconditionError(
                 f"coordinate {i} has no repair relation (no dual word through it)"
             )
-        return w - 1, witness
+        return loc, witness
 
-    def locality_profile(self, mode: str = "loose", budget: int | None = None) -> LocalityProfile:
-        """Exact per-coordinate localities grouped into increasing classes.
-
-        loose: helpers may come from anywhere (the detection default).
-        strict: the loose partition re-scanned with helpers confined to each
-        class; raises if the partition is not stable under that restriction.
-        """
-        if mode not in ("loose", "strict"):
-            raise PreconditionError(f"unknown profile mode {mode!r}")
+    def _check_no_zero_column(self) -> None:
         zero_cols = [int(j) for j in range(self.n) if not self.G.a[:, j].any()]
         if zero_cols:
             raise PreconditionError(
                 f"coordinates {zero_cols} are identically zero; locality is undefined"
             )
+
+    def locality_profile(
+        self,
+        mode: str = "loose",
+        budget: int | None = None,
+        *,
+        keep_witnesses: bool = False,
+    ) -> LocalityProfile:
+        """Exact per-coordinate localities grouped into increasing classes.
+
+        loose: helpers may come from anywhere (the detection default).
+        strict: the loose partition re-scanned with helpers confined to each
+        class; raises if the partition is not stable under that restriction.
+        keep_witnesses: the same scan also finds the repair sets that
+        verify_profile(profile, mode) then returns without scanning again.
+        """
+        if mode not in ("loose", "strict"):
+            raise PreconditionError(f"unknown profile mode {mode!r}")
+        self._check_no_zero_column()
         full = tuple(range(self.n))
-        res = self._dual_support_scan(full, full, budget, want_witnesses=False)
+        res = self._repairs(full, full, budget, witnesses=keep_witnesses)
         locs: dict[int, int] = {}
         for c in full:
-            w = res[c][0]
-            if w is None:
+            loc = res[c][0]
+            if loc is None:
                 raise PreconditionError(
                     f"coordinate {c} has no repair relation (no dual word through it)"
                 )
-            locs[c] = w - 1
+            locs[c] = loc
         loose = _profile_from_localities(locs)
         if mode == "loose":
             return loose
         strict_locs: dict[int, int] = {}
         for cls in loose.classes:
-            res = self._dual_support_scan(
-                cls.coordinates, cls.coordinates, budget, want_witnesses=False
+            res = self._repairs(
+                cls.coordinates, cls.coordinates, budget, witnesses=keep_witnesses
             )
             for c in cls.coordinates:
-                w = res[c][0]
-                if w is None:
+                loc = res[c][0]
+                if loc is None:
                     raise PreconditionError(
                         f"coordinate {c} has no repair relation inside its class"
                     )
-                strict_locs[c] = w - 1
+                strict_locs[c] = loc
         strict = _profile_from_localities(strict_locs)
         if tuple(c.coordinates for c in strict.classes) != tuple(
             c.coordinates for c in loose.classes
@@ -620,21 +805,13 @@ class LinearCode:
             raise PreconditionError(f"unknown profile mode {mode!r}")
         if not profile.covers(self.n):
             raise PreconditionError("profile does not cover the code's coordinates")
+        self._check_no_zero_column()
         witnesses: dict[int, RepairSet | None] = {}
-        ok = True
         for cls in profile.classes:
             support = cls.coordinates if mode == "strict" else tuple(range(self.n))
-            res = self._dual_support_scan(
-                support, cls.coordinates, budget, want_witnesses=True
-            )
-            for c in cls.coordinates:
-                w, witness = res[c]
-                if w is None or w - 1 > cls.locality:
-                    witnesses[c] = None
-                    ok = False
-                else:
-                    witnesses[c] = witness
-        return ok, witnesses
+            res = self._repairs(support, cls.coordinates, budget, cap=cls.locality)
+            witnesses.update((c, res[c][1]) for c in cls.coordinates)
+        return all(w is not None for w in witnesses.values()), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +892,7 @@ def code_from_lines(lines, where: str = "code text") -> LinearCode:
     if not hd:
         raise ParseError(f"{where}: malformed header line {lines[0]!r}")
     q, p, m, n, k = (int(hd.group(i)) for i in range(1, 6))
-    if p**m != q:
+    if m > q.bit_length() or p**m != q:  # no field, or p^m > q: skip the power
         raise ParseError(f"{where}: q={q} is not p^m = {p}^{m}")
     body = lines[1:]
     modulus = None

@@ -353,6 +353,43 @@ class TestFullAnalysis:
         with pytest.raises(BudgetError):
             full_analysis(tamo_barg(13, 12, 6, 3), budget=1)
 
+    @pytest.mark.parametrize("mode", ["loose", "strict"])
+    @pytest.mark.parametrize("build,dual_route", [
+        (lambda: tamo_barg(13, 12, 6, 3).shorten(0), False),
+        (lambda: construction2_binary_lrc(3, 0), True),
+    ])
+    def test_witnesses_come_from_the_profile_scan(self, monkeypatch, build, dual_route,
+                                                  mode):
+        # the profile scan keeps the repair sets, so verify_profile scans
+        # nothing more; the dual scan's witness pass runs only when asked
+        scans, witness_passes = [], []
+        real_scan, real_dual = LinearCode._locality_scan, LinearCode._dual_support_scan
+
+        def scan(self, support, *args):
+            scans.append(support)
+            return real_scan(self, support, *args)
+
+        def dual(self, support, targets, K, want_witnesses):
+            witness_passes.append(want_witnesses)
+            return real_dual(self, support, targets, K, want_witnesses)
+
+        monkeypatch.setattr(LinearCode, "_locality_scan", scan)
+        monkeypatch.setattr(LinearCode, "_dual_support_scan", dual)
+        code = build()
+        cert = certify(LinearCode(code.field, code.G.a), mode=mode)
+        profile_scans = len(scans)
+        assert not any(witness_passes)
+        if mode == "loose":  # [11,5]_13 by span search, [20,8]_2 by the dual
+            assert bool(witness_passes) == dual_route
+        scans.clear()
+        witness_passes.clear()
+        report = full_analysis(code, mode=mode)
+        assert report.certificate == cert
+        assert len(scans) == profile_scans
+        assert all(witness_passes)
+        for c, rs in report.witnesses:
+            assert rs.holds_for(code)
+
 
 class TestConsistencyInvariant:
     """At every certified point the two bounds agree with the dominance

@@ -6,9 +6,14 @@ entry.  Expected numbers reuse values independently frozen in the bounds and
 constructions tests.
 """
 
+import hashlib
+import json
 import random
+import runpy
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from mllrc import (
     save_pyramid_spec,
     tamo_barg,
 )
+import mllrc.bounds as bounds_module
 import mllrc.cli as cli_module
 from mllrc.cli import run
 from mllrc.galois import field_new
@@ -186,6 +192,27 @@ class TestBound:
             "name=cm", "bound=7", "witness=3", "exact=false",
             "flags=edge,exhaustive", "skipped=0;1", "collapsed=false", "shape=(14,2)",
         ]
+
+    def test_cm_grid_above_budget_is_refused_at_once(self, cli):
+        # t runs over 0..5*10^8: refused before the oracle is asked once
+        start = time.perf_counter()
+        rc, out, err = cli("bound", "cm", "--n", "1000000000", "--d", "2", "--r", "1",
+                           "--q", "2", "--oracle", "analytic")
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert err == ("budget error: deletion grid has 500000001 cells, above the "
+                       "budget 1000000\n")
+
+    def test_cm_grid_budget_edge(self, cli, monkeypatch):
+        # the edge, at a budget of 10 cells: t in 0..9 is evaluated, 0..10 not
+        monkeypatch.setattr(bounds_module, "_GRID_BUDGET", 10)
+        rc, out, _ = cli("bound", "cm", "--n", "18", "--d", "2", "--r", "1",
+                         "--q", "2", "--oracle", "analytic", "--format", "kv")
+        assert rc == 0 and "witness=9" in out.splitlines()
+        rc, out, err = cli("bound", "cm", "--n", "20", "--d", "2", "--r", "1",
+                           "--q", "2", "--oracle", "analytic")
+        assert (rc, out) == (1, "")
+        assert err == "budget error: deletion grid has 11 cells, above the budget 10\n"
 
 
 class TestCertify:
@@ -472,3 +499,155 @@ class TestFuzz:
                          "--d", "2", "--q", "2", "--oracle", "analytic", "--format", "kv")
         assert rc == 0
         assert f"bound={10**12 - 1}" in out.splitlines()
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once and shared by every run() call
+# ---------------------------------------------------------------------------
+
+
+class TestSharedParser:
+    def test_extend_lists_and_defaults_do_not_carry_over(self, cli, tmp_path, spc_file):
+        other = tmp_path / "rep.code"
+        save_code(LinearCode(F2, [[1, 1, 1]]), other)
+        assert cli_module._parser() is cli_module._parser()
+        rc, both, _ = cli("certify", "--in", spc_file, "--in", str(other),
+                          "--format", "kv", "--mode", "strict")
+        assert rc == 0 and both.count("n=") == 2
+        rc, alone, _ = cli("certify", "--in", str(other))
+        assert rc == 0
+        assert alone.count("[3, 1, 3] code") == 1 and "n=4" not in alone
+        assert "(strict," not in alone  # --mode and --format went back to defaults
+        argv = ["analyze", "--in", spc_file]
+        shared = cli_module._parser().parse_args(argv)
+        assert vars(shared) == vars(cli_module.build_parser().parse_args(argv))
+
+
+# ---------------------------------------------------------------------------
+# the analyze-large-q benchmark's recorded outputs, replayed
+# ---------------------------------------------------------------------------
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_analyze_large_q_golden_outputs(cli, tmp_path, monkeypatch):
+    # reads perfbench/ only: the set-up commands and the recorded outputs
+    setup = runpy.run_path(str(_PERFBENCH / "workloads.py"))["SETUP"]["analyze-large-q"]
+    golden = json.loads((_PERFBENCH / "golden" / "analyze-large-q.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for argv in setup:
+        assert cli(*argv)[0] == 0, argv
+    for name, digest in golden["setup_sha256"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert golden["ops"]
+    for op in golden["ops"]:
+        rc, out, _ = cli(*op["argv"])
+        assert (rc, out) == (op["rc"], op["stdout"]), op["id"]
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing of code files through analyze and certify
+# ---------------------------------------------------------------------------
+
+
+def _code_text(rng):
+    """A valid code file for a small random code."""
+    q, p, m, modulus = rng.choice([(2, 2, 1, None), (3, 3, 1, None), (5, 5, 1, None),
+                                   (4, 2, 2, "1,1,1"), (9, 3, 2, "2,2,1")])
+    while True:
+        k = rng.randint(1, 3)
+        n = rng.randint(k + 1, 6)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        F = field_new(p, m)
+        if all(any(r[j] for r in rows) for j in range(n)):
+            try:
+                LinearCode(F, rows)
+            except Exception:
+                continue
+            break
+    lines = [f"q={q} p={p} m={m} n={n} k={k}"]
+    if modulus:
+        lines.append(f"modulus={modulus}")
+    return lines + [" ".join(map(str, r)) for r in rows], (q, n, k, modulus is not None)
+
+
+def _mutate_code(rng, lines, params):
+    q, n, k, has_modulus = params
+    lines = list(lines)
+    body = 2 if has_modulus else 1
+    rows = [ln.split() for ln in lines[body:]]
+    kind = rng.randrange(8)
+    if kind == 0:  # a header field
+        fields = lines[0].split()
+        i = rng.randrange(len(fields))
+        key = fields[i].split("=")[0]
+        fields[i] = f"{key}={_fuzz_number(rng, 12)}" if rng.random() < 0.8 else "x"
+        if rng.random() < 0.2:
+            del fields[rng.randrange(len(fields))]
+        lines[0] = " ".join(fields)
+    elif kind == 1:  # the modulus line
+        choice = rng.randrange(4)
+        if has_modulus and choice == 0:
+            del lines[1]
+        elif has_modulus and choice == 1:
+            digits = [str(rng.randrange(4)) for _ in range(rng.randint(1, 4))]
+            lines[1] = "modulus=" + ",".join(digits)
+        else:
+            lines.insert(1, rng.choice(["modulus=1,1,1", "modulus=", "modulus=a,b",
+                                        "modulus=1,0,1"]))
+    elif kind == 2 and rows:  # a row length
+        row = rng.choice(rows)
+        if row and rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append(str(rng.randrange(q)))
+    elif kind == 3 and rows:  # an entry out of range or not an integer
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] = rng.choice([str(q), "-1", str(10**20), "1.5", "x"])
+    elif kind == 4 and rows:  # rank-deficient: a repeated row
+        rows.append(list(rng.choice(rows)))
+        lines[0] = lines[0].replace(f"k={k}", f"k={k + 1}")
+    elif kind == 5 and rows:  # a zero column
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = "0"
+    elif kind == 6 and rows:  # a missing or an extra row
+        if rng.random() < 0.5:
+            rows.pop()
+        else:
+            rows.append([str(rng.randrange(q)) for _ in range(n)])
+    if kind in (2, 3, 4, 5, 6):
+        lines = lines[:body] + [" ".join(r) for r in rows]
+    text = "\n".join(lines) + "\n"
+    if kind == 7 or rng.random() < 0.2:
+        text = _mutate(rng, text, " 0123456789=-,qpmnk\n\t")
+    return text
+
+
+class TestCodeFileFuzz:
+    def test_analyze_and_certify(self, cli, tmp_path):
+        rng = random.Random(8)
+        seen = set()
+        for case in range(300):
+            lines, params = _code_text(rng)
+            path = tmp_path / f"fuzz{case}.code"
+            path.write_text(_mutate_code(rng, lines, params))
+            argv = (rng.choice(["analyze", "certify"]), "--in", str(path),
+                    "--mode", rng.choice(["loose", "strict"]), "--format", "kv")
+            result = cli(*argv)
+            _assert_documented(result, argv)
+            seen.add(result[2].split(":")[0] if result[0] else "ok")
+        assert {"ok", "parse error", "precondition error"} <= seen
+
+    @pytest.mark.parametrize("header,message", [
+        ("q=4 p=2 m=100000000000 n=3 k=1", "q=4 is not p^m = 2^100000000000"),
+        ("q=100000000000000000039 p=100000000000000000039 m=1 n=3 k=1",
+         "field characteristic 100000000000000000039 exceeds supported maximum 65536"),
+    ])
+    def test_huge_header_numbers_are_parse_errors(self, cli, tmp_path, header, message):
+        # both used to run for minutes: a 10^11-bit power, a trial division to 10^10
+        path = tmp_path / "huge.code"
+        path.write_text(header + "\n1 1 1\n")
+        for command in ("analyze", "certify"):
+            rc, out, err = cli(command, "--in", str(path))
+            assert (rc, out, err) == (2, "", f"parse error: {path}: {message}\n")

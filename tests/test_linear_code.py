@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mllrc.linear_code as linear_code
+from mllrc.constructions import reed_solomon, tamo_barg
 from mllrc.errors import BudgetError, ParseError, PreconditionError
 from mllrc.galois import MatrixGF, field_new, mat_rank
 from mllrc.linear_code import (
@@ -332,6 +333,156 @@ def test_kernel_matches_itertools_reference(field, shape):
             assert C.locality_of_coordinate(i, restrict_to=helpers) == want
 
 
+# ---------------------------------------------------------------------------
+# locality routes: span search, dual scan and a switch between them
+# ---------------------------------------------------------------------------
+
+# Field -> the largest n - k of a corpus code, so the reference lists at most
+# a few hundred dual words.
+_ROUTE_FIELDS = {(2, 1): 6, (3, 1): 4, (2, 2): 3, (3, 2): 2, (13, 1): 2,
+                 (2, 4): 2, (257, 1): 1}
+
+
+def _route_code(F, rng):
+    """A random full-rank code without zero columns; some columns are
+    multiples of others, so that locality 1 occurs."""
+    while True:
+        k = rng.randint(1, 4)
+        n = rng.randint(k + 1, min(k + _ROUTE_FIELDS[(F.p, F.m)], 8))
+        A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
+        for j in range(n):
+            if j and rng.random() < 0.2:
+                src, c = rng.randrange(j), rng.randrange(1, F.q)
+                for row in A:
+                    row[j] = F.mul(c, row[src])
+        if all(any(row[j] for row in A) for j in range(n)) and mat_rank(
+            MatrixGF(F, A)
+        ) == k:
+            return LinearCode(F, A)
+
+
+def _reference_profile(ref, dual_words, n, mode):
+    """The profile, or the PreconditionError text, that mode must give."""
+    loose = {i: ref.repair(dual_words, i, set(range(n))) for i in range(n)}
+    bad = [i for i, v in loose.items() if v is None]
+    if bad:
+        return f"coordinate {bad[0]} has no repair relation (no dual word through it)"
+    prof = _classes({i: v[0] for i, v in loose.items()})
+    if mode == "loose":
+        return prof
+    strict = {}
+    for cls in prof.classes:
+        for i in cls.coordinates:
+            v = ref.repair(dual_words, i, set(cls.coordinates))
+            if v is None:
+                return f"coordinate {i} has no repair relation inside its class"
+            strict[i] = v[0]
+    got = _classes(strict)
+    if [c.coordinates for c in got.classes] != [c.coordinates for c in prof.classes]:
+        return ("profile is not strict-stable: restricting helpers to classes "
+                "changes the partition")
+    return got
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def route_spy(monkeypatch):
+    """Runs every locality scan on one route and records which ran: "span"
+    never hands over to the dual scan, "dual" always does after the level-1
+    lookup, and "switch" runs span level 2 and then hands over."""
+    calls = []
+    real_level, real_dual = linear_code._span_level, LinearCode._dual_support_scan
+    real_scan = LinearCode._locality_scan
+    state = {"route": "span"}
+
+    def scan(self, *args):
+        calls.append([])
+        cheap = 10**30 if state["route"] == "dual" else 0  # the dual is cheaper, never
+        monkeypatch.setattr(linear_code, "_WORDS_PER_UNIT", cheap)
+        return real_scan(self, *args)
+
+    def level(F, A, targets, s):
+        calls[-1].append(f"span{s}")
+        if state["route"] == "switch":
+            monkeypatch.setattr(linear_code, "_WORDS_PER_UNIT", 10**30)
+        return real_level(F, A, targets, s)
+
+    def dual(self, *args):
+        calls[-1].append("dual")
+        return real_dual(self, *args)
+
+    monkeypatch.setattr(LinearCode, "_locality_scan", scan)
+    monkeypatch.setattr(linear_code, "_span_level", level)
+    monkeypatch.setattr(LinearCode, "_dual_support_scan", dual)
+    return state, calls
+
+
+@pytest.mark.parametrize("chunk", [1, 3, linear_code._SPAN_CHUNK])
+@pytest.mark.parametrize("field", sorted(_ROUTE_FIELDS), ids=lambda f: f"{f[0]}^{f[1]}")
+def test_locality_routes_match_reference(monkeypatch, route_spy, field, chunk):
+    monkeypatch.setattr(linear_code, "_SPAN_CHUNK", chunk)
+    state, calls = route_spy
+    F = field_new(*field)
+    ref = _Ref(F)
+    rng = random.Random(f"routes/{field}/{chunk}")
+    # a [4,3] single-parity code has locality 3, so the switch has work left
+    fixed = [LinearCode(F, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])]
+    if F.q == 2:  # loose-only: its classes change when helpers are confined
+        fixed.append(LinearCode(F, [[1, 0, 1, 1, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1, 1, 1],
+                                    [1, 1, 0, 1, 0, 0, 1, 1], [0, 1, 0, 1, 1, 1, 0, 1]]))
+    for C in fixed + [_route_code(F, rng) for _ in range(5)]:
+        n = C.n
+        dual_words = ref.words(C.H.tolist())
+        full = set(range(n))
+        expect_profile = {m: _reference_profile(ref, dual_words, n, m)
+                          for m in ("loose", "strict")}
+        loose = {i: ref.repair(dual_words, i, full) for i in range(n)}
+        one_class = LocalityClass(rng.randint(1, n - 1), tuple(range(n)))
+        claims = [LocalityProfile((one_class,))]
+        if isinstance(expect_profile["loose"], LocalityProfile):
+            tight = expect_profile["loose"]
+            claims.append(tight)
+            claims.append(LocalityProfile(tuple(
+                LocalityClass(c.locality + 1, c.coordinates) for c in tight.classes
+            )))
+        queries = []
+        for i in range(n):
+            helpers = set(rng.sample(range(n), rng.randrange(n)))
+            want = ref.repair(dual_words, i, helpers | {i})
+            queries.append((i, helpers, want if want else (
+                f"coordinate {i} has no repair relation (no dual word through it)")))
+        for route in ("span", "dual", "switch"):
+            state["route"] = route
+            for mode in ("loose", "strict"):
+                got = _outcome(LinearCode(F, C.G.a).locality_profile, mode)
+                assert got == expect_profile[mode], (route, mode, C.G.tolist())
+            for claim in claims:
+                for mode in ("loose", "strict"):
+                    want = {}
+                    for cls in claim.classes:
+                        support = set(cls.coordinates) if mode == "strict" else full
+                        for i in cls.coordinates:
+                            v = ref.repair(dual_words, i, support)
+                            want[i] = v[1] if v and v[0] <= cls.locality else None
+                    ok, wit = LinearCode(F, C.G.a).verify_profile(claim, mode)
+                    # repr pins the witness bytes, down to plain-int coefficients
+                    assert repr(wit) == repr(want), (route, mode, claim)
+                    assert ok == all(w is not None for w in want.values())
+            D = LinearCode(F, C.G.a)
+            for i, helpers, want in queries:
+                got = _outcome(D.locality_of_coordinate, i, restrict_to=helpers)
+                assert repr(got) == repr(want), (route, i, helpers)
+    # every route ran as intended, and the switch happened mid-scan
+    assert any(c and c[0] == "span2" and c[-1] == "dual" for c in calls)
+    assert not any("dual" in c and c[-1] != "dual" for c in calls)
+
+
 @pytest.mark.parametrize("low_words", [1, 9, 1 << 12])
 def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
     # a small codebook bound forces several chunk levels on small inputs
@@ -354,20 +505,64 @@ def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
         assert seen == _Ref(F).words(G[::-1])
 
 
-def test_kernel_budget_edge_is_still_refused():
-    # the budget charges the nominal q^k / q^dim words before enumerating
+def test_budget_edges_refuse_only_when_both_locality_routes_are_over():
+    # distance: the budget charges the nominal q^k / q^(n-k) words up front
     F = field_new(3)
     C = _random_full_code(F, 9, 8, random.Random(5))
     assert C.q ** (C.n - C.k) == 3
     with pytest.raises(BudgetError):
         LinearCode(F, C.G.a).min_distance(budget=2)
     assert LinearCode(F, C.G.a).min_distance(budget=3) == C.min_distance()
-    D = _random_full_code(F, 9, 1, random.Random(5))  # dual dimension 8
-    with pytest.raises(BudgetError):
-        D.locality_profile(budget=3**8 - 1)
-    with pytest.raises(BudgetError):
-        D.locality_of_coordinate(0, budget=3**8 - 1)
-    D.locality_profile(budget=3**8)
+    # locality: every column of a [9,1]_3 code is parallel to the others, so
+    # the level-1 lookup answers it under any budget; its dual scan would need
+    # 3^8 words, which used to be refused at 3^8 - 1
+    D = _random_full_code(F, 9, 1, random.Random(5))
+    want = D.locality_profile()
+    assert want.shape() == ((9, 1),)
+    for budget in (1, 3**8 - 1, 3**8):
+        fresh = LinearCode(F, D.G.a)
+        assert fresh.locality_profile(budget=budget) == want
+        assert fresh.locality_of_coordinate(0, budget=budget) == (
+            D.locality_of_coordinate(0)
+        )
+    # no locality-1 coordinate: level 2 of span search costs 4 targets x
+    # C(3, 2) tests x 2 * 3 units = 72, the dual scan 3^2 = 9 words
+    E = LinearCode(F, [[1, 0, 1, 1], [0, 1, 1, 2]])
+    want = E.locality_profile()
+    assert want.shape() == ((4, 2),)
+    for budget in (1, 8):
+        with pytest.raises(BudgetError, match="needs 9 dual words or 72 span-test units"):
+            LinearCode(F, E.G.a).locality_profile(budget=budget)
+        with pytest.raises(BudgetError):
+            LinearCode(F, E.G.a).locality_of_coordinate(0, budget=budget)
+    for budget in (9, 72, 10**8):
+        assert LinearCode(F, E.G.a).locality_profile(budget=budget) == want
+    # the span edge: the 14 points of the GF(13) projective line; the dual
+    # scan (13^12 words) never fits, level 2 costs 14 x C(13, 2) x 6 units
+    F13 = field_new(13)
+    P = LinearCode(F13, [[1, 0] + [1] * 12, [0, 1] + list(range(1, 13))])
+    with pytest.raises(BudgetError) as exc:
+        P.locality_profile(budget=6551)
+    assert str(exc.value) == (
+        f"locality needs {13**12} dual words or 6552 span-test units; budget is 6551"
+    )
+    assert LinearCode(F13, P.G.a).locality_profile(budget=6552).shape() == ((14, 2),)
+    assert P.locality_profile().shape() == ((14, 2),)
+    # levels are charged cumulatively: [13,3]_13 Reed-Solomon needs levels 2
+    # and 3, 13 x (C(12, 2) x 9 + C(12, 3) x 12) = 7722 + 34320 units
+    RS = reed_solomon(F13, 13, 3)
+    with pytest.raises(BudgetError, match="or 42042 span-test units; budget is 42041"):
+        LinearCode(F13, RS.G.a).locality_profile(budget=42041)
+    assert LinearCode(F13, RS.G.a).locality_profile(budget=42042).shape() == ((13, 3),)
+
+
+def test_tamo_barg_16_15_8_profile_by_span_search():
+    # the dual scan of this [15,8]_16 code needs 16^7 > 10^8 words
+    C = tamo_barg(16, 15, 8, 4)
+    assert C.q ** (C.n - C.k) > linear_code.DEFAULT_BUDGET
+    assert C.locality_profile().shape() == ((15, 4),)
+    ok, wit = C.verify_profile(C.locality_profile())
+    assert ok and all(w.holds_for(C) and len(w.helpers) == 4 for w in wit.values())
 
 
 # ---------------------------------------------------------------------------
