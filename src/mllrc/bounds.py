@@ -503,7 +503,7 @@ def ml_singleton(profile, k: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-# Cells of a deletion grid evaluated before a bound is refused.
+# The most cells a deletion grid may have; a larger one refuses the bound.
 _GRID_BUDGET = 10**6
 
 

@@ -32,6 +32,7 @@ from mllrc import (
 import mllrc.bounds as bounds_module
 import mllrc.cli as cli_module
 from mllrc.cli import run
+from mllrc.errors import PreconditionError
 from mllrc.galois import field_new
 
 F2 = field_new(2)
@@ -558,11 +559,11 @@ def _code_text(rng):
         k = rng.randint(1, 3)
         n = rng.randint(k + 1, 6)
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-        F = field_new(p, m)
+        F = field_new(p, m, modulus and tuple(map(int, modulus.split(","))))
         if all(any(r[j] for r in rows) for j in range(n)):
             try:
                 LinearCode(F, rows)
-            except Exception:
+            except PreconditionError:  # rank-deficient
                 continue
             break
     lines = [f"q={q} p={p} m={m} n={n} k={k}"]

@@ -403,8 +403,9 @@ def route_spy(monkeypatch):
 
     def scan(self, *args):
         calls.append([])
-        cheap = 10**30 if state["route"] == "dual" else 0  # the dual is cheaper, never
-        monkeypatch.setattr(linear_code, "_WORDS_PER_UNIT", cheap)
+        # "dual": the dual scan is always predicted cheaper; otherwise never
+        ratio = 10**30 if state["route"] == "dual" else 0
+        monkeypatch.setattr(linear_code, "_WORDS_PER_UNIT", ratio)
         return real_scan(self, *args)
 
     def level(F, A, targets, s):
@@ -433,7 +434,7 @@ def test_locality_routes_match_reference(monkeypatch, route_spy, field, chunk):
     rng = random.Random(f"routes/{field}/{chunk}")
     # a [4,3] single-parity code has locality 3, so the switch has work left
     fixed = [LinearCode(F, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])]
-    if F.q == 2:  # loose-only: its classes change when helpers are confined
+    if F.q == 2:  # strict mode raises: confining helpers changes its classes
         fixed.append(LinearCode(F, [[1, 0, 1, 1, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1, 1, 1],
                                     [1, 1, 0, 1, 0, 0, 1, 1], [0, 1, 0, 1, 1, 1, 0, 1]]))
     for C in fixed + [_route_code(F, rng) for _ in range(5)]:
@@ -442,7 +443,6 @@ def test_locality_routes_match_reference(monkeypatch, route_spy, field, chunk):
         full = set(range(n))
         expect_profile = {m: _reference_profile(ref, dual_words, n, m)
                           for m in ("loose", "strict")}
-        loose = {i: ref.repair(dual_words, i, full) for i in range(n)}
         one_class = LocalityClass(rng.randint(1, n - 1), tuple(range(n)))
         claims = [LocalityProfile((one_class,))]
         if isinstance(expect_profile["loose"], LocalityProfile):
