@@ -223,6 +223,11 @@ def certify_pyramid(
     )
 
 
+# The oracle of every dominance check: its answers depend on (q, n, d) only,
+# so one memo serves all points.
+_DOMINANCE_ORACLE = KOptOracle.singleton_only()
+
+
 def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
     """Verify that a Singleton-violating point is also alphabet-rejected.
 
@@ -236,7 +241,7 @@ def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
         profile,
         d,
         q,
-        oracle=KOptOracle.singleton_only(),
+        oracle=_DOMINANCE_ORACLE,
         k_hint=k,
         truncate=False,
     )

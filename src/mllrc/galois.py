@@ -395,6 +395,8 @@ def field_from_order(q: int, modulus: tuple[int, ...] | None = None) -> FiniteFi
     """GF(q) for a prime power q, factoring q = p^m automatically."""
     if q < 2:
         raise PreconditionError(f"field order must be >= 2, got {q}")
+    if q > MAX_FIELD_SIZE:  # before the trial division, which takes sqrt(q)
+        raise PreconditionError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
     p = 2
     while q % p:
         p += 1

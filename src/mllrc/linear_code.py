@@ -6,17 +6,35 @@ locality, repair-set witnesses.  Enumerations are bounded by a hard budget
 falling back to any approximation.  Coordinates are 0-based throughout the
 library API (the CLI layer presents them 1-based).
 
-Every exhaustive pass (the primal distance pass, the dual weight
-distribution behind the MacWilliams route, and the dual-word scans behind
-localities and repair-set witnesses) runs on one split-table kernel,
-`_SplitTable`.  The first a generator rows are encoded once into a low
-codebook of q^a words (a is the largest value with q^a <= 2^12, clamped to
-[1, k]); block b is that codebook shifted by high word b, the combination
-of the remaining rows.  A block's zero pattern is the single comparison
-low == -high[b] on a column-major uint8 table (uint16 when q > 256), so no
-block re-encodes messages; actual codewords are rebuilt only for witness
-candidates.  The budget still charges the nominal q^k (or q^dim) words
-before a pass starts, and the zero word is never visited.
+Every exhaustive pass (the dual weight distribution behind the MacWilliams
+distance route, and the dual-word scans behind localities and repair-set
+witnesses) runs on one split-table kernel, `_SplitTable`.  The first a
+generator rows are encoded once into a low codebook of q^a words (a is the
+largest value with q^a <= 2^12, clamped to [1, k]); block b is that codebook
+shifted by high word b, the combination of the remaining rows.  A block's
+zero pattern is the single comparison low == -high[b] on a column-major
+uint8 table (uint16 when q > 256), so no block re-encodes messages; actual
+codewords are rebuilt only for witness candidates.  The budget charges the
+nominal q^dim words before a pass starts, and the zero word is never
+visited.
+
+Minimum distance has two routes.  Brouwer-Zimmermann takes disjoint
+information sets greedily in column order (_information_sets); set j has
+rank r_j and a generator that is [I; 0] on its columns.  Level w enumerates,
+on a set, the messages of weight w whose first nonzero entry is 1
+(_MessageLevels); once every set has had its levels up to w_j, each unseen
+codeword weighs at least sum_j max(0, w_j + 1 - (k - r_j)), and the least
+weight found is d as soon as that bound reaches it.  Level 1 is the rows of
+the sets' generators and costs nothing.  The plan of the later levels
+(_bz_plan) is charged against the budget before any is enumerated, with the
+least weight of those rows as the target; when it does not fit, the
+MacWilliams route (the weight distribution of the q^(n-k) dual words) runs
+if those fit, and otherwise BudgetError ("minimum distance of <code> needs
+<q^(n-k)> dual words or <plan> information-set words; budget is <b>") is
+raised before any level.  Before each level, MacWilliams also takes over
+when its words fit the budget and number fewer than _DUAL_WORDS_PER_WORD
+times the level's words.  A code whose q^k words fit the budget is never
+refused: the plan never exceeds the first set alone.
 
 Locality has a second route, span search: coordinate t has locality s when
 s is the least size of a set S of other allowed coordinates whose generator
@@ -94,6 +112,13 @@ _SPAN_CHUNK = 256
 # [12,6]_13, [11,5]_13, [15,10]_16 and [45,23]_2, span search 125-180 ns a
 # predicted unit on [12,6]_13, [15,8]_16 and [20,8]_2.
 _WORDS_PER_UNIT = 16
+# MacWilliams dual words that cost as much as one Brouwer-Zimmermann word,
+# for the route choice in LinearCode._distance_scan.  Timed on the same host
+# in two runs: a BZ word took 30-32 ns on [45,23]_2 (bit-packed), 50-67 ns on
+# [15,8]_16, 74-84 ns on [12,6]_13 and 200-266 ns on [102,64]_2 (too long to
+# pack); a MacWilliams dual word 8-11 ns on [15,10]_16 and [12,6]_13 and
+# 11-16 ns on [45,23]_2.  So a BZ word costs 2 to 8 dual words.
+_DUAL_WORDS_PER_WORD = 5
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -196,6 +221,159 @@ class _SplitTable:
     def word(self, c: int, neg_high: np.ndarray) -> np.ndarray:
         """The codeword with low index c in the block of neg_high."""
         return self.field.sub(self.low[c], neg_high)
+
+
+def _information_sets(F: FiniteField, G: np.ndarray):
+    """Disjoint information sets of the row space of G, chosen greedily in
+    column order, yielded as (rank r, generator) pairs.
+
+    Set j is the RREF pivots among the columns no earlier set took.  Its
+    generator is the RREF of G with those columns moved first (then the
+    taken columns), so it shows [I_r; 0] on the set's columns: rows r.. vanish
+    there.  Columns are reordered, which no weight depends on.  Ranks never
+    increase from one set to the next."""
+    rest, used = list(range(G.shape[1])), []
+    while rest:
+        R, piv = mat_rref(MatrixGF(F, G[:, rest + used]))
+        chosen = {rest[p] for p in piv if p < len(rest)}
+        if not chosen:  # only zero columns left
+            return
+        yield len(chosen), R.a
+        used += sorted(chosen)
+        rest = [c for c in rest if c not in chosen]
+
+
+def _bz_bound(k: int, ranks, done) -> int:
+    """Brouwer-Zimmermann lower bound on the weight of every codeword not yet
+    seen, once set j has had all its messages of weight <= done[j]: such a
+    word has a message of weight >= done[j] + 1 on set j, so at least
+    done[j] + 1 - (k - r_j) nonzero coordinates on it, and the sets are
+    disjoint."""
+    return sum(max(0, w + 1 - (k - r)) for r, w in zip(ranks, done))
+
+
+def _bz_plan(k: int, q: int, ranks, best: int):
+    """The schedule of levels w >= 2 that proves d = best at the latest, as
+    (total words, [(w, [(set, first level)], words), ...]).
+
+    Level 1 (the rows of every set) is taken as done.  At level w each set
+    whose bound grows there (w + 1 > k - r_j) enumerates its messages of
+    weights first..w, where first is 2 for a set that joins at w; the level
+    ends early once the bound reaches best, and level k of the first set has
+    seen every word.  The plan uses the first m sets for the least m of
+    least total, so it never costs more than the first set alone: at most
+    (q^k - 1)/(q - 1) words.  A level's words are all its steps', even if it
+    ends early."""
+    plans = []
+    for m in range(1, len(ranks) + 1):
+        shorter = plans[-1][1] if plans else None
+        if plans and (not shorter or shorter[-1][0] < max(2, k - ranks[m - 1])):
+            break  # set m would join only after the shorter plan has ended
+        done, levels = [1] * len(ranks), []
+
+        def finished():
+            return done[0] == k or _bz_bound(k, ranks, done) >= best
+
+        while not finished():
+            w = done[0] + 1
+            steps = [(j, done[j] + 1) for j in range(m) if w + 1 > k - ranks[j]]
+            # C(k, v) (q - 1)^(v - 1) messages of weight v lead with a 1
+            words = sum(comb(k, v) * (q - 1) ** (v - 1)
+                        for _, a in steps for v in range(a, w + 1))
+            levels.append((w, steps, words))
+            for j, _ in steps:
+                done[j] = w
+                if finished():
+                    break
+        plans.append((sum(words for *_, words in levels), levels))
+    return min(plans, key=lambda plan: plan[0])
+
+
+def _rechunk(pieces, size: int):
+    """Regroup (words, last) array pieces into chunks of `size` rows (the
+    last chunk may be shorter)."""
+    words, lasts, have = [], [], 0
+    for w, last in pieces:
+        words.append(w)
+        lasts.append(last)
+        have += len(w)
+        if have >= size:
+            W, L = np.concatenate(words), np.concatenate(lasts)
+            cut = have - have % size
+            for at in range(0, cut, size):
+                yield W[at:at + size], L[at:at + size]
+            words, lasts, have = [W[cut:]], [L[cut:]], have - cut
+    if have:
+        yield np.concatenate(words), np.concatenate(lasts)
+
+
+class _MessageLevels:
+    """The words m.G of one generator, level by level: level w holds the
+    messages m of weight w whose first nonzero entry is 1.
+
+    Level w is built from the level-(w-1) words P whose last nonzero message
+    entry is above row i, as P + c.g_i for every nonzero c.  Only weights are
+    needed from the level asked for, so that step is a comparison: P + c.g_i
+    is zero at j exactly when P_j == -c.g_ij, the split-table idiom.  Over
+    GF(2) with n <= 64 a word is packed into a uint64, added by XOR and
+    weighed by np.bitwise_count (numpy 2; older numpy takes the general
+    path).  Levels are generated depth-first, _LOW_WORDS // (q - 1) words of
+    the level below at a time (at least one), so a step makes at most
+    max(q - 1, _LOW_WORDS) words and no level is held whole.
+    """
+
+    def __init__(self, F: FiniteField, G: np.ndarray):
+        k, n = G.shape
+        self.k = k
+        self.row_weights = np.count_nonzero(G, axis=1)
+        self.piece = max(1, _LOW_WORDS // (F.q - 1))  # P words per step
+        if F.q == 2 and n <= 64 and hasattr(np, "bitwise_count"):  # numpy >= 2
+            self.rows = np.bitwise_or.reduce(
+                G.astype(np.uint64) << np.arange(n, dtype=np.uint64), axis=1
+            )
+            self._add = lambda P, i: P ^ self.rows[i]
+            self._weigh = lambda P, i: np.bitwise_count(P ^ self.rows[i])
+        else:
+            dtype = np.uint8 if F.q <= 256 else np.uint16
+            self.rows = G.astype(dtype)
+            mults = F.mul(G[:, None, :], F.elements()[1:, None])  # c.g_i at [i, c]
+            neg = F.neg(mults).astype(dtype)
+            mults = mults.astype(dtype)
+            count = np.uint8 if n < 256 else np.int64
+
+            def add(P, i):
+                if F.p == 2:  # F.add is XOR here; skip its int64 widening
+                    return (P[:, None] ^ mults[i][None]).reshape(-1, n)
+                return F.add(P[:, None], mults[i][None]).reshape(-1, n).astype(dtype)
+
+            def weigh(P, i):
+                eq = P[:, None] == neg[i][None]
+                return n - eq.view(np.uint8).sum(axis=2, dtype=count).ravel()
+
+            self._add, self._weigh = add, weigh
+
+    def _chunks(self, w: int):
+        """(words, last row) chunks of level w, self.piece words each."""
+
+        def pieces():
+            if w == 1:
+                yield self.rows, np.arange(self.k)
+                return
+            for P, last in self._chunks(w - 1):
+                for i in range(int(last.min()) + 1, self.k):
+                    words = self._add(P[last < i], i)
+                    yield words, np.full(len(words), i)
+
+        yield from _rechunk(pieces(), self.piece)
+
+    def weights(self, w: int):
+        """The weights of the level-w words, one array per step."""
+        if w == 1:
+            yield self.row_weights
+            return
+        for P, last in self._chunks(w - 1):
+            for i in range(int(last.min()) + 1, self.k):
+                yield self._weigh(P[last < i], i)
 
 
 def _parallel_columns(F: FiniteField, A: np.ndarray, targets):
@@ -453,21 +631,46 @@ class LinearCode:
         """Exact minimum nonzero codeword weight (cached once computed)."""
         if self._d is not None:
             return self._d
-        b = resolve_budget(budget)
-        primal = self.q**self.k
-        dual_side = self.q ** (self.n - self.k)
-        if primal <= b:
-            table = _SplitTable(self.field, self.G.a)
-            d = self.n - max(int(zeros.max()) for *_, zeros in table.blocks())
-        elif dual_side <= b:
-            d = self._distance_via_dual()
-        else:
-            raise BudgetError(
-                f"minimum distance of {self!r} needs {min(primal, dual_side)} "
-                f"enumerations; budget is {b}"
-            )
-        self._d = d
-        return d
+        self._d = self._distance_scan(resolve_budget(budget))
+        return self._d
+
+    def _distance_scan(self, b: int) -> int:
+        """Exact distance by Brouwer-Zimmermann or MacWilliams under budget
+        b, by the cost rule of the module docstring."""
+        k, q = self.k, self.q
+        dual_words = q ** (self.n - k)
+        ranks, gens, best = [], [], self.n
+        for r, G in _information_sets(self.field, self.G.a):
+            ranks.append(r)
+            gens.append(G)
+            best = min(best, int(np.count_nonzero(G, axis=1).min()))
+            if _bz_bound(k, ranks, [1] * len(ranks)) >= best:
+                return best  # the rows prove d; later sets are not needed
+        words, levels = _bz_plan(k, q, ranks, best)
+        if words > b:
+            if dual_words > b:
+                raise BudgetError(
+                    f"minimum distance of {self!r} needs {dual_words} dual words "
+                    f"or {words} information-set words; budget is {b}"
+                )
+            return self._distance_via_dual()
+        sets, done = {}, [1] * len(ranks)
+        for w, steps, level in levels:
+            if dual_words <= b and dual_words < level * _DUAL_WORDS_PER_WORD:
+                return self._distance_via_dual()
+            for j, first in steps:
+                if j not in sets:
+                    sets[j] = _MessageLevels(self.field, gens[j])
+                for v in range(first, w + 1):
+                    bound = _bz_bound(k, ranks, done)
+                    for weights in sets[j].weights(v):
+                        best = min(best, int(weights.min()))
+                        if best <= bound:  # no unseen word is lighter
+                            return best
+                    done[j] = v
+                    if _bz_bound(k, ranks, done) >= best:
+                        return best
+        return best  # the plan ran out: the first best is proved, or all seen
 
     def _weight_counts(self, G: np.ndarray) -> list[int]:
         """Number of words of each weight 0..n in the row space of G."""

@@ -57,7 +57,7 @@ def test_ac01_tamo_barg_base_singleton_optimal(capsys, tmp_path):
     assert rc == 0
     code = load_code(code_file)
     assert (code.n, code.k, code.q) == (12, 6, 13)
-    assert code.min_distance() == 6  # full 13^6 codeword enumeration
+    assert code.min_distance() == 6  # exact, by Brouwer-Zimmermann
     assert code.locality_profile(mode="loose").shape() == ((12, 3),)
     assert ml_singleton(((12, 3),), 6).bound_value == 6
     cert = certify(code)
@@ -80,7 +80,7 @@ def test_ac03_binary_concatenated_alphabet_optimal(capsys, tmp_path):
     assert rc == 0
     code = load_code(code_file)
     assert (code.n, code.k, code.q) == (20, 8, 2)
-    assert code.min_distance() == 8  # 256-codeword enumeration
+    assert code.min_distance() == 8  # exact, by Brouwer-Zimmermann
     profile = code.locality_profile(mode="loose")
     assert profile.shape() == ((20, 3),)  # all 20 coordinates 3-local
     table = KOptOracle.table_only()

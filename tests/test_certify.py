@@ -5,9 +5,11 @@ message-enumeration oracle below; bound values reuse the hand-evaluated
 constants already pinned in the bounds tests.
 """
 
+import dataclasses
 import functools
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +303,26 @@ class TestCheckDominance:
             q = rng.choice([2, 3, 4, 5, 13])
             rep = check_dominance(shape, k, d, q)
             assert rep.holds is True, (shape, k, d, q)
+
+    def test_shared_oracle_gives_the_reports_of_a_fresh_one(self, monkeypatch):
+        # one module-level oracle serves every point; its memo must not leak
+        # anything that a fresh oracle per point would answer differently
+        rng = random.Random(2000)
+        points = []
+        for _ in range(2000):
+            shape = _random_shape(rng)
+            n = sum(sz for sz, _ in shape)
+            points.append((shape, rng.randint(1, n - 1), rng.randint(1, n),
+                           rng.choice([2, 3, 4, 5, 8, 13])))
+        shared = [check_dominance(*point) for point in points]
+        for point, rep in zip(points, shared):
+            # mllrc.certify the module; the package exports the function too
+            monkeypatch.setattr(sys.modules["mllrc.certify"], "_DOMINANCE_ORACLE",
+                                KOptOracle.singleton_only())
+            fresh = check_dominance(*point)
+            for field in dataclasses.fields(rep):
+                assert getattr(rep, field.name) == getattr(fresh, field.name), (
+                    point, field.name)
 
 
 class TestFullAnalysis:

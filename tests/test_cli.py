@@ -531,10 +531,11 @@ class TestSharedParser:
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_analyze_large_q_golden_outputs(cli, tmp_path, monkeypatch):
-    # reads perfbench/ only: the set-up commands and the recorded outputs
-    setup = runpy.run_path(str(_PERFBENCH / "workloads.py"))["SETUP"]["analyze-large-q"]
-    golden = json.loads((_PERFBENCH / "golden" / "analyze-large-q.json").read_text())
+def _replay_golden(cli, tmp_path, monkeypatch, workload):
+    """Build a workload's inputs and compare every op's exit code and stdout
+    with its recorded output; reads perfbench/ only."""
+    setup = runpy.run_path(str(_PERFBENCH / "workloads.py"))["SETUP"][workload]
+    golden = json.loads((_PERFBENCH / "golden" / f"{workload}.json").read_text())
     monkeypatch.chdir(tmp_path)
     for argv in setup:
         assert cli(*argv)[0] == 0, argv
@@ -544,6 +545,14 @@ def test_analyze_large_q_golden_outputs(cli, tmp_path, monkeypatch):
     for op in golden["ops"]:
         rc, out, _ = cli(*op["argv"])
         assert (rc, out) == (op["rc"], op["stdout"]), op["id"]
+
+
+def test_analyze_large_q_golden_outputs(cli, tmp_path, monkeypatch):
+    _replay_golden(cli, tmp_path, monkeypatch, "analyze-large-q")
+
+
+def test_certify_binary_golden_outputs(cli, tmp_path, monkeypatch):
+    _replay_golden(cli, tmp_path, monkeypatch, "certify-binary")
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +648,20 @@ class TestCodeFileFuzz:
             _assert_documented(result, argv)
             seen.add(result[2].split(":")[0] if result[0] else "ok")
         assert {"ok", "parse error", "precondition error"} <= seen
+
+    def test_huge_field_order_is_refused_at_once(self, cli, tmp_path):
+        # the prime of q used to be found by trial division up to sqrt(q)
+        q = "100000000000000000039"
+        message = f"field size {q} exceeds supported maximum 65536"
+        start = time.perf_counter()
+        rc, out, err = cli("construct", "tamo-barg", "--q", q, "--n", "2", "--k", "1",
+                           "--r", "1", "--out", str(tmp_path / "x.code"))
+        assert time.perf_counter() - start < 1
+        assert (rc, out, err) == (2, "", f"precondition error: {message}\n")
+        spec = tmp_path / "huge.spec"
+        spec.write_text(f"[gcc]\nq={q}\nlevels=1\nmultiplicities=1\n")
+        rc, out, err = cli("construct", "gcc", "--spec", str(spec))
+        assert (rc, out, err) == (2, "", f"parse error: {spec} [gcc]: {message}\n")
 
     @pytest.mark.parametrize("header,message", [
         ("q=4 p=2 m=100000000000 n=3 k=1", "q=4 is not p^m = 2^100000000000"),

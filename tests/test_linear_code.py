@@ -8,12 +8,14 @@ trivial cases (repetition, SPC) are asserted directly.
 
 import itertools
 import random
+import time
+from math import comb
 
 import numpy as np
 import pytest
 
 import mllrc.linear_code as linear_code
-from mllrc.constructions import reed_solomon, tamo_barg
+from mllrc.constructions import construction2_binary_lrc, reed_solomon, tamo_barg
 from mllrc.errors import BudgetError, ParseError, PreconditionError
 from mllrc.galois import MatrixGF, field_new, mat_rank
 from mllrc.linear_code import (
@@ -117,40 +119,115 @@ def test_distance_matches_listing_oracle():
             assert C.min_distance() == brute_distance(F, C.G.tolist())
 
 
-def test_dual_side_distance_path():
-    # force the MacWilliams route by a budget between q^{n-k} and q^k
+def _golay():
+    """The extended binary Golay code [24,12,8], from the [23,12,7] cyclic
+    code of 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11."""
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    rows = [[0] * i + g + [0] * (11 - i) for i in range(12)]
+    return LinearCode(field_new(2), [row + [sum(row) % 2] for row in rows])
+
+
+def _ternary_hamming():
+    """The [13,10,3]_3 Hamming code: its parity checks are the 13 points of
+    the projective plane over GF(3)."""
+    points = [v for v in itertools.product(range(3), repeat=3)
+              if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+    return code_from_parity_check(field_new(3), np.array(points).T)
+
+
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """Counts the runs of the MacWilliams route."""
+    calls = []
+    real = LinearCode._distance_via_dual
+    monkeypatch.setattr(LinearCode, "_distance_via_dual",
+                        lambda self: calls.append(self) or real(self))
+    return calls
+
+
+def test_dual_side_distance_path(dual_calls):
+    # binary [10,7] and [12,9] codes have d <= 2 (Hamming bound), which the
+    # rows of two information sets prove: no route enumerates anything
     rng = np.random.default_rng(13)
     for _ in range(10):
         C = random_code(field_new(2), 10, 7, rng)
         direct = LinearCode(C.field, C.G.a).min_distance()
         via_dual = LinearCode(C.field, C.G.a).min_distance(budget=2**9)
-        assert via_dual == direct  # 2^7 > 2^9? no: 128 < 512 -> primal;
-    # tighter: budget below q^k but at least q^{n-k}
+        assert via_dual == direct
     for _ in range(10):
         C = random_code(field_new(2), 12, 9, rng)
         direct = LinearCode(C.field, C.G.a).min_distance()
         via_dual = LinearCode(C.field, C.G.a).min_distance(budget=2**9 - 1)
         assert via_dual == direct
+    assert not dual_calls
+    # the [13,10]_3 Hamming code needs level 2 (90 words); its 3^3 dual words
+    # are the cheaper route, and the only one under a budget of 27
+    for budget in (None, 27):
+        H = _ternary_hamming()
+        assert H.min_distance(budget=budget) == 3
+        assert dual_calls == [H]
+        dual_calls.clear()
+    # the extended Golay code stays on Brouwer-Zimmermann: its levels cost
+    # 132 and 440 words, MacWilliams 4096
+    assert _golay().min_distance(budget=4096) == 8
+    assert not dual_calls
 
 
 def test_budget_hard_error():
-    # both q^k and q^(n-k) exceed the budget -> neither route is allowed
-    C = LinearCode(
-        field_new(2), [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]]
+    # the extended Golay code: the plan is levels 2 and 3 on its two
+    # information sets, 2 x (C(12, 2) + C(12, 3)) = 572 words, and MacWilliams
+    # needs 2^12 words -> below 572 neither route is allowed
+    C = _golay()
+    with pytest.raises(BudgetError) as exc:
+        C.min_distance(budget=571)
+    assert str(exc.value) == (
+        "minimum distance of LinearCode[24,12]_2 needs 4096 dual words or 572 "
+        "information-set words; budget is 571"
     )
-    with pytest.raises(BudgetError):
-        C.min_distance(budget=5)
+    assert C.min_distance(budget=572) == 8
     with pytest.raises(PreconditionError):
-        C.min_distance(budget=0)
+        LinearCode(C.field, C.G.a).min_distance(budget=0)
 
 
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("MLLRC_BUDGET", "3")
+    # the rows of the information sets are weighed for free: d = 2 is proved
+    # by the bound after them, under any budget
     C = LinearCode(field_new(2), [[1, 1, 0, 0], [0, 1, 1, 1]])
-    with pytest.raises(BudgetError):
-        C.min_distance()
-    monkeypatch.delenv("MLLRC_BUDGET")
     assert C.min_distance() == 2
+    monkeypatch.setenv("MLLRC_BUDGET", "571")
+    G = _golay()
+    with pytest.raises(BudgetError, match="budget is 571$"):
+        G.min_distance()
+    monkeypatch.delenv("MLLRC_BUDGET")
+    assert G.min_distance() == 8
+
+
+def test_gcc2_r5_distance_is_refused_before_any_level(monkeypatch):
+    # [102,64]_2: the information sets have ranks 64, 36 and 2, and no row
+    # weighs under 12.  The second set joins the bound only at level 28, so
+    # proving d = 12 needs levels 2..11 of the first: sum C(64, w) words.
+    levels = []
+    real = linear_code._MessageLevels.weights
+    monkeypatch.setattr(linear_code._MessageLevels, "weights",
+                        lambda self, w: levels.append(w) or real(self, w))
+    C = construction2_binary_lrc(5, 0)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as exc:
+        C.min_distance()
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == (
+        f"minimum distance of LinearCode[102,64]_2 needs {2**38} dual words or "
+        f"{sum(comb(64, w) for w in range(2, 12))} information-set words; "
+        "budget is 100000000"
+    )
+    assert levels == []
+
+
+def test_brouwer_zimmermann_exact_distances():
+    # Singleton-optimal: d = 15 - 8 - 2 + 2; MacWilliams would need 16^7 words
+    assert tamo_barg(16, 15, 8, 4).min_distance() == 7
+    assert construction2_binary_lrc(4, 0).min_distance() == 6  # [45,23]_2
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
@@ -483,6 +560,177 @@ def test_locality_routes_match_reference(monkeypatch, route_spy, field, chunk):
     assert not any("dual" in c and c[-1] != "dual" for c in calls)
 
 
+# Field -> the largest k of a distance-corpus code, so the reference lists
+# at most a few thousand words.
+_DISTANCE_FIELDS = {(2, 1): 10, (3, 1): 6, (2, 2): 5, (3, 2): 4, (13, 1): 4,
+                    (2, 4): 4, (257, 1): 2}
+_REF_DISTANCE: dict = {}
+
+
+def _ref_distance(F, A):
+    """Least weight of a nonzero codeword: row i plus every combination of
+    the rows after it covers each message whose first nonzero entry, at i,
+    is 1, and scaling a word keeps its weight."""
+    key = (F.q, F.modulus, tuple(map(tuple, A)))
+    if key not in _REF_DISTANCE:
+        ref = _Ref(F)
+        _REF_DISTANCE[key] = min(
+            sum(1 for a, b in zip(A[i], tail) if ref.add[a][b])
+            for i in range(len(A))
+            for tail in (ref.words(A[i + 1:]) if i + 1 < len(A) else [[0] * len(A[i])])
+        )
+    return _REF_DISTANCE[key]
+
+
+def _distance_code(F, rng, kmax):
+    """A random full-rank generator with some zero columns and some columns
+    that are multiples of earlier ones."""
+    while True:
+        k = rng.randint(1, kmax)
+        n = rng.randint(k, 2 * k + 1)
+        A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
+        for j in range(n):
+            roll = rng.random()
+            if roll < 0.05:
+                for row in A:
+                    row[j] = 0
+            elif j and roll < 0.15:
+                src, c = rng.randrange(j), rng.randrange(1, F.q)
+                for row in A:
+                    row[j] = F.mul(c, row[src])
+        if mat_rank(MatrixGF(F, A)) == k:
+            return A
+
+
+def _chain_code(F, k, rng):
+    """M [I | B | B x] for random invertible M, rank-(k-1) B and nonzero
+    B x: greedy information sets of ranks k, k - 1 and 1."""
+    while True:
+        M = MatrixGF(F, [[rng.randrange(F.q) for _ in range(k)] for _ in range(k)])
+        B = MatrixGF(F, [[rng.randrange(F.q) for _ in range(k - 1)] for _ in range(k)])
+        x = MatrixGF(F, [[rng.randrange(1, F.q)] for _ in range(k - 1)])
+        Bx = B @ x
+        if mat_rank(M) == k and mat_rank(B) == k - 1 and Bx.a.any():
+            return (M @ MatrixGF.identity(F, k).hstack(B).hstack(Bx)).tolist()
+
+
+def _needs_levels(F, A):
+    """Whether Brouwer-Zimmermann must enumerate beyond the rows of its
+    information sets on the code of generator A."""
+    sets = list(linear_code._information_sets(F, np.array(A)))
+    best = min(int(np.count_nonzero(G, axis=1).min()) for _, G in sets)
+    return bool(linear_code._bz_plan(len(A), F.q, [r for r, _ in sets], best)[1])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, linear_code._LOW_WORDS])
+@pytest.mark.parametrize("field", sorted(_DISTANCE_FIELDS), ids=lambda f: f"{f[0]}^{f[1]}")
+def test_message_levels_match_reference(monkeypatch, field, chunk):
+    # level w: the words of the messages of weight w whose first nonzero
+    # entry is 1, each once; GF(2) with n > 64 takes the unpacked path
+    monkeypatch.setattr(linear_code, "_LOW_WORDS", chunk)
+    F = field_new(*field)
+    ref = _Ref(F)
+    rng = random.Random(f"levels/{field}/{chunk}")
+    shapes = [(4, 9), (3, 5), (1, 3)] + ([(3, 70)] if F.q == 2 else [])
+    for k, n in shapes:
+        G = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
+        levels = linear_code._MessageLevels(F, np.array(G, dtype=np.int64))
+        for w in range(1, min(k, 3 if F.q < 257 else 2) + 1):
+            want = []
+            for rows in itertools.combinations(G, w):
+                for cs in itertools.product(range(1, F.q), repeat=w - 1):
+                    word = list(rows[0])  # coefficient 1
+                    for c, row in zip(cs, rows[1:]):
+                        mc = ref.mul[c]
+                        word = [ref.add[a][mc[g]] for a, g in zip(word, row)]
+                    want.append(sum(1 for v in word if v))
+            got = np.concatenate(list(levels.weights(w))).tolist()
+            assert sorted(got) == sorted(want), (k, n, w)
+
+
+@pytest.fixture
+def distance_spy(monkeypatch):
+    """Runs every distance on one route and records what ran: "bz" never
+    hands over to MacWilliams, "dual" hands over before level 2, and
+    "switch" hands over after its first level >= 2."""
+    calls = []
+    real_scan, real_dual = LinearCode._distance_scan, LinearCode._distance_via_dual
+    real_weights = linear_code._MessageLevels.weights
+    state = {"route": "bz"}
+
+    def scan(self, b):
+        calls.append((state["route"], []))
+        ratio = 10**30 if state["route"] == "dual" else 0
+        monkeypatch.setattr(linear_code, "_DUAL_WORDS_PER_WORD", ratio)
+        return real_scan(self, b)
+
+    def weights(self, w):
+        assert w <= self.k  # level k of the first set has seen every word
+        if w >= 2:
+            calls[-1][1].append(w)
+            if state["route"] == "switch":
+                monkeypatch.setattr(linear_code, "_DUAL_WORDS_PER_WORD", 10**30)
+        return real_weights(self, w)
+
+    def dual(self):
+        calls[-1][1].append("dual")
+        return real_dual(self)
+
+    monkeypatch.setattr(LinearCode, "_distance_scan", scan)
+    monkeypatch.setattr(LinearCode, "_distance_via_dual", dual)
+    monkeypatch.setattr(linear_code._MessageLevels, "weights", weights)
+    return state, calls
+
+
+@pytest.mark.parametrize("chunk", [1, 3, linear_code._LOW_WORDS])
+@pytest.mark.parametrize("field", sorted(_DISTANCE_FIELDS), ids=lambda f: f"{f[0]}^{f[1]}")
+def test_distance_routes_match_reference(monkeypatch, distance_spy, field, chunk):
+    monkeypatch.setattr(linear_code, "_LOW_WORDS", chunk)
+    state, calls = distance_spy
+    F = field_new(*field)
+    kmax = _DISTANCE_FIELDS[field]
+    rng = random.Random(f"distance/{field}")  # the same codes for every chunk
+    c = rng.randrange(1, F.q)
+    codes = [
+        [[0, 1, c, 0, 1]],  # k = 1 with zero columns
+        (MatrixGF(F, _chain_code(F, kmax, rng)).a[:, :kmax]).tolist(),  # k = n
+        _chain_code(F, kmax, rng),
+    ] + [_distance_code(F, rng, kmax) for _ in range(6)]
+    ranks = [r for r, _ in linear_code._information_sets(F, np.array(codes[2]))]
+    assert ranks == [kmax, kmax - 1, 1]
+    # codes whose rows do not settle d (two-row codes never need a level),
+    # and over GF(2) the extended Golay code, which needs levels 2 and 3
+    deep = [A for A in (_distance_code(F, rng, kmax) for _ in range(400))
+            if _needs_levels(F, A)][:4]
+    assert len(deep) >= (2 if kmax > 2 else 0)
+    codes += deep + ([_golay().G.tolist()] if F.q == 2 else [])
+    for A in codes:
+        want = _ref_distance(F, A)
+        for route in ("bz", "dual", "switch"):
+            state["route"] = route
+            assert LinearCode(F, A).min_distance() == want, (route, A)
+    # every route ran as intended, and the switch happened mid-scan
+    ran = {route: [lv for r, lv in calls if r == route and lv]
+           for route in ("bz", "dual", "switch")}
+    assert not any("dual" in lv for lv in ran["bz"])
+    assert all(lv == ["dual"] for lv in ran["dual"])
+    assert all(lv[0] == 2 and lv.count("dual") <= (lv[-1] == "dual")
+               for lv in ran["switch"])
+    assert all(len(lvs) >= len(deep) for lvs in ran.values())
+    if F.q == 2:
+        assert [2, 2, "dual"] in ran["switch"]  # the Golay code
+
+
+def test_macwilliams_matches_reference():
+    rng = random.Random("macwilliams")
+    for field, kmax in sorted(_DISTANCE_FIELDS.items()):
+        F = field_new(*field)
+        for _ in range(4):
+            A = _distance_code(F, rng, kmax)
+            if len(A) < len(A[0]):
+                assert LinearCode(F, A)._distance_via_dual() == _ref_distance(F, A)
+
+
 @pytest.mark.parametrize("low_words", [1, 9, 1 << 12])
 def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
     # a small codebook bound forces several chunk levels on small inputs
@@ -506,13 +754,14 @@ def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
 
 
 def test_budget_edges_refuse_only_when_both_locality_routes_are_over():
-    # distance: the budget charges the nominal q^k / q^(n-k) words up front
+    # distance: the [13,10]_3 Hamming code needs level 2 of its first
+    # information set, C(10, 2) x 2 = 90 words, or 3^3 MacWilliams words
     F = field_new(3)
-    C = _random_full_code(F, 9, 8, random.Random(5))
-    assert C.q ** (C.n - C.k) == 3
-    with pytest.raises(BudgetError):
-        LinearCode(F, C.G.a).min_distance(budget=2)
-    assert LinearCode(F, C.G.a).min_distance(budget=3) == C.min_distance()
+    C = _ternary_hamming()
+    assert C.q ** (C.n - C.k) == 27
+    with pytest.raises(BudgetError, match="needs 27 dual words or 90 information-set"):
+        LinearCode(F, C.G.a).min_distance(budget=26)
+    assert LinearCode(F, C.G.a).min_distance(budget=27) == C.min_distance() == 3
     # locality: every column of a [9,1]_3 code is parallel to the others, so
     # the level-1 lookup answers it under any budget; its dual scan would need
     # 3^8 words, which used to be refused at 3^8 - 1
