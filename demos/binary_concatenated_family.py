@@ -25,7 +25,7 @@ from mllrc import (
     render_certificate_text,
 )
 
-table = KOptOracle.table_only()
+table = KOptOracle("table")
 
 print("=== r = 3, no shortening ===")
 code = construction2_binary_lrc(3, 0)

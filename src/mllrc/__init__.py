@@ -8,9 +8,7 @@ from .bounds import (
     kopt,
     load_kopt_table,
     ml_alphabet,
-    ml_alphabet_two,
     ml_singleton,
-    ml_singleton_two,
     singleton_r_local,
 )
 from .certify import (
@@ -66,9 +64,6 @@ from .galois import (
     mat_kronecker,
     mat_rank,
     mat_rref,
-    mat_systematic,
-    q_ary_image,
-    subfield_expand,
 )
 from .linear_code import (
     LinearCode,

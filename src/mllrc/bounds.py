@@ -4,14 +4,14 @@ Provides:
 
 - ``singleton_r_local``: the locality-aware Singleton bound
   d <= n - k + 2 - ceil(k/r).
-- ``ml_singleton`` / ``ml_singleton_two``: its generalization to profiles
-  with several strictly increasing localities, including the degenerate
-  collapse (when a prefix of classes already exhausts the dimension, the
-  remaining classes merge into one class at the prefix locality).
-- ``cm_bound``: the alphabet-dependent (Cadambe-Mazumdar style) dimension
-  bound k <= min_t [t*r + k_opt(n - t(r+1), d)].
-- ``ml_alphabet`` / ``ml_alphabet_two``: its multiple-locality
-  generalization minimized over a box of deletion counts (t_1, ..., t_s).
+- ``ml_singleton``: its generalization to profiles with several strictly
+  increasing localities, including the degenerate collapse (when a prefix
+  of classes already exhausts the dimension, the remaining classes merge
+  into one class at the prefix locality).
+- ``ml_alphabet``: the alphabet-dependent dimension bound for several
+  localities, minimized over a box of deletion counts (t_1, ..., t_s).
+- ``cm_bound``: its one-class case, the Cadambe-Mazumdar style bound
+  k <= min_t [t*r + k_opt(n - t(r+1), d)].
 - ``KOptOracle``: the k_opt(q, n, d) oracle the alphabet bounds consume,
   with table / exhaustive / analytic / singleton modes.
 
@@ -31,7 +31,7 @@ from math import prod
 import numpy as np
 
 from .errors import BudgetError, ParseError, PreconditionError
-from .linear_code import LocalityProfile, _read_ascii
+from .linear_code import _normalize_shape, _read_ascii
 
 __all__ = [
     "BoundReport",
@@ -44,9 +44,7 @@ __all__ = [
     "singleton_max_k",
     "singleton_r_local",
     "cm_bound",
-    "ml_singleton_two",
     "ml_singleton",
-    "ml_alphabet_two",
     "ml_alphabet",
 ]
 
@@ -233,6 +231,9 @@ def _exhaustive_max_dim_q2(n: int, d: int, stop_at: int, budget: int) -> tuple[i
 
 _MODE_NAMES = ("table", "exhaustive", "analytic", "singleton")
 
+# The longest binary code the exhaustive stage searches.
+_EXHAUSTIVE_MAX_N = 14
+
 
 class KOptOracle:
     """Resolver for k_opt(q, n, d), the largest dimension at length n and
@@ -244,21 +245,21 @@ class KOptOracle:
     that grid cell).  Universal edge cases (n <= 0, d <= 1, d > n) are
     answered exactly before the chain runs.
 
-    The exhaustive stage (q = 2, n <= cap) searches binary *linear* codes
-    only; it is flagged exact, with the caveat that a non-linear code could
-    in principle exceed the best linear one.  Searches that would exceed
-    ``search_budget`` primitive coset checks (2*10^6 unless given; the
-    enumeration budget ``budget=`` / MLLRC_BUDGET does not apply) abort
-    deterministically, raise nothing and produce no value, so the chain
-    falls through.  A user ``table`` is validated entry by entry; the
-    bundled table was validated at import.  The analytic stage returns
+    The exhaustive stage (q = 2, n <= _EXHAUSTIVE_MAX_N = 14) searches
+    binary *linear* codes only; it is flagged exact, with the caveat that a
+    non-linear code could in principle exceed the best linear one.  Searches
+    that would exceed ``search_budget`` primitive coset checks (2*10^6
+    unless given; the enumeration budget ``budget=`` / MLLRC_BUDGET does not
+    apply) abort deterministically, raise nothing and produce no value, so
+    the chain falls through.  A user ``table`` is validated entry by entry;
+    the bundled table was validated at import.  The analytic stage returns
     min(Singleton, Griesmer) and is flagged non-exact: always a valid upper
     bound, unusable for optimality certification.  The singleton stage
     returns n - d + 1 and exists so bounds can be evaluated in pure
     Singleton-relaxation form.
     """
 
-    def __init__(self, mode: str = "table,exhaustive,analytic", table=None, cap: int = 14,
+    def __init__(self, mode: str = "table,exhaustive,analytic", table=None,
                  search_budget: int = 2_000_000):
         chain = tuple(m.strip() for m in str(mode).split(","))
         if not chain or any(m not in _MODE_NAMES for m in chain):
@@ -267,8 +268,6 @@ class KOptOracle:
             )
         if len(set(chain)) != len(chain):
             raise PreconditionError(f"duplicate stage in oracle mode {mode!r}")
-        if cap < 0:
-            raise PreconditionError(f"exhaustive cap must be >= 0, got {cap}")
         if search_budget < 1:
             raise PreconditionError(f"search budget must be >= 1, got {search_budget}")
         self.search_budget = search_budget
@@ -281,31 +280,14 @@ class KOptOracle:
             for (q, n, d), (k, prov) in table.items():
                 _validate_table_entry(q, n, d, k)
                 self.table[(q, n, d)] = (k, str(prov))
-        self.cap = cap
         self._memo: dict[tuple[int, int, int], KOptValue | None] = {}
-
-    @classmethod
-    def default(cls, table=None, cap: int = 14) -> "KOptOracle":
-        return cls("table,exhaustive,analytic", table=table, cap=cap)
-
-    @classmethod
-    def table_only(cls, table=None) -> "KOptOracle":
-        return cls("table", table=table)
 
     @classmethod
     def analytic_only(cls) -> "KOptOracle":
         return cls("analytic")
 
-    @classmethod
-    def exhaustive_only(cls, cap: int = 14) -> "KOptOracle":
-        return cls("exhaustive", cap=cap)
-
-    @classmethod
-    def singleton_only(cls) -> "KOptOracle":
-        return cls("singleton")
-
     def __repr__(self) -> str:
-        return f"KOptOracle(mode={self.mode!r}, entries={len(self.table)}, cap={self.cap})"
+        return f"KOptOracle(mode={self.mode!r}, entries={len(self.table)})"
 
     def query(self, q: int, n: int, d: int) -> KOptValue | None:
         if q < 2:
@@ -330,7 +312,7 @@ class KOptOracle:
                 if hit is not None:
                     return KOptValue(hit[0], True, "table")
             elif stage == "exhaustive":
-                if q == 2 and n <= self.cap:
+                if q == 2 and n <= _EXHAUSTIVE_MAX_N:
                     ceiling = min(singleton_max_k(n, d), griesmer_max_k(q, n, d))
                     value, completed = _exhaustive_max_dim_q2(
                         n, d, ceiling, self.search_budget
@@ -414,45 +396,6 @@ def singleton_r_local(n: int, k: int, r: int) -> int:
     return n - k + 2 - _ceil_div(k, r)
 
 
-def _normalize_shape(profile, allow_empty_class: bool = False):
-    if isinstance(profile, LocalityProfile):
-        shape = profile.shape()
-    else:
-        shape = tuple((int(n_i), int(r_i)) for n_i, r_i in profile)
-    if not shape:
-        raise PreconditionError("profile must have at least one class")
-    for n_i, r_i in shape:
-        if r_i < 1:
-            raise PreconditionError(f"locality must be >= 1, got {r_i}")
-        if n_i < 0 or (n_i == 0 and not allow_empty_class):
-            raise PreconditionError(f"class size must be >= 1, got {n_i}")
-    locs = [r_i for _, r_i in shape]
-    if any(a >= b for a, b in zip(locs, locs[1:])):
-        raise PreconditionError(f"localities must be strictly increasing, got {locs}")
-    return shape
-
-
-def ml_singleton_two(n1: int, r1: int, n2: int, r2: int, k: int) -> int:
-    """Distance bound for a two-locality profile ((n1, r1), (n2, r2)).
-
-    Direct formula n - k + 2 - ceil(n1/(r1+1)) - ceil((k - r1*ceil(n1/(r1+1)))/r2)
-    when the first class cannot absorb the dimension; otherwise the profile
-    degenerates and the single-locality bound at r1 applies.  r1 == r2 is
-    permitted and reduces algebraically to the single-locality bound.
-    """
-    if r1 < 1 or r2 < r1 or n1 < 0 or n2 < 0:
-        raise PreconditionError(
-            f"need 1 <= r1 <= r2 and n1, n2 >= 0, got ({n1},{r1}),({n2},{r2})"
-        )
-    n = n1 + n2
-    if not 1 <= k <= n:
-        raise PreconditionError(f"need 1 <= k <= n1 + n2, got k={k}, n={n}")
-    kappa1 = _ceil_div(n1, r1 + 1)
-    if r1 * kappa1 >= k - 1:
-        return singleton_r_local(n, k, r1)
-    return n - k + 2 - kappa1 - _ceil_div(k - r1 * kappa1, r2)
-
-
 def ml_singleton(profile, k: int) -> BoundReport:
     """Distance bound for a multi-locality profile, with degenerate collapse.
 
@@ -507,60 +450,6 @@ def ml_singleton(profile, k: int) -> BoundReport:
 _GRID_BUDGET = 10**6
 
 
-def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None,
-             k_hint: int | None = None) -> BoundReport:
-    """k <= min_t [t*r + k_opt(q, n - t(r+1), d)] over t in [0, t*].
-
-    t* = ceil(n/(r+1)), additionally capped at ceil(k_hint/r) when a
-    candidate dimension is supplied.  Reports the largest minimizing t.
-    More than _GRID_BUDGET values of t raise BudgetError before any is
-    evaluated, as ml_alphabet's deletion grid does.
-    """
-    if n < 1 or d < 1 or r < 1:
-        raise PreconditionError(f"need n, d, r >= 1, got n={n}, d={d}, r={r}")
-    if k_hint is not None and k_hint < 1:
-        raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
-    if oracle is None:
-        oracle = KOptOracle.default()
-    cap = _ceil_div(n, r + 1)
-    if k_hint is not None:
-        cap = min(cap, _ceil_div(k_hint, r))
-    if cap + 1 > _GRID_BUDGET:
-        raise BudgetError(
-            f"deletion grid has {cap + 1} cells, above the budget {_GRID_BUDGET}"
-        )
-    best = None
-    witness = None
-    skipped: list[tuple[int, ...]] = []
-    sources: set[str] = set()
-    all_exact = True
-    for t in range(cap + 1):
-        kv = oracle.query(q, n - t * (r + 1), d)
-        if kv is None:
-            skipped.append((t,))
-            continue
-        sources.add(kv.source)
-        all_exact = all_exact and kv.exact
-        value = t * r + kv.value
-        if best is None or value <= best:
-            best = value
-            witness = (t,)
-    if best is None:
-        raise PreconditionError(
-            "oracle produced no value for any t; extend the table or change mode"
-        )
-    return BoundReport(
-        name="cm",
-        bound_value=best,
-        witness=witness,
-        exact=all_exact and not skipped,
-        mode_flags=tuple(sorted(sources)),
-        skipped=tuple(skipped),
-        collapse_applied=False,
-        effective_shape=((n, r),),
-    )
-
-
 def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
                 k_hint: int | None = None, truncate: bool = True,
                 grid_budget: int = _GRID_BUDGET) -> BoundReport:
@@ -586,7 +475,7 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     if k_hint is not None and k_hint < 1:
         raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
     if oracle is None:
-        oracle = KOptOracle.default()
+        oracle = KOptOracle()
     head = shape[:-1]
     n_last, r_last = shape[-1]
     prefix_caps = [_ceil_div(n_i, r_i + 1) for n_i, r_i in head]
@@ -662,11 +551,14 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     )
 
 
-def ml_alphabet_two(n1: int, r1: int, n2: int, r2: int, d: int, q: int,
-                    oracle: KOptOracle | None = None,
-                    k_hint: int | None = None, truncate: bool = True) -> BoundReport:
-    """Two-class alphabet-dependent bound; same box as ml_alphabet at s=2."""
-    report = ml_alphabet(
-        ((n1, r1), (n2, r2)), d, q, oracle=oracle, k_hint=k_hint, truncate=truncate
-    )
-    return replace(report, name="ml-alphabet-two")
+def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None) -> BoundReport:
+    """k <= min_t [t*r + k_opt(q, n - t(r+1), d)] over t in [0, ceil(n/(r+1))]:
+    ml_alphabet on the one class (n, r), without the per-class truncation.
+
+    Reports the largest minimizing t.  More than _GRID_BUDGET values of t
+    raise BudgetError before any is evaluated.
+    """
+    if n < 1 or d < 1 or r < 1:
+        raise PreconditionError(f"need n, d, r >= 1, got n={n}, d={d}, r={r}")
+    report = ml_alphabet(((n, r),), d, q, oracle, truncate=False, grid_budget=_GRID_BUDGET)
+    return replace(report, name="cm")

@@ -225,7 +225,7 @@ def certify_pyramid(
 
 # The oracle of every dominance check: its answers depend on (q, n, d) only,
 # so one memo serves all points.
-_DOMINANCE_ORACLE = KOptOracle.singleton_only()
+_DOMINANCE_ORACLE = KOptOracle("singleton")
 
 
 def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:

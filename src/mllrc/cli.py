@@ -112,20 +112,10 @@ def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def _oracle(args) -> KOptOracle | None:
-    table = load_kopt_table(args.table) if getattr(args, "table", None) else None
-    mode = getattr(args, "oracle", "default")
-    if mode == "default":
-        return KOptOracle.default(table=table)
-    if mode == "table":
-        return KOptOracle.table_only(table=table)
-    if mode == "analytic":
-        return KOptOracle.analytic_only()
-    if mode == "exhaustive":
-        return KOptOracle.exhaustive_only()
-    if mode == "singleton":
-        return KOptOracle.singleton_only()
-    raise _UsageError(f"unknown oracle mode {mode!r}")
+def _oracle(args) -> KOptOracle:
+    table = load_kopt_table(args.table) if args.table else None
+    chain = "table,exhaustive,analytic" if args.oracle == "default" else args.oracle
+    return KOptOracle(chain, table=table)
 
 
 def _profile_arg(args) -> tuple[tuple[int, int], ...]:

@@ -40,6 +40,7 @@ from .linear_code import (
     LocalityProfile,
     RepairSet,
     _SplitTable,
+    _normalize_shape,
     _read_ascii,
     code_from_lines,
     code_to_lines,
@@ -396,22 +397,6 @@ def algorithm3_ml_lrc(
 # ---------------------------------------------------------------------------
 
 
-def _as_shape(profile) -> tuple[tuple[int, int], ...]:
-    if isinstance(profile, LocalityProfile):
-        return profile.shape()
-    shape = tuple((int(n), int(r)) for n, r in profile)
-    if not shape:
-        raise PreconditionError("profile shape cannot be empty")
-    if any(n < 1 or r < 1 for n, r in shape):
-        raise PreconditionError(f"profile entries must be positive: {shape}")
-    locs = [r for _, r in shape]
-    if locs != sorted(set(locs)):
-        raise PreconditionError(
-            f"profile localities must be strictly increasing: {shape}"
-        )
-    return shape
-
-
 def predict_shortened_profile(profile, alpha: int) -> tuple[tuple[int, int], ...]:
     """Profile shape after shortening one coordinate of class alpha (1-based).
 
@@ -422,7 +407,7 @@ def predict_shortened_profile(profile, alpha: int) -> tuple[tuple[int, int], ...
     otherwise a new class (r_alpha, r_alpha - 1) is inserted before class
     alpha.  Classes that would become empty are dropped.
     """
-    shape = _as_shape(profile)
+    shape = _normalize_shape(profile)
     s = len(shape)
     if not 1 <= alpha <= s:
         raise PreconditionError(
@@ -454,7 +439,7 @@ def predict_shortened_profile(profile, alpha: int) -> tuple[tuple[int, int], ...
 def rate_dimension_limit(shape) -> Fraction:
     """Largest dimension a code with the given shape can have:
     sum over classes of r_i * n_i / (r_i + 1), as an exact fraction."""
-    shape = _as_shape(shape)
+    shape = _normalize_shape(shape)
     return sum(
         (Fraction(r * n, r + 1) for n, r in shape), start=Fraction(0)
     )

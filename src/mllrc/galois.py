@@ -28,10 +28,7 @@ __all__ = [
     "mat_rank",
     "mat_rref",
     "mat_kernel",
-    "mat_systematic",
     "mat_kronecker",
-    "subfield_expand",
-    "q_ary_image",
 ]
 
 MAX_FIELD_SIZE = 1 << 16
@@ -597,20 +594,6 @@ def _kernel_basis(F: FiniteField, R: np.ndarray, piv) -> np.ndarray:
     return K
 
 
-def mat_systematic(M: MatrixGF) -> tuple[MatrixGF, tuple[int, ...]]:
-    """Systematic form (I | A) and the column permutation that produced it.
-
-    perm[j] is the original column shown at position j; the first nrows entries
-    are the RREF pivot columns.  Raises PreconditionError if rows are dependent.
-    """
-    R, piv = mat_rref(M)
-    if len(piv) < M.nrows:
-        raise PreconditionError("rows are linearly dependent; no systematic form")
-    pivset = set(piv)
-    perm = tuple(piv) + tuple(c for c in range(M.ncols) if c not in pivset)
-    return MatrixGF(M.field, R.a[:, list(perm)]), perm
-
-
 def mat_kronecker(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     """Kronecker product over the common field."""
     if A.field != B.field:
@@ -619,41 +602,3 @@ def mat_kronecker(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     prod = F.mul(A.a[:, None, :, None], B.a[None, :, None, :])
     out = prod.reshape(A.nrows * B.nrows, A.ncols * B.ncols)
     return MatrixGF(F, out)
-
-
-# ---------------------------------------------------------------------------
-# base-field expansion
-# ---------------------------------------------------------------------------
-
-
-def subfield_expand(M: MatrixGF) -> MatrixGF:
-    """Multiply each row by the polynomial basis 1, x, ..., x^{m-1} of the field.
-
-    Returns an (m*nrows) x ncols matrix over the same field whose rows, read as
-    base-p digit vectors, span the same GF(p)-space as the original rows.  Row
-    order: original row u contributes rows u*m + b for basis exponent b.
-    """
-    F = M.field
-    m = F.m
-    if m == 1:
-        return M
-    rows = np.empty((M.nrows * m, M.ncols), dtype=np.int64)
-    for b in range(m):
-        beta = F.p**b  # encoding of x^b
-        rows[b::m] = F.mul(beta, M.a)
-    return MatrixGF(F, rows)
-
-
-def q_ary_image(M: MatrixGF) -> MatrixGF:
-    """Base-field image of M: expand rows by the basis and entries to digits.
-
-    For M of shape k x n over GF(p^m) the result is (m*k) x (m*n) over GF(p);
-    column order: original column j contributes columns j*m + b for digit b.
-    Its GF(p) row space is the image of M's row space under digit expansion, so
-    its rank is m times the GF(p^m) rank of M.
-    """
-    F = M.field
-    E = subfield_expand(M)
-    digits = F.coeffs(E.a)  # (m*k, n, m)
-    flat = digits.reshape(E.nrows, M.ncols * F.m)
-    return MatrixGF(field_new(F.p), flat)

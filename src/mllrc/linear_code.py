@@ -81,22 +81,14 @@ __all__ = [
     "LocalityClass",
     "LocalityProfile",
     "RepairSet",
-    "code_from_generator",
     "code_from_lines",
     "code_from_parity_check",
     "code_to_lines",
-    "dual",
-    "entropy",
     "format_profile_shape",
     "load_code",
-    "locality_of_coordinate",
-    "locality_profile",
-    "min_distance",
     "parse_profile_shape",
     "resolve_budget",
     "save_code",
-    "shorten",
-    "verify_profile",
 ]
 
 DEFAULT_BUDGET = 10**8
@@ -515,6 +507,27 @@ class LocalityProfile:
         return format_profile_shape(self.shape())
 
 
+def _normalize_shape(profile, allow_empty_class: bool = False):
+    """The ((n_1, r_1), ..., (n_s, r_s)) shape of a LocalityProfile or of a
+    sequence of pairs, checked: at least one class, every r_i >= 1 and
+    n_i >= 1 (n_i = 0 too with allow_empty_class), r_i strictly increasing."""
+    if isinstance(profile, LocalityProfile):
+        shape = profile.shape()
+    else:
+        shape = tuple((int(n_i), int(r_i)) for n_i, r_i in profile)
+    if not shape:
+        raise PreconditionError("profile must have at least one class")
+    for n_i, r_i in shape:
+        if r_i < 1:
+            raise PreconditionError(f"locality must be >= 1, got {r_i}")
+        if n_i < 0 or (n_i == 0 and not allow_empty_class):
+            raise PreconditionError(f"class size must be >= 1, got {n_i}")
+    locs = [r_i for _, r_i in shape]
+    if any(a >= b for a, b in zip(locs, locs[1:])):
+        raise PreconditionError(f"localities must be strictly increasing, got {locs}")
+    return shape
+
+
 _PROFILE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
@@ -617,14 +630,6 @@ class LinearCode:
             raise PreconditionError("full space has a zero dual; not representable")
         return LinearCode(self.field, self.H)
 
-    # -- codeword sampling -----------------------------------------------------
-
-    def sample_codewords(self, count: int, seed: int) -> np.ndarray:
-        """Deterministic random codewords, one per row (for spot checks/demos)."""
-        rng = np.random.default_rng(seed)
-        msgs = rng.integers(0, self.q, size=(count, self.k), dtype=np.int64)
-        return (MatrixGF(self.field, msgs) @ self.G).a
-
     # -- distance --------------------------------------------------------------
 
     def min_distance(self, budget: int | None = None) -> int:
@@ -703,15 +708,14 @@ class LinearCode:
                 return i
         raise RuntimeError("no nonzero codeword found; generator was rank-deficient")
 
-    # -- shortening / puncturing -------------------------------------------------
+    # -- shortening ---------------------------------------------------------------
 
-    def shorten(self, i: int, allow_zero_column: bool = False) -> "LinearCode":
+    def shorten(self, i: int) -> "LinearCode":
         """Codewords with c_i = 0, coordinate i deleted ([n-1, k-1, >= d]).
 
         Row-reduces so column i has a single nonzero entry, then deletes that
         row and the column.  Remaining coordinates keep their relative order.
-        A zero column cannot be shortened (k would not drop); with
-        allow_zero_column=True it is simply deleted instead.
+        A zero column cannot be shortened (k would not drop).
         """
         if not 0 <= i < self.n:
             raise PreconditionError(f"coordinate {i} out of range [0, {self.n})")
@@ -720,11 +724,9 @@ class LinearCode:
         col = A[:, i]
         nz = np.nonzero(col)[0]
         if nz.size == 0:
-            if allow_zero_column:
-                return LinearCode(F, np.delete(A, i, axis=1))
             raise PreconditionError(
                 f"generator column {i} is identically zero; shortening would not "
-                "reduce the dimension (pass allow_zero_column=True to drop it)"
+                "reduce the dimension"
             )
         if self.k == 1:
             raise PreconditionError("shortening a dimension-1 code would empty it")
@@ -737,19 +739,6 @@ class LinearCode:
             A[others] = F.sub(A[others], F.mul(A[others, i][:, None], A[piv][None, :]))
         A = np.delete(np.delete(A, piv, axis=0), i, axis=1)
         return LinearCode(F, A)
-
-    def puncture(self, i: int) -> "LinearCode":
-        """Delete coordinate i; dimension drops only if it was forced to 0."""
-        if not 0 <= i < self.n:
-            raise PreconditionError(f"coordinate {i} out of range [0, {self.n})")
-        A = np.delete(self.G.a, i, axis=1)
-        M = MatrixGF(self.field, A)
-        if mat_rank(M) < self.k:
-            from .galois import mat_rref
-
-            R, piv = mat_rref(M)
-            A = R.a[: len(piv)]
-        return LinearCode(self.field, A)
 
     # -- coordinate-set entropy ---------------------------------------------------
 
@@ -1018,12 +1007,8 @@ class LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# functional aliases (the operation surface)
+# construction from a parity-check matrix
 # ---------------------------------------------------------------------------
-
-
-def code_from_generator(field: FiniteField, G) -> LinearCode:
-    return LinearCode(field, G)
 
 
 def code_from_parity_check(field: FiniteField, H) -> LinearCode:
@@ -1032,34 +1017,6 @@ def code_from_parity_check(field: FiniteField, H) -> LinearCode:
         raise PreconditionError("parity-check matrix must have full row rank")
     G = mat_kernel(Hm)
     return LinearCode(field, G, parity_check=Hm)
-
-
-def dual(code: LinearCode) -> LinearCode:
-    return code.dual()
-
-
-def min_distance(code: LinearCode, budget: int | None = None) -> int:
-    return code.min_distance(budget)
-
-
-def shorten(code: LinearCode, i: int, allow_zero_column: bool = False) -> LinearCode:
-    return code.shorten(i, allow_zero_column)
-
-
-def entropy(code: LinearCode, coords) -> int:
-    return code.entropy(coords)
-
-
-def locality_of_coordinate(code, i, restrict_to=None, budget=None):
-    return code.locality_of_coordinate(i, restrict_to, budget)
-
-
-def locality_profile(code, mode="loose", budget=None):
-    return code.locality_profile(mode, budget)
-
-
-def verify_profile(code, profile, mode="loose", budget=None):
-    return code.verify_profile(profile, mode, budget)
 
 
 # ---------------------------------------------------------------------------

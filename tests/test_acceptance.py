@@ -31,7 +31,7 @@ from mllrc import (
     entropy_set,
     full_analysis,
     gcc_generator,
-    ml_alphabet_two,
+    ml_alphabet,
     ml_singleton,
     predict_shortened_profile,
     render_analysis_kv,
@@ -83,7 +83,7 @@ def test_ac03_binary_concatenated_alphabet_optimal(capsys, tmp_path):
     assert code.min_distance() == 8  # exact, by Brouwer-Zimmermann
     profile = code.locality_profile(mode="loose")
     assert profile.shape() == ((20, 3),)  # all 20 coordinates 3-local
-    table = KOptOracle.table_only()
+    table = KOptOracle("table")
     report = cm_bound(20, 8, 3, 2, oracle=table)
     assert report.bound_value == 8
     assert report.witness == (2,)  # k_opt(2,12,8) = 2 enters at t = 2
@@ -95,10 +95,10 @@ def test_ac04_shortened_binary_alphabet_optimal():
     assert (code.n, code.k) == (19, 7)
     assert code.min_distance() == 8
     assert code.locality_profile(mode="loose").shape() == ((3, 2), (16, 3))
-    report = ml_alphabet_two(3, 2, 16, 3, 8, 2, oracle=KOptOracle.table_only())
+    report = ml_alphabet(((3, 2), (16, 3)), 8, 2, oracle=KOptOracle("table"))
     assert report.bound_value == 7
     assert report.witness == (1, 1)
-    cert = certify(code, oracle=KOptOracle.table_only())
+    cert = certify(code, oracle=KOptOracle("table"))
     assert cert.alphabet_optimal is True
 
 
@@ -119,7 +119,7 @@ def test_ac05_construction2_sweep_with_stated_distances():
             f"(r,j)=({r},{j}): enumerated distance {enumerated} != stated {d}"
         )
     # unreachable while the (2,0) leg fails: certification of [9,3,6]
-    cert = certify(construction2_binary_lrc(2, 0), oracle=KOptOracle.table_only())
+    cert = certify(construction2_binary_lrc(2, 0), oracle=KOptOracle("table"))
     assert cert.alphabet_optimal is True
 
 
@@ -291,7 +291,7 @@ def test_ac12_repeated_runs_byte_identical(capsys, tmp_path):
     first = render_analysis_kv(full_analysis(construction2_binary_lrc(2, 0)))
     second = render_analysis_kv(full_analysis(construction2_binary_lrc(2, 0)))
     assert first == second
-    table = KOptOracle.table_only()
+    table = KOptOracle("table")
     certs = [
         render_certificate_kv(certify(construction2_binary_lrc(3, 0), oracle=table))
         for _ in range(2)

@@ -6,7 +6,8 @@ Oracles used here, all implemented inside this file with no shared code:
   matrix (row subsets) at tiny lengths.
 - ``grid_min``: a direct re-implementation of the deletion-grid minimum for
   the multi-class alphabet bound.
-- direct formula re-evaluation for the three-class Singleton-type bound.
+- direct formula re-evaluation for the three-class Singleton-type bound,
+  and ``ref_ml_singleton_two``: the paper's direct two-class formula.
 - ``ref_exhaustive_max_dim_q2``, ``ref_ml_alphabet`` and
   ``ref_griesmer_max_k``: the candidate-by-candidate search, the
   cell-by-cell grid loop and the term-by-term Griesmer sum that the library
@@ -31,9 +32,7 @@ from mllrc.bounds import (
     kopt,
     load_kopt_table,
     ml_alphabet,
-    ml_alphabet_two,
     ml_singleton,
-    ml_singleton_two,
     singleton_max_k,
     singleton_r_local,
 )
@@ -92,7 +91,7 @@ def brute_kopt2(n, d):
 
 
 def test_kopt_edges():
-    o = KOptOracle.default()
+    o = KOptOracle()
     assert kopt(o, 2, 5, 9) == 0  # d > n
     assert kopt(o, 2, 0, 3) == 0
     assert o.query(2, -2, 3).value == 0  # negative residuals inside grids
@@ -106,8 +105,8 @@ def test_kopt_edges():
 
 
 def test_kopt_paper_values_table_and_exhaustive_agree():
-    table = KOptOracle.table_only()
-    exhaustive = KOptOracle.exhaustive_only()
+    table = KOptOracle("table")
+    exhaustive = KOptOracle("exhaustive")
     assert kopt(table, 2, 12, 8) == 2
     assert kopt(exhaustive, 2, 12, 8) == 2
     assert kopt(table, 2, 6, 6) == 1
@@ -115,15 +114,15 @@ def test_kopt_paper_values_table_and_exhaustive_agree():
 
 
 def test_exhaustive_matches_full_matrix_bruteforce():
-    o = KOptOracle.exhaustive_only()
+    o = KOptOracle("exhaustive")
     for n in range(1, 5):
         for d in range(1, n + 1):
             assert kopt(o, 2, n, d) == brute_kopt2(n, d), (n, d)
 
 
 def test_exhaustive_within_analytic_and_griesmer_attained():
-    ex = KOptOracle.exhaustive_only()
-    an = KOptOracle.analytic_only()
+    ex = KOptOracle("exhaustive")
+    an = KOptOracle("analytic")
     # small lengths exhaustively; larger lengths only where the analytic
     # ceiling is attained so the search exits early
     for n in range(1, 8):
@@ -136,13 +135,13 @@ def test_exhaustive_within_analytic_and_griesmer_attained():
 
 
 def test_kopt_strict_table_misses_and_exactness():
-    o = KOptOracle.table_only()
+    o = KOptOracle("table")
     assert o.query(2, 9, 6) is None
     with pytest.raises(PreconditionError):
         kopt(o, 2, 9, 6)
     with pytest.raises(PreconditionError):
-        kopt(KOptOracle.analytic_only(), 2, 9, 6, require_exact=True)
-    assert kopt(KOptOracle.analytic_only(), 2, 9, 6) == min(
+        kopt(KOptOracle("analytic"), 2, 9, 6, require_exact=True)
+    assert kopt(KOptOracle("analytic"), 2, 9, 6) == min(
         singleton_max_k(9, 6), griesmer_max_k(2, 9, 6)
     )
 
@@ -164,7 +163,7 @@ def test_kopt_table_file(tmp_path):
     table = load_kopt_table(p)
     assert table[(2, 12, 8)] == (2, "example entry")
     assert table[(13, 10, 4)] == (7, "singleton tight")
-    o = KOptOracle.table_only(table=table)
+    o = KOptOracle("table", table=table)
     assert kopt(o, 13, 10, 4) == 7
     for bad in ["2 12 8 2", "2 12 8 x entry", "2 5 5 2 bad", "2 12 8 3 bad"]:
         p.write_text(bad + "\n")
@@ -195,7 +194,7 @@ def test_singleton_r_local_values():
 
 
 def test_cm_bound_20_8_3():
-    rep = cm_bound(20, 8, 3, 2, oracle=KOptOracle.table_only(), k_hint=8)
+    rep = cm_bound(20, 8, 3, 2, oracle=KOptOracle("table"))
     assert rep.bound_value == 8
     assert rep.witness == (2,)  # largest among tied minimizers
     assert not rep.exact  # t = 0 has no table entry for (2, 20, 8)
@@ -206,7 +205,7 @@ def test_cm_bound_20_8_3():
 def test_cm_bound_9_6_2_strict_table():
     # independent evaluation: k_t = 2t + kopt(2, 9-3t, 6) for t = 0..3;
     # t=0 lacks a table entry, t=1 uses (2,6,6)->1, t>=2 hit the d>n edge
-    rep = cm_bound(9, 6, 2, 2, oracle=KOptOracle.table_only())
+    rep = cm_bound(9, 6, 2, 2, oracle=KOptOracle("table"))
     cells = {1: 2 * 1 + 1, 2: 2 * 2 + 0, 3: 2 * 3 + 0}
     assert rep.bound_value == min(cells.values()) == 3
     assert rep.witness == (1,)
@@ -215,7 +214,7 @@ def test_cm_bound_9_6_2_strict_table():
 
 
 def test_cm_bound_degenerate_r_at_least_n():
-    o = KOptOracle.analytic_only()
+    o = KOptOracle("analytic")
     for n in range(2, 9):
         for d in range(2, n + 1):
             for r in (n, n + 3):
@@ -225,7 +224,7 @@ def test_cm_bound_degenerate_r_at_least_n():
 
 
 def test_cm_bound_analytic_below_plain_singleton():
-    o = KOptOracle.analytic_only()
+    o = KOptOracle("analytic")
     for n in range(3, 15):
         for d in range(2, n + 1):
             for r in range(1, 6):
@@ -237,28 +236,48 @@ def test_cm_bound_analytic_below_plain_singleton():
 # ---------------------------------------------------------------------------
 
 
+def ref_ml_singleton_two(n1, r1, n2, r2, k):
+    """Distance bound for a two-locality profile ((n1, r1), (n2, r2)).
+
+    Direct formula n - k + 2 - ceil(n1/(r1+1)) - ceil((k - r1*ceil(n1/(r1+1)))/r2)
+    when the first class cannot absorb the dimension; otherwise the profile
+    degenerates and the single-locality bound at r1 applies.  r1 == r2 is
+    permitted and reduces algebraically to the single-locality bound.
+    """
+    n = n1 + n2
+    kappa1 = ceil_div(n1, r1 + 1)
+    if r1 * kappa1 >= k - 1:
+        return singleton_r_local(n, k, r1)
+    return n - k + 2 - kappa1 - ceil_div(k - r1 * kappa1, r2)
+
+
 def test_ml_singleton_two_paper_example():
-    assert ml_singleton_two(3, 2, 8, 3, k=5) == 6
+    assert ref_ml_singleton_two(3, 2, 8, 3, k=5) == 6
+    assert ml_singleton(((3, 2), (8, 3)), k=5).bound_value == 6
 
 
 def test_ml_singleton_two_formula_arithmetic():
     # 12 - 5 + 2 - ceil(4/2) - ceil((5-2)/3) = 9 - 2 - 1 = 6
-    assert ml_singleton_two(4, 1, 8, 3, k=5) == 6
+    assert ref_ml_singleton_two(4, 1, 8, 3, k=5) == 6
+    assert ml_singleton(((4, 1), (8, 3)), k=5).bound_value == 6
 
 
 def test_ml_singleton_two_equal_localities_reduce_to_single():
+    # the reference formula at r1 == r2 is the single-locality bound, which
+    # ml_singleton gives for the merged class
     for n1 in range(0, 6):
         for n2 in range(1, 7):
             for r in range(1, 5):
                 for k in range(1, n1 + n2 + 1):
-                    assert ml_singleton_two(n1, r, n2, r, k) == singleton_r_local(
-                        n1 + n2, k, r
-                    )
+                    single = singleton_r_local(n1 + n2, k, r)
+                    assert ref_ml_singleton_two(n1, r, n2, r, k) == single
+                    assert ml_singleton(((n1 + n2, r),), k).bound_value == max(0, single)
 
 
 def test_ml_singleton_two_fallback_branch():
     # first class absorbs the dimension: r1*ceil(n1/(r1+1)) >= k-1
-    assert ml_singleton_two(6, 2, 4, 3, k=3) == singleton_r_local(10, 3, 2)
+    assert ref_ml_singleton_two(6, 2, 4, 3, k=3) == singleton_r_local(10, 3, 2)
+    assert ml_singleton(((6, 2), (4, 3)), k=3).bound_value == singleton_r_local(10, 3, 2)
 
 
 def test_ml_singleton_matches_two_class_form():
@@ -269,7 +288,7 @@ def test_ml_singleton_matches_two_class_form():
                     for k in range(1, n1 + n2 + 1):
                         rep = ml_singleton(((n1, r1), (n2, r2)), k)
                         assert rep.bound_value == max(
-                            0, ml_singleton_two(n1, r1, n2, r2, k)
+                            0, ref_ml_singleton_two(n1, r1, n2, r2, k)
                         )
 
 
@@ -359,8 +378,7 @@ def grid_min(shape, d, q, oracle, k_hint=None, truncate=True):
 
 
 def test_ml_alphabet_two_paper_example():
-    rep = ml_alphabet_two(3, 2, 16, 3, d=8, q=2,
-                          oracle=KOptOracle.table_only(), k_hint=7)
+    rep = ml_alphabet(((3, 2), (16, 3)), d=8, q=2, oracle=KOptOracle("table"), k_hint=7)
     assert rep.bound_value == 7
     assert rep.witness == (1, 1)
     assert (0, 0) in rep.skipped  # no table entry for (2, 19, 8)
@@ -368,11 +386,11 @@ def test_ml_alphabet_two_paper_example():
 
 
 def test_ml_alphabet_two_empty_first_class_is_cm():
-    o = KOptOracle.analytic_only()
+    o = KOptOracle("analytic")
     for n2 in range(3, 10):
         for r2 in range(2, 5):
             for d in range(2, n2 + 1):
-                two = ml_alphabet_two(0, 1, n2, r2, d=d, q=2, oracle=o)
+                two = ml_alphabet(((0, 1), (n2, r2)), d=d, q=2, oracle=o)
                 cm = cm_bound(n2, d, r2, 2, oracle=o)
                 assert two.bound_value == cm.bound_value
                 assert two.witness[-1] == cm.witness[0]
@@ -382,8 +400,8 @@ def test_ml_alphabet_two_singleton_oracle_envelope():
     # clamp-free grid cells evaluate exactly to n - d + 1 - t1 - t2
     n1, r1, n2, r2, d, q = 4, 1, 8, 3, 6, 13
     n = n1 + n2
-    o = KOptOracle.singleton_only()
-    rep = ml_alphabet_two(n1, r1, n2, r2, d=d, q=q, oracle=o)
+    o = KOptOracle("singleton")
+    rep = ml_alphabet(((n1, r1), (n2, r2)), d=d, q=q, oracle=o)
     for t1 in range(ceil_div(n1, r1 + 1) + 1):
         for t2 in range(ceil_div(n2, r2 + 1) + 1):
             resid = n - min(n1, t1 * (r1 + 1)) - min(n2, t2 * (r2 + 1))
@@ -397,32 +415,33 @@ def test_ml_alphabet_two_singleton_oracle_envelope():
 
 
 def test_ml_alphabet_matches_two_class_form():
-    o = KOptOracle.analytic_only()
+    o = KOptOracle("analytic")
     for n1, r1, n2, r2 in [(3, 2, 16, 3), (4, 1, 8, 3), (2, 1, 9, 2), (5, 3, 7, 4)]:
+        shape = ((n1, r1), (n2, r2))
         for d in (2, 4, 6):
             for k_hint in (None, 5, 7):
-                a = ml_alphabet_two(n1, r1, n2, r2, d=d, q=2, oracle=o, k_hint=k_hint)
-                b = ml_alphabet(((n1, r1), (n2, r2)), d=d, q=2, oracle=o, k_hint=k_hint)
-                assert (a.bound_value, a.witness) == (b.bound_value, b.witness)
+                rep = ml_alphabet(shape, d=d, q=2, oracle=o, k_hint=k_hint)
+                got, wit = grid_min(shape, d, 2, o, k_hint=k_hint)
+                assert (rep.bound_value, rep.witness) == (got, wit)
 
 
 def test_ml_alphabet_three_class_matches_independent_grid():
     shape = ((4, 1), (6, 2), (9, 3))
-    o = KOptOracle.table_only()
+    o = KOptOracle("table")
     rep = ml_alphabet(shape, d=4, q=2, oracle=o)
     got, wit = grid_min(shape, 4, 2, o)
     assert rep.bound_value == got
     assert rep.witness == wit
     assert not rep.exact  # many cells skipped by the strict table
     # analytic oracle over the same grid
-    o2 = KOptOracle.analytic_only()
+    o2 = KOptOracle("analytic")
     rep2 = ml_alphabet(shape, d=4, q=2, oracle=o2)
     got2, wit2 = grid_min(shape, 4, 2, o2)
     assert rep2.bound_value == got2
     assert rep2.witness == wit2
     # complete chain on a smaller shape where the search stays cheap
     small = ((2, 1), (3, 2), (4, 3))
-    o3 = KOptOracle.default()
+    o3 = KOptOracle()
     rep3 = ml_alphabet(small, d=4, q=2, oracle=o3)
     got3, wit3 = grid_min(small, 4, 2, o3)
     assert rep3.bound_value == got3
@@ -430,7 +449,7 @@ def test_ml_alphabet_three_class_matches_independent_grid():
 
 
 def test_ml_alphabet_monotone_in_d():
-    o = KOptOracle.analytic_only()
+    o = KOptOracle("analytic")
     shape = ((3, 2), (16, 3))
     vals = [ml_alphabet(shape, d=d, q=2, oracle=o).bound_value for d in range(1, 17)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -439,7 +458,7 @@ def test_ml_alphabet_monotone_in_d():
 def test_ml_alphabet_grid_budget():
     with pytest.raises(BudgetError):
         ml_alphabet(((30, 1), (40, 2), (60, 3)), d=4, q=2,
-                    oracle=KOptOracle.analytic_only(), grid_budget=10)
+                    oracle=KOptOracle("analytic"), grid_budget=10)
 
 
 def test_bound_report_validation():
@@ -455,7 +474,7 @@ def test_bound_report_validation():
 
 
 def test_singleton_relaxed_alphabet_bound_dominates_two_classes():
-    o = KOptOracle.singleton_only()
+    o = KOptOracle("singleton")
     for n1 in range(1, 5):
         for n2 in range(1, 6):
             for r1 in range(1, 3):
@@ -472,7 +491,7 @@ def test_singleton_relaxed_alphabet_bound_dominates_two_classes():
 
 
 def test_singleton_relaxed_alphabet_bound_dominates_three_classes():
-    o = KOptOracle.singleton_only()
+    o = KOptOracle("singleton")
     shapes = [((2, 1), (3, 2), (4, 3)), ((1, 1), (4, 2), (5, 4)),
               ((3, 1), (4, 2), (4, 4)), ((2, 2), (3, 3), (5, 5))]
     for shape in shapes:
@@ -540,7 +559,7 @@ def ref_ml_alphabet(profile, d, q, oracle=None, k_hint=None, truncate=True,
     if k_hint is not None and k_hint < 1:
         raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
     if oracle is None:
-        oracle = KOptOracle.default()
+        oracle = KOptOracle()
     n_last, r_last = shape[-1]
     prefix_caps = [ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
     kappa_last = ceil_div(n_last, r_last + 1)
@@ -721,7 +740,7 @@ def test_default_oracles_share_the_import_validated_table(monkeypatch):
         raise ParseError(f"validated again: {entry}")
 
     monkeypatch.setattr(bounds_module, "_validate_table_entry", refuse)
-    oracle = KOptOracle.singleton_only()
+    oracle = KOptOracle("singleton")
     assert oracle.table == BUNDLED_KOPT_TABLE
     oracle.table[(2, 9, 6)] = (2, "local")
     assert (2, 9, 6) not in BUNDLED_KOPT_TABLE  # each oracle holds its own copy

@@ -92,7 +92,7 @@ class TestCertify:
 
     def test_binary_single_class_alphabet_optimal(self):
         cert = certify(
-            construction2_binary_lrc(3, 0), oracle=KOptOracle.table_only()
+            construction2_binary_lrc(3, 0), oracle=KOptOracle("table")
         )
         assert (cert.n, cert.k, cert.d, cert.q) == (20, 8, 8, 2)
         assert cert.profile.shape() == ((20, 3),)
@@ -104,7 +104,7 @@ class TestCertify:
 
     def test_binary_two_class_alphabet_optimal(self):
         code = algorithm1_ml_lrc(construction2_binary_lrc(3, 0), 2, 3)
-        cert = certify(code, oracle=KOptOracle.table_only())
+        cert = certify(code, oracle=KOptOracle("table"))
         assert (cert.n, cert.k, cert.d) == (19, 7, 8)
         assert cert.profile.shape() == ((3, 2), (16, 3))
         assert cert.singleton_bound.bound_value == 11
@@ -128,7 +128,7 @@ class TestCertify:
         assert cert.alphabet_optimal is False
 
     def test_unknown_verdict_under_inexact_oracle(self):
-        cert = certify(doubled_identity(), oracle=KOptOracle.analytic_only())
+        cert = certify(doubled_identity(), oracle=KOptOracle("analytic"))
         assert cert.alphabet_bound.bound_value == 3
         assert cert.alphabet_exact is False
         assert cert.alphabet_optimal is None
@@ -156,7 +156,7 @@ class TestCertify:
         # a table claiming k_opt(2,12,8) = 1 passes the per-entry sanity
         # bounds but drives the evaluated dimension bound below the actual
         # dimension of a real code, which certify must refuse to certify
-        bad = KOptOracle.table_only(table={(2, 12, 8): (1, "wrong-entry")})
+        bad = KOptOracle("table", table={(2, 12, 8): (1, "wrong-entry")})
         with pytest.raises(PreconditionError):
             certify(construction2_binary_lrc(3, 0), oracle=bad)
 
@@ -166,7 +166,7 @@ class TestCertify:
         # exact without any oracle and still give a valid (inexact) bound,
         # here attained by the dimension
         code = algorithm1_ml_lrc(tamo_barg(13, 12, 6, 3), 2, 3)
-        cert = certify(code, oracle=KOptOracle.table_only())
+        cert = certify(code, oracle=KOptOracle("table"))
         ab = cert.alphabet_bound
         assert ab.bound_value == 5
         assert ab.witness == (1, 1)
@@ -176,8 +176,8 @@ class TestCertify:
         assert cert.alphabet_optimal is True
 
     def test_certify_deterministic(self):
-        a = certify(construction2_binary_lrc(3, 0), oracle=KOptOracle.table_only())
-        b = certify(construction2_binary_lrc(3, 0), oracle=KOptOracle.table_only())
+        a = certify(construction2_binary_lrc(3, 0), oracle=KOptOracle("table"))
+        b = certify(construction2_binary_lrc(3, 0), oracle=KOptOracle("table"))
         assert a == b
         assert render_certificate_kv(a) == render_certificate_kv(b)
         assert render_certificate_text(a) == render_certificate_text(b)
@@ -318,7 +318,7 @@ class TestCheckDominance:
         for point, rep in zip(points, shared):
             # mllrc.certify the module; the package exports the function too
             monkeypatch.setattr(sys.modules["mllrc.certify"], "_DOMINANCE_ORACLE",
-                                KOptOracle.singleton_only())
+                                KOptOracle("singleton"))
             fresh = check_dominance(*point)
             for field in dataclasses.fields(rep):
                 assert getattr(rep, field.name) == getattr(fresh, field.name), (
@@ -422,10 +422,10 @@ class TestConsistencyInvariant:
         corpus = [
             (tamo_barg(13, 12, 6, 3), None),
             (algorithm1_ml_lrc(tamo_barg(13, 12, 6, 3), 2, 3), None),
-            (construction2_binary_lrc(3, 0), KOptOracle.table_only()),
+            (construction2_binary_lrc(3, 0), KOptOracle("table")),
             (
                 algorithm1_ml_lrc(construction2_binary_lrc(3, 0), 2, 3),
-                KOptOracle.table_only(),
+                KOptOracle("table"),
             ),
             (construction2_binary_lrc(2, 0), None),
             (doubled_identity(), None),
@@ -443,7 +443,7 @@ class TestConsistencyInvariant:
 class TestRenderers:
     def test_certificate_kv_golden(self):
         cert = certify(
-            construction2_binary_lrc(3, 0), oracle=KOptOracle.table_only()
+            construction2_binary_lrc(3, 0), oracle=KOptOracle("table")
         )
         assert render_certificate_kv(cert) == "\n".join(
             [

@@ -140,6 +140,15 @@ class TestShorten:
         assert cli("shorten", "--in", spc_file, "--at", "1,1")[0] == 2
         assert cli("shorten", "--in", spc_file, "--at", "x")[0] == 2
 
+    def test_zero_column_is_a_precondition_error(self, cli, tmp_path):
+        # shortening at 6..2 leaves position 1 identically zero
+        tb_file = tmp_path / "tb13.code"
+        save_code(tamo_barg(13, 12, 6, 3), tb_file)
+        rc, out, err = cli("shorten", "--in", str(tb_file), "--at", "1,2,3,4,5,6")
+        assert (rc, out) == (2, "")
+        assert err.startswith("precondition error:")
+        assert "allow_zero_column" not in err
+
 
 class TestBound:
     def test_ml_singleton_example(self, cli):
@@ -502,6 +511,74 @@ class TestFuzz:
         assert f"bound={10**12 - 1}" in out.splitlines()
 
 
+def _fuzz_coordinates(rng, coords, n):
+    """Comma-separated 1-based coordinates with a few mutations: an empty
+    part, a huge or odd number, a repeat, zero, a position past n, a drop."""
+    parts = [str(c) for c in coords]
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        i = rng.randrange(len(parts)) if parts else 0
+        kind = rng.randrange(6)
+        if kind == 0:
+            parts.insert(i, "")
+        elif kind == 1:
+            parts.insert(i, _fuzz_number(rng, n))
+        elif kind == 2 and parts:
+            parts.insert(i, parts[i])
+        elif kind == 3:
+            parts.insert(i, "0")
+        elif kind == 4:
+            parts.insert(i, str(n + rng.randint(1, 10 ** rng.randint(1, 20))))
+        elif parts:
+            del parts[i]
+    return ",".join(parts)
+
+
+def _fuzz_groups(rng, n):
+    """Semicolon-separated repair groups of the tamo_barg(13, 12, 6, 3) code
+    (its true groups are 1-4, 5-8, 9-12), valid or mutated."""
+    if rng.random() < 0.7:
+        groups = [list(range(start, start + 4)) for start in (1, 5, 9)]
+    else:  # some other cover: groups of another size, or not a partition
+        size = rng.choice((1, 2, 3, 4, 6))
+        coords = rng.sample(range(1, n + 1), n) if rng.random() < 0.5 else list(range(1, n + 1))
+        groups = [coords[i:i + size] for i in range(0, n, size)]
+    hit = rng.randrange(len(groups))  # one group's list is mutated
+    text = ";".join(_fuzz_coordinates(rng, g, n) if i == hit else ",".join(map(str, g))
+                    for i, g in enumerate(groups))
+    if rng.random() < 0.15:
+        text = rng.choice((";", text + ";", ";" + text, text.replace(";", ";;", 1)))
+    return _mutate(rng, text, ",;0123456789-+ x٣") if rng.random() < 0.2 else text
+
+
+class TestCoordinateListFuzz:
+    def test_groups_and_positions(self, cli, tmp_path):
+        tb_file = tmp_path / "tb13.code"
+        save_code(tamo_barg(13, 12, 6, 3), tb_file)
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(300):
+            kind = rng.randrange(3)
+            if kind == 0:
+                coords = rng.sample(range(1, 13), rng.randint(1, 6))
+                argv = ("shorten", "--in", str(tb_file),
+                        f"--at={_fuzz_coordinates(rng, coords, 12)}")
+            elif kind == 1:
+                r1 = rng.randint(1, 3)
+                argv = ("construct", "alg1", "--in", str(tb_file), "--r1", str(r1),
+                        "--n1", str((r1 + 1) * rng.randint(0, 3)),
+                        f"--groups={_fuzz_groups(rng, 12)}")
+            else:
+                argv = ("construct", "alg3", "--in", str(tb_file),
+                        "--r1", str(rng.randint(1, 3)), "--alpha", str(rng.randint(0, 3)),
+                        f"--groups={_fuzz_groups(rng, 12)}")
+            result = cli(*argv)
+            _assert_documented(result, argv)
+            seen.add((argv[0], result[2].split(":")[0] if result[0] else "ok"))
+        for command in ("shorten", "construct"):
+            for outcome in ("ok", "usage error", "precondition error"):
+                assert (command, outcome) in seen, seen
+
+
 # ---------------------------------------------------------------------------
 # the parser is built once and shared by every run() call
 # ---------------------------------------------------------------------------
@@ -525,7 +602,7 @@ class TestSharedParser:
 
 
 # ---------------------------------------------------------------------------
-# the analyze-large-q benchmark's recorded outputs, replayed
+# the benchmark workloads' recorded outputs, replayed
 # ---------------------------------------------------------------------------
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -553,6 +630,14 @@ def test_analyze_large_q_golden_outputs(cli, tmp_path, monkeypatch):
 
 def test_certify_binary_golden_outputs(cli, tmp_path, monkeypatch):
     _replay_golden(cli, tmp_path, monkeypatch, "certify-binary")
+
+
+def test_bounds_sweep_golden_outputs(cli, tmp_path, monkeypatch):
+    _replay_golden(cli, tmp_path, monkeypatch, "bounds-sweep")
+
+
+def test_construct_groups_golden_outputs(cli, tmp_path, monkeypatch):
+    _replay_golden(cli, tmp_path, monkeypatch, "construct-groups")
 
 
 # ---------------------------------------------------------------------------

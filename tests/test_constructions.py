@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 
 from mllrc import constructions
-from mllrc.bounds import (
-    griesmer_max_k,
-    ml_alphabet_two,
-    ml_singleton,
-    ml_singleton_two,
-)
+from mllrc.bounds import griesmer_max_k, ml_alphabet, ml_singleton
 from mllrc.constructions import (
     GccLevel,
     GccSpec,
@@ -486,7 +481,7 @@ class TestAlgorithm1:
             assert locality_by_rank_scan(out, i, 3) == 3
         assert out.locality_profile(mode="strict").shape() == ((3, 2), (8, 3))
         # distance matches the two-class size/locality bound exactly
-        assert ml_singleton_two(3, 2, 8, 3, 5) == 6
+        assert ml_singleton(((3, 2), (8, 3)), 5).bound_value == 6
 
     def test_equal_localities_is_identity(self):
         base = tamo_barg(13, 12, 6, 3)
@@ -545,7 +540,7 @@ class TestAlgorithm3:
         assert np.array_equal(a3.G.a, a1.G.a)
         # dimension meets the two-class alphabet-dependent bound exactly
         assert a3.k == 7
-        assert ml_alphabet_two(3, 2, 16, 3, 8, 2).bound_value == 7
+        assert ml_alphabet(((3, 2), (16, 3)), 8, 2).bound_value == 7
 
     def test_alpha_two_instance(self):
         base = construction2_binary_lrc(3, 0)
@@ -619,6 +614,20 @@ class TestPredictShortenedProfile:
     def test_rate_limit_values(self):
         assert rate_dimension_limit(((12, 3),)) == 9
         assert rate_dimension_limit(((3, 2), (8, 3))) == 8
+
+    @pytest.mark.parametrize("shape", [(), ((0, 2),), ((4, 0),), ((4, 3), (6, 2)),
+                                       ((4, 2), (6, 2))],
+                             ids=["empty", "size-0", "locality-0", "decreasing", "repeated"])
+    def test_malformed_shapes_refused_as_by_the_bounds(self, shape):
+        # one validator: the same PreconditionError text from all three
+        messages = set()
+        for check in (lambda: ml_singleton(shape, 1),
+                      lambda: predict_shortened_profile(shape, 1),
+                      lambda: rate_dimension_limit(shape)):
+            with pytest.raises(PreconditionError) as exc:
+                check()
+            messages.add(str(exc.value))
+        assert len(messages) == 1, messages
 
 
 class TestShorteningRoundTrip:

@@ -22,9 +22,6 @@ from mllrc.galois import (
     mat_kronecker,
     mat_rank,
     mat_rref,
-    mat_systematic,
-    q_ary_image,
-    subfield_expand,
 )
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (2, 2), (2, 3), (2, 4), (3, 2)]
@@ -216,23 +213,6 @@ def test_kernel_of_all_ones_row_over_gf2():
     assert all(sum(row) % 2 == 0 for row in K.tolist())
 
 
-def test_systematic_form():
-    F = field_new(2, 2)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        A = rng.integers(0, 4, size=(2, 5))
-        M = MatrixGF(F, A)
-        if mat_rank(M) < 2:
-            continue
-        S, perm = mat_systematic(M)
-        assert sorted(perm) == list(range(5))
-        assert np.array_equal(S.a[:, :2], np.eye(2, dtype=np.int64))
-        # permuting the original columns must reproduce S's row space
-        assert rowspace_vectors(F, M.take_cols(perm).tolist()) == rowspace_vectors(F, S.tolist())
-    with pytest.raises(PreconditionError):
-        mat_systematic(MatrixGF(F, [[1, 2, 0], [1, 2, 0]]))
-
-
 def test_kronecker_rank_and_mixed_product():
     F = field_new(2, 2)
     rng = np.random.default_rng(5)
@@ -247,37 +227,6 @@ def test_kronecker_rank_and_mixed_product():
         lhs = K @ mat_kronecker(x, y)
         rhs = mat_kronecker(A @ x, B @ y)
         assert lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# base-field expansion
-# ---------------------------------------------------------------------------
-
-
-def test_subfield_expand_and_image_ranks():
-    rng = np.random.default_rng(9)
-    for p, m in [(2, 2), (2, 3), (3, 2)]:
-        F = field_new(p, m)
-        for _ in range(8):
-            A = rng.integers(0, F.q, size=(2, 4))
-            M = MatrixGF(F, A)
-            r = mat_rank(M)
-            E = subfield_expand(M)
-            assert E.shape == (2 * m, 4)
-            assert mat_rank(E) == r  # extra rows are GF(q)-dependent
-            img = q_ary_image(M)
-            assert img.shape == (2 * m, 4 * m)
-            assert img.field.q == p
-            assert mat_rank(img) == m * r  # digit expansion is GF(p)-injective
-
-
-def test_q_ary_image_column_layout():
-    # single entry x in GF(4): image block must be the multiplication-by-x map
-    F = field_new(2, 2)
-    M = MatrixGF(F, [[2]])  # the element x
-    img = q_ary_image(M)
-    # rows are digits of 1*x and x*x = x+1 -> [[0,1],[1,1]]
-    assert img.tolist() == [[0, 1], [1, 1]]
 
 
 def test_matrix_immutability_and_validation():

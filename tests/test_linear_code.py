@@ -23,7 +23,6 @@ from mllrc.linear_code import (
     LocalityClass,
     LocalityProfile,
     RepairSet,
-    code_from_generator,
     code_from_parity_check,
     format_profile_shape,
     load_code,
@@ -63,7 +62,7 @@ def random_code(F, n, k, rng):
 
 def test_identity_generator_full_space():
     F = field_new(2)
-    C = code_from_generator(F, np.eye(4, dtype=np.int64))
+    C = LinearCode(F, np.eye(4, dtype=np.int64))
     assert (C.n, C.k) == (4, 4)
     assert C.H.shape == (0, 4)
     with pytest.raises(PreconditionError):
@@ -815,7 +814,7 @@ def test_tamo_barg_16_15_8_profile_by_span_search():
 
 
 # ---------------------------------------------------------------------------
-# shortening and puncturing
+# shortening
 # ---------------------------------------------------------------------------
 
 
@@ -848,8 +847,6 @@ def test_shorten_zero_column_handling():
     C = LinearCode(F, [[1, 0, 1], [0, 0, 1]])
     with pytest.raises(PreconditionError):
         C.shorten(1)
-    S = C.shorten(1, allow_zero_column=True)
-    assert (S.n, S.k) == (2, 2)
     with pytest.raises(PreconditionError):
         LinearCode(F, [[1, 1]]).shorten(0)  # would empty the code
     with pytest.raises(PreconditionError):
@@ -865,9 +862,9 @@ def test_shorten_dual_is_punctured_dual():
             if not C.G.a[:, i].any():
                 continue
             lhs = C.shorten(i).dual()
-            rhs = C.dual().puncture(i)
-            assert lhs.k == rhs.k
-            assert not (lhs.G @ rhs.H.transpose()).a.any()
+            punctured = MatrixGF(F, np.delete(C.H.a, i, axis=1))
+            assert mat_rank(punctured) == lhs.k
+            assert mat_rank(punctured.vstack(lhs.G)) == lhs.k  # same row space
 
 
 # ---------------------------------------------------------------------------
@@ -1070,13 +1067,3 @@ def test_code_file_rejects_malformed(tmp_path):
         p.write_text(text)
         with pytest.raises(ParseError):
             load_code(p)
-
-
-def test_sample_codewords_deterministic():
-    C = LinearCode(field_new(5), [[1, 2, 3, 4], [0, 1, 2, 3]])
-    a = C.sample_codewords(5, seed=99)
-    b = C.sample_codewords(5, seed=99)
-    assert np.array_equal(a, b)
-    # every sample is a codeword: annihilated by H
-    prod = (a @ C.H.a.T) % 5
-    assert not prod.any()
