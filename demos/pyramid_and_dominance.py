@@ -30,7 +30,7 @@ instances = [
     (23, 3, ((3, 2), (4, 3))),
 ]
 for q, d, dims in instances:
-    spec = PyramidSpec.from_dims(q, d, dims)
+    spec = PyramidSpec(q, d, dims)
     cert = certify_pyramid(spec)
     print(f"--- q={q}, d={d}, per-class (dimension, locality) = {dims} ---")
     print(render_certificate_text(cert))

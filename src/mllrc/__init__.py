@@ -31,7 +31,6 @@ from .certify import (
 from .constructions import (
     GccLevel,
     GccSpec,
-    PyramidClass,
     PyramidSpec,
     algorithm1_ml_lrc,
     algorithm3_ml_lrc,

@@ -233,6 +233,9 @@ _MODE_NAMES = ("table", "exhaustive", "analytic", "singleton")
 
 # The longest binary code the exhaustive stage searches.
 _EXHAUSTIVE_MAX_N = 14
+# The most primitive coset checks one exhaustive search may make; a search
+# that needs more aborts and the chain falls through.
+_SEARCH_BUDGET = 2_000_000
 
 
 class KOptOracle:
@@ -248,10 +251,9 @@ class KOptOracle:
     The exhaustive stage (q = 2, n <= _EXHAUSTIVE_MAX_N = 14) searches
     binary *linear* codes only; it is flagged exact, with the caveat that a
     non-linear code could in principle exceed the best linear one.  Searches
-    that would exceed ``search_budget`` primitive coset checks (2*10^6
-    unless given; the enumeration budget ``budget=`` / MLLRC_BUDGET does not
-    apply) abort deterministically, raise nothing and produce no value, so
-    the chain falls through.  A user ``table`` is validated entry by entry;
+    that would exceed _SEARCH_BUDGET primitive coset checks (the enumeration
+    budget ``budget=`` / MLLRC_BUDGET does not apply) abort deterministically,
+    raise nothing and produce no value, so the chain falls through.  A user ``table`` is validated entry by entry;
     the bundled table was validated at import.  The analytic stage returns
     min(Singleton, Griesmer) and is flagged non-exact: always a valid upper
     bound, unusable for optimality certification.  The singleton stage
@@ -259,8 +261,7 @@ class KOptOracle:
     Singleton-relaxation form.
     """
 
-    def __init__(self, mode: str = "table,exhaustive,analytic", table=None,
-                 search_budget: int = 2_000_000):
+    def __init__(self, mode: str = "table,exhaustive,analytic", table=None):
         chain = tuple(m.strip() for m in str(mode).split(","))
         if not chain or any(m not in _MODE_NAMES for m in chain):
             raise PreconditionError(
@@ -268,9 +269,6 @@ class KOptOracle:
             )
         if len(set(chain)) != len(chain):
             raise PreconditionError(f"duplicate stage in oracle mode {mode!r}")
-        if search_budget < 1:
-            raise PreconditionError(f"search budget must be >= 1, got {search_budget}")
-        self.search_budget = search_budget
         self.mode = ",".join(chain)
         self._chain = chain
         self.table: dict[tuple[int, int, int], tuple[int, str]] = {}
@@ -315,7 +313,7 @@ class KOptOracle:
                 if q == 2 and n <= _EXHAUSTIVE_MAX_N:
                     ceiling = min(singleton_max_k(n, d), griesmer_max_k(q, n, d))
                     value, completed = _exhaustive_max_dim_q2(
-                        n, d, ceiling, self.search_budget
+                        n, d, ceiling, _SEARCH_BUDGET
                     )
                     if completed:
                         return KOptValue(value, True, "exhaustive")
@@ -451,8 +449,7 @@ _GRID_BUDGET = 10**6
 
 
 def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
-                k_hint: int | None = None, truncate: bool = True,
-                grid_budget: int = _GRID_BUDGET) -> BoundReport:
+                k_hint: int | None = None, truncate: bool = True) -> BoundReport:
     """k <= min over the deletion box of
     sum_i t_i r_i + k_opt(q, n - sum_i min(n_i, t_i(r_i+1)), d).
 
@@ -462,7 +459,7 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     per-class truncation min(n_i, t_i(r_i+1)) by the raw t_i(r_i+1) —
     a weaker but still valid relaxation used for dominance analysis.
 
-    A box of more than ``grid_budget`` cells raises BudgetError before any
+    A box of more than _GRID_BUDGET cells raises BudgetError before any
     cell is evaluated.  The scan over t_s is computed once per (length left
     by the prefix, cap on t_s) pair and the oracle once per residual
     length; the result, witness and skipped order are those of the
@@ -482,9 +479,9 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     kappa_last = _ceil_div(n_last, r_last + 1)
     cap_last_max = kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last)
     grid_size = prod(c + 1 for c in prefix_caps) * (cap_last_max + 1)
-    if grid_size > grid_budget:
+    if grid_size > _GRID_BUDGET:
         raise BudgetError(
-            f"deletion grid has {grid_size} cells, above the budget {grid_budget}"
+            f"deletion grid has {grid_size} cells, above the budget {_GRID_BUDGET}"
         )
     best = None
     witness = None
@@ -560,5 +557,5 @@ def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None) -
     """
     if n < 1 or d < 1 or r < 1:
         raise PreconditionError(f"need n, d, r >= 1, got n={n}, d={d}, r={r}")
-    report = ml_alphabet(((n, r),), d, q, oracle, truncate=False, grid_budget=_GRID_BUDGET)
+    report = ml_alphabet(((n, r),), d, q, oracle, truncate=False)
     return replace(report, name="cm")

@@ -191,11 +191,10 @@ def certify_pyramid(
     over-assigning dimension to small-locality classes."""
     code = ml_pyramid(spec)
     d = code.min_distance(budget)
-    kappas = tuple(-(-k_i // r_i) for k_i, r_i in spec.dims())
     sb = BoundReport(
         name="ml-singleton-information",
-        bound_value=code.n - code.k + 2 - sum(kappas),
-        witness=kappas,
+        bound_value=code.n - code.k + 2 - sum(spec.kappas),
+        witness=spec.kappas,
         exact=True,
         mode_flags=(),
         skipped=(),

@@ -98,18 +98,10 @@ def _parse_positions(text: str, n: int) -> list[int]:
     return sorted(p - 1 for p in positions)
 
 
-def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
-    """Semicolon-separated groups of comma-separated 1-based coordinates."""
-    groups = []
-    for part in text.split(";"):
-        try:
-            coords = [int(c) for c in part.split(",")]
-        except ValueError:
-            raise _UsageError(f"malformed group list: {text!r}")
-        if any(c < 1 for c in coords):
-            raise _UsageError("group coordinates are 1-based and positive")
-        groups.append(tuple(c - 1 for c in coords))
-    return tuple(groups)
+def _parse_groups(text: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """Semicolon-separated groups of comma-separated 1-based coordinates,
+    each group checked like --at positions."""
+    return tuple(tuple(_parse_positions(part, n)) for part in text.split(";"))
 
 
 def _oracle(args) -> KOptOracle:
@@ -147,7 +139,6 @@ def _emit_code(code: LinearCode, out: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
-    groups = _parse_groups(args.groups) if getattr(args, "groups", None) else None
     if args.what == "tamo-barg":
         code = tamo_barg(args.q, args.n, args.k, args.r)
     elif args.what == "gcc2":
@@ -156,14 +147,13 @@ def _cmd_construct(args) -> int:
         code = ml_pyramid(load_pyramid_spec(args.spec))
     elif args.what == "gcc":
         code = gcc_generator(load_gcc_spec(args.spec))
-    elif args.what == "alg1":
-        code = algorithm1_ml_lrc(
-            load_code(args.input), args.r1, args.n1, repair_groups=groups
-        )
-    else:  # alg3
-        code = algorithm3_ml_lrc(
-            load_code(args.input), args.r1, args.alpha, repair_groups=groups
-        )
+    else:  # alg1, alg3
+        base = load_code(args.input)
+        groups = _parse_groups(args.groups, base.n) if args.groups else None
+        if args.what == "alg1":
+            code = algorithm1_ml_lrc(base, args.r1, args.n1, repair_groups=groups)
+        else:
+            code = algorithm3_ml_lrc(base, args.r1, args.alpha, repair_groups=groups)
     _emit_code(code, args.out)
     return 0
 
@@ -171,7 +161,10 @@ def _cmd_construct(args) -> int:
 def _cmd_shorten(args) -> int:
     code = load_code(args.input)
     for pos in reversed(_parse_positions(args.at, code.n)):
-        code = code.shorten(pos)
+        try:
+            code = code.shorten(pos)
+        except PreconditionError as exc:
+            raise PreconditionError(f"cannot shorten at position {pos + 1}: {exc}") from exc
     _emit_code(code, args.out)
     return 0
 
@@ -222,9 +215,8 @@ def _cmd_certify(args) -> int:
     else:
         if not args.input:
             raise _UsageError("certify needs code files or --pyramid")
-        tasks = [
-            (path, _oracle(args), args.mode, args.budget) for path in args.input
-        ]
+        oracle = _oracle(args)
+        tasks = [(path, oracle, args.mode, args.budget) for path in args.input]
         if args.jobs > 1 and len(tasks) > 1:
             workers = min(args.jobs, len(tasks))  # fork starts every worker at once
             with ProcessPoolExecutor(max_workers=workers) as pool:

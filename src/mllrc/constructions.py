@@ -40,6 +40,7 @@ from .linear_code import (
     LocalityProfile,
     RepairSet,
     _SplitTable,
+    _field_from_header,
     _normalize_shape,
     _read_ascii,
     code_from_lines,
@@ -51,7 +52,6 @@ from .linear_code import (
 __all__ = [
     "GccLevel",
     "GccSpec",
-    "PyramidClass",
     "PyramidSpec",
     "algorithm1_ml_lrc",
     "algorithm3_ml_lrc",
@@ -315,30 +315,6 @@ def _auto_groups(code: LinearCode, r_min: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _delete_from_groups(
-    base: LinearCode, groups: tuple[tuple[int, ...], ...], r1: int, count: int
-) -> LinearCode:
-    """Shorten the r2-r1 lexicographically smallest coordinates of each of the
-    first `count` groups (groups ordered by smallest element)."""
-    r2 = len(groups[0]) - 1
-    if r1 < 1:
-        raise PreconditionError(f"target locality must be >= 1, got {r1}")
-    if r1 > r2:
-        raise PreconditionError(
-            f"target locality r1 = {r1} exceeds the group locality r2 = {r2}"
-        )
-    if count > len(groups):
-        raise PreconditionError(
-            f"{count} groups requested but only {len(groups)} available"
-        )
-    drop = r2 - r1
-    to_delete = sorted(c for g in groups[:count] for c in g[:drop])
-    code = base
-    for c in reversed(to_delete):  # delete highest-first so indices stay valid
-        code = code.shorten(c)
-    return code
-
-
 def algorithm1_ml_lrc(
     base: LinearCode, r1: int, n1: int, repair_groups=None
 ) -> LinearCode:
@@ -349,7 +325,8 @@ def algorithm1_ml_lrc(
     repair groups.  Each affected group keeps r1+1 coordinates whose punctured
     dual word still covers them, giving locality r1; untouched groups keep
     locality r2.  Output parameters: [n1+n2, k, d] with n2 = n - n1/(r1+1)
-    *(r2+1) and k = base.k - (r2-r1)*n1/(r1+1), distance preserved.
+    *(r2+1) and k = base.k - (r2-r1)*n1/(r1+1), distance preserved.  This is
+    algorithm3_ml_lrc with alpha = n1/(r1+1).
 
     repair_groups: disjoint (r2+1)-sets partitioning the coordinates, each the
     exact support of a dual word; auto-detected from the base when omitted.
@@ -360,12 +337,7 @@ def algorithm1_ml_lrc(
         raise PreconditionError(f"r1 must be >= 1, got {r1}")
     if n1 % (r1 + 1):
         raise PreconditionError(f"r1+1 = {r1 + 1} must divide n1 = {n1}")
-    if repair_groups is None:
-        groups = _auto_groups(base, r1)
-    else:
-        groups = _normalize_groups(base, repair_groups)
-    m = n1 // (r1 + 1)
-    return _delete_from_groups(base, groups, r1, m)
+    return algorithm3_ml_lrc(base, r1, n1 // (r1 + 1), repair_groups)
 
 
 def algorithm3_ml_lrc(
@@ -373,8 +345,9 @@ def algorithm3_ml_lrc(
 ) -> LinearCode:
     """Delete r2-r1 coordinates from each of the first alpha repair groups.
 
-    Same deletion core as algorithm1_ml_lrc with n1 = alpha*(r1+1): output
-    parameters [n - alpha*(r2-r1), k - alpha*(r2-r1), d] with profile
+    The deleted coordinates are the r2-r1 lexicographically smallest of each
+    group, groups ordered by smallest element.  Output parameters
+    [n - alpha*(r2-r1), k - alpha*(r2-r1), d] with profile
     ((alpha*(r1+1), r1), (n - alpha*(r2+1), r2)).  alpha = 0 is the identity.
     """
     if alpha < 0:
@@ -387,9 +360,18 @@ def algorithm3_ml_lrc(
         groups = _normalize_groups(base, repair_groups)
     if alpha > len(groups):
         raise PreconditionError(
-            f"alpha = {alpha} exceeds the number of repair groups {len(groups)}"
+            f"{alpha} groups requested, only {len(groups)} repair groups"
         )
-    return _delete_from_groups(base, groups, r1, alpha)
+    r2 = len(groups[0]) - 1
+    if r1 > r2:
+        raise PreconditionError(
+            f"target locality r1 = {r1} exceeds the group locality r2 = {r2}"
+        )
+    to_delete = sorted(c for g in groups[:alpha] for c in g[: r2 - r1])
+    code = base
+    for c in reversed(to_delete):  # delete highest-first so indices stay valid
+        code = code.shorten(c)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -451,115 +433,35 @@ def rate_dimension_limit(shape) -> Fraction:
 
 
 @dataclass(frozen=True)
-class PyramidClass:
-    """One locality class: its blocks partition the class's information set."""
-
-    locality: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.locality < 1:
-            raise PreconditionError(f"locality must be >= 1, got {self.locality}")
-        if not self.blocks:
-            raise PreconditionError("class needs at least one block")
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise PreconditionError("blocks cannot be empty")
-            if tuple(sorted(set(b))) != b:
-                raise PreconditionError(
-                    f"block {b} must be sorted with distinct coordinates"
-                )
-            if len(b) > self.locality:
-                raise PreconditionError(
-                    f"block {b} exceeds the class locality {self.locality}"
-                )
-            if seen & set(b):
-                raise PreconditionError("blocks must be pairwise disjoint")
-            seen |= set(b)
-        want = -(-len(seen) // self.locality)
-        if len(self.blocks) != want:
-            raise PreconditionError(
-                f"class of size {len(seen)} at locality {self.locality} must "
-                f"have ceil(k_i/r_i) = {want} blocks, got {len(self.blocks)}"
-            )
-
-    @property
-    def coordinates(self) -> tuple[int, ...]:
-        return tuple(sorted(c for b in self.blocks for c in b))
-
-    @property
-    def k(self) -> int:
-        return len(self.coordinates)
-
-    @property
-    def kappa(self) -> int:
-        return len(self.blocks)
-
-
-@dataclass(frozen=True)
 class PyramidSpec:
     """Parameters for a parity-splitting construction over a [k+d-1, k, d]
-    evaluation base: field size, target distance, and the class partition of
-    the k information coordinates."""
+    evaluation base: field size, target distance, and the per-class
+    (k_i, r_i) with strictly increasing r_i.  Class i takes the next k_i
+    information coordinates, in ceil(k_i/r_i) consecutive blocks of r_i
+    (the last block possibly smaller)."""
 
     q: int
     d: int
-    classes: tuple[PyramidClass, ...]
+    dims: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", _normalize_shape(self.dims))
         field_from_order(self.q)  # validates prime power
         if self.d < 2:
             raise PreconditionError(f"distance must be >= 2, got {self.d}")
-        locs = [c.locality for c in self.classes]
-        if not locs:
-            raise PreconditionError("at least one class is required")
-        if locs != sorted(set(locs)):
-            raise PreconditionError("class localities must be strictly increasing")
-        seen: set[int] = set()
-        for c in self.classes:
-            cset = set(c.coordinates)
-            if seen & cset:
-                raise PreconditionError("classes must be pairwise disjoint")
-            seen |= cset
-        if seen != set(range(len(seen))):
-            raise PreconditionError(
-                "class information sets must cover 0..k-1 exactly"
-            )
 
     @property
     def k(self) -> int:
-        return sum(c.k for c in self.classes)
+        return sum(k_i for k_i, _ in self.dims)
 
     @property
-    def s(self) -> int:
-        return len(self.classes)
+    def kappas(self) -> tuple[int, ...]:
+        """Blocks per class: ceil(k_i/r_i)."""
+        return tuple(-(-k_i // r_i) for k_i, r_i in self.dims)
 
     @property
     def n(self) -> int:
-        return self.k + sum(c.kappa for c in self.classes) + self.d - 2
-
-    @classmethod
-    def from_dims(cls, q: int, d: int, dims) -> "PyramidSpec":
-        """Canonical layout: class i takes the next k_i information indices,
-        chunked into blocks of size r_i (last block possibly smaller)."""
-        classes = []
-        off = 0
-        for k_i, r_i in dims:
-            k_i, r_i = int(k_i), int(r_i)
-            if k_i < 1 or r_i < 1:
-                raise PreconditionError(f"need k_i, r_i >= 1, got ({k_i}, {r_i})")
-            coords = list(range(off, off + k_i))
-            blocks = tuple(
-                tuple(coords[j * r_i : (j + 1) * r_i])
-                for j in range(-(-k_i // r_i))
-            )
-            classes.append(PyramidClass(r_i, blocks))
-            off += k_i
-        return cls(q, d, tuple(classes))
-
-    def dims(self) -> tuple[tuple[int, int], ...]:
-        return tuple((c.k, c.locality) for c in self.classes)
+        return self.k + sum(self.kappas) + self.d - 2
 
 
 def ml_pyramid(spec: PyramidSpec) -> LinearCode:
@@ -583,19 +485,16 @@ def ml_pyramid(spec: PyramidSpec) -> LinearCode:
         )
     base = reed_solomon(F, k + d - 1, k)
     P = _systematic_generator(base)[:, k:]  # k x (d-1), all entries nonzero
-    total_blocks = sum(c.kappa for c in spec.classes)
-    n = k + total_blocks + d - 2
-    G = np.zeros((k, n), dtype=np.int64)
+    G = np.zeros((k, spec.n), dtype=np.int64)
     G[:, :k] = np.eye(k, dtype=np.int64)
-    col = k
-    for cls in spec.classes:
-        for block in cls.blocks:
-            idx = list(block)
-            G[idx, col] = P[idx, 0]
+    col, off = k, 0
+    for k_i, r_i in spec.dims:
+        for start in range(off, off + k_i, r_i):
+            block = slice(start, min(start + r_i, off + k_i))
+            G[block, col] = P[block, 0]
             col += 1
-    for g in range(d - 2):
-        G[:, col] = P[:, 1 + g]
-        col += 1
+        off += k_i
+    G[:, col:] = P[:, 1:]
     return LinearCode(F, G)
 
 
@@ -604,15 +503,12 @@ def pyramid_profile(spec: PyramidSpec) -> LocalityProfile:
     coordinates plus its block-parity coordinates (n_i = k_i + kappa_i).  The
     d-2 global parities belong to no class (information locality only), so the
     profile does not cover the last d-2 coordinates."""
-    k = spec.k
     classes = []
-    col = k
-    for cls in spec.classes:
-        coords = list(cls.coordinates)
-        for _ in cls.blocks:
-            coords.append(col)
-            col += 1
-        classes.append(LocalityClass(cls.locality, tuple(sorted(coords))))
+    off, col = 0, spec.k
+    for (k_i, r_i), kappa in zip(spec.dims, spec.kappas):
+        coords = (*range(off, off + k_i), *range(col, col + kappa))
+        classes.append(LocalityClass(r_i, coords))
+        off, col = off + k_i, col + kappa
     return LocalityProfile(tuple(classes))
 
 
@@ -621,7 +517,9 @@ def pyramid_bound_shape(spec: PyramidSpec) -> tuple[tuple[int, int], ...]:
     counts its information plus block-parity coordinates, n_i = k_i + kappa_i
     = ceil(k_i*(r_i+1)/r_i).  The d-2 shared parities belong to no class and
     are charged only to the total length."""
-    return tuple((k_i + -(-k_i // r_i), r_i) for k_i, r_i in spec.dims())
+    return tuple(
+        (k_i + kappa, r_i) for (k_i, r_i), kappa in zip(spec.dims, spec.kappas)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +821,10 @@ def _read_sections(path) -> list[tuple[str, int | None, list[str]]]:
             continue
         m = _SECTION_RE.match(line)
         if m:
-            idx = int(m.group(2)) if m.group(2) else None
+            try:
+                idx = int(m.group(2)) if m.group(2) else None
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError(f"{path}: malformed section header: {exc}") from exc
             sections.append((m.group(1), idx, []))
         elif not sections:
             raise ParseError(
@@ -960,25 +861,11 @@ def _kv_int(kv: dict[str, str], key: str, where: str) -> int:
 
 def _base_field_from_kv(kv: dict[str, str], where: str) -> FiniteField:
     q = _kv_int(kv, "q", where)
-    modulus = None
-    if "modulus" in kv:
-        try:
-            modulus = tuple(int(v) for v in kv["modulus"].split(","))
-        except ValueError as exc:
-            raise ParseError(f"{where}: malformed modulus") from exc
+    p = m = None
     if "p" in kv or "m" in kv:
         p = _kv_int(kv, "p", where) if "p" in kv else q
         m = _kv_int(kv, "m", where) if "m" in kv else 1
-        if m > q.bit_length() or p**m != q:  # no field, or p^m > q: skip the power
-            raise ParseError(f"{where}: q={q} is not p^m = {p}^{m}")
-        try:
-            return field_new(p, m, modulus)
-        except PreconditionError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    try:
-        return field_from_order(q, modulus)
-    except PreconditionError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _field_from_header(q, p, m, kv.get("modulus"), where)
 
 
 def save_gcc_spec(spec: GccSpec, path) -> None:
@@ -1050,10 +937,9 @@ def load_gcc_spec(path) -> GccSpec:
                     ) from exc
             if not rows or any(len(r) != len(rows[0]) for r in rows):
                 raise ParseError(f"{path} [band {idx}]: ragged or empty rows")
-            try:
-                bands[idx] = MatrixGF(base, rows)
-            except PreconditionError as exc:
-                raise ParseError(f"{path} [band {idx}]: {exc}") from exc
+            if any(not 0 <= v < base.q for r in rows for v in r):
+                raise ParseError(f"{path} [band {idx}]: entry out of range [0, {base.q})")
+            bands[idx] = MatrixGF(base, rows)
         else:
             raise ParseError(f"{path}: unknown section [{name}]")
     want = set(range(1, levels + 1))
@@ -1074,20 +960,12 @@ def load_gcc_spec(path) -> GccSpec:
 
 
 def save_pyramid_spec(spec: PyramidSpec, path) -> None:
-    """Write a parity-splitting spec file: [pyramid] with q=, d=, classes=.
-
-    Only the canonical consecutive layout (PyramidSpec.from_dims) has a file
-    form; other coordinate layouts are rejected.
-    """
-    if PyramidSpec.from_dims(spec.q, spec.d, spec.dims()) != spec:
-        raise PreconditionError(
-            "only canonical consecutive class layouts have a file representation"
-        )
+    """Write a parity-splitting spec file: [pyramid] with q=, d=, classes=."""
     lines = [
         "[pyramid]",
         f"q={spec.q}",
         f"d={spec.d}",
-        "classes=" + format_profile_shape(spec.dims()),
+        "classes=" + format_profile_shape(spec.dims),
     ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -1108,6 +986,6 @@ def load_pyramid_spec(path) -> PyramidSpec:
         raise ParseError(f"{path} [pyramid]: missing required key 'classes'")
     dims = parse_profile_shape(kv["classes"])
     try:
-        return PyramidSpec.from_dims(q, d, dims)
+        return PyramidSpec(q, d, dims)
     except PreconditionError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -69,6 +69,7 @@ from .galois import (
     MatrixGF,
     _kernel_basis,
     _rref_stack,
+    field_from_order,
     field_new,
     mat_kernel,
     mat_rank,
@@ -725,7 +726,7 @@ class LinearCode:
         nz = np.nonzero(col)[0]
         if nz.size == 0:
             raise PreconditionError(
-                f"generator column {i} is identically zero; shortening would not "
+                "the generator column is identically zero; shortening would not "
                 "reduce the dimension"
             )
         if self.k == 1:
@@ -1039,6 +1040,26 @@ def code_to_lines(code: LinearCode) -> list[str]:
     return lines
 
 
+def _field_from_header(q: int, p, m, modulus, where: str) -> FiniteField:
+    """The field GF(q) that a file header names.
+
+    p and m are the header's values, or None to factor q; modulus is the
+    header's comma-separated modulus text, or None.  Every fault is a
+    ParseError prefixed with `where`.
+    """
+    if modulus is not None:
+        try:
+            modulus = tuple(int(v) for v in modulus.split(","))
+        except ValueError as exc:
+            raise ParseError(f"{where}: malformed modulus") from exc
+    if p is not None and (m > q.bit_length() or p**m != q):  # no field, or p^m > q: skip the power
+        raise ParseError(f"{where}: q={q} is not p^m = {p}^{m}")
+    try:
+        return field_from_order(q, modulus) if p is None else field_new(p, m, modulus)
+    except PreconditionError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def code_from_lines(lines, where: str = "code text") -> LinearCode:
     """Parse the text form, validating every field and entry range.
 
@@ -1051,23 +1072,17 @@ def code_from_lines(lines, where: str = "code text") -> LinearCode:
     hd = _HEADER_RE.match(lines[0])
     if not hd:
         raise ParseError(f"{where}: malformed header line {lines[0]!r}")
-    q, p, m, n, k = (int(hd.group(i)) for i in range(1, 6))
-    if m > q.bit_length() or p**m != q:  # no field, or p^m > q: skip the power
-        raise ParseError(f"{where}: q={q} is not p^m = {p}^{m}")
+    try:
+        q, p, m, n, k = (int(hd.group(i)) for i in range(1, 6))
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"{where}: malformed header line: {exc}") from exc
     body = lines[1:]
     modulus = None
     if body and body[0].startswith("modulus="):
-        try:
-            modulus = tuple(int(v) for v in body[0][len("modulus="):].split(","))
-        except ValueError as exc:
-            raise ParseError(f"{where}: malformed modulus line") from exc
-        body = body[1:]
         if m == 1:
             raise ParseError(f"{where}: modulus line present for a prime field")
-    try:
-        field = field_new(p, m, modulus)
-    except PreconditionError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        modulus, body = body[0][len("modulus="):], body[1:]
+    field = _field_from_header(q, p, m, modulus, where)
     if len(body) != k:
         raise ParseError(f"{where}: expected {k} generator rows, found {len(body)}")
     rows = []

@@ -36,6 +36,7 @@ from mllrc.bounds import (
     singleton_max_k,
     singleton_r_local,
 )
+import mllrc.bounds as bounds_module
 from mllrc.errors import BudgetError, ParseError, PreconditionError
 
 
@@ -455,10 +456,11 @@ def test_ml_alphabet_monotone_in_d():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_ml_alphabet_grid_budget():
+def test_ml_alphabet_grid_budget(monkeypatch):
+    monkeypatch.setattr(bounds_module, "_GRID_BUDGET", 10)
     with pytest.raises(BudgetError):
         ml_alphabet(((30, 1), (40, 2), (60, 3)), d=4, q=2,
-                    oracle=KOptOracle("analytic"), grid_budget=10)
+                    oracle=KOptOracle("analytic"))
 
 
 def test_bound_report_validation():
@@ -695,27 +697,32 @@ def _outcome(fn, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def test_ml_alphabet_matches_reference_grid():
+def test_ml_alphabet_matches_reference_grid(monkeypatch):
     rng = random.Random(20161)
     tables = [None, _random_table(rng), _random_table(rng)]
     pools = ({}, {})
 
     def oracle(pool, key):
+        # each oracle's memo holds answers under its own search budget
         if key not in pool:
-            mode, table, budget = key
-            pool[key] = KOptOracle(mode, table=tables[table], search_budget=budget)
+            mode, table, _ = key
+            pool[key] = KOptOracle(mode, table=tables[table])
         return pool[key]
 
     seen = {"skipped": 0, "error": 0, "budget": 0, "empty": 0, "four": 0, "at_budget": 0}
     for _ in range(2000):
         shape, d, q, kwargs, key = _random_grid_call(rng, tables)
+        at_budget = "grid_budget" in kwargs
+        grid_budget = kwargs.pop("grid_budget", 10**6)
+        monkeypatch.setattr(bounds_module, "_GRID_BUDGET", grid_budget)
+        monkeypatch.setattr(bounds_module, "_SEARCH_BUDGET", key[2])
         got = _outcome(ml_alphabet, shape, d, q, oracle=oracle(pools[0], key), **kwargs)
         want = _outcome(ref_ml_alphabet, shape, d, q, oracle=oracle(pools[1], key),
-                        **kwargs)
-        assert got == want, (shape, d, q, kwargs, key)
+                        grid_budget=grid_budget, **kwargs)
+        assert got == want, (shape, d, q, kwargs, grid_budget, key)
         if isinstance(got, BoundReport):
             seen["skipped"] += bool(got.skipped)
-            seen["at_budget"] += "grid_budget" in kwargs
+            seen["at_budget"] += at_budget
         else:
             seen["error"] += 1
             seen["budget"] += got[0] == "BudgetError"
@@ -734,8 +741,6 @@ def test_griesmer_matches_reference_sum():
 
 
 def test_default_oracles_share_the_import_validated_table(monkeypatch):
-    import mllrc.bounds as bounds_module
-
     def refuse(*entry):
         raise ParseError(f"validated again: {entry}")
 

@@ -220,7 +220,7 @@ class TestLemmaPreservation:
 
 class TestCertifyPyramid:
     def test_single_class_instance(self):
-        cert = certify_pyramid(PyramidSpec.from_dims(7, 4, ((4, 2),)))
+        cert = certify_pyramid(PyramidSpec(7, 4, ((4, 2),)))
         assert (cert.n, cert.k, cert.d, cert.q) == (8, 4, 4, 7)
         assert cert.mode == "declared"
         assert cert.accounting == "information-symbol"
@@ -232,7 +232,7 @@ class TestCertifyPyramid:
         assert cert.alphabet_optimal is None
 
     def test_two_class_instance(self):
-        cert = certify_pyramid(PyramidSpec.from_dims(7, 3, ((2, 1), (2, 2))))
+        cert = certify_pyramid(PyramidSpec(7, 3, ((2, 1), (2, 2))))
         assert (cert.n, cert.k, cert.d) == (8, 4, 3)
         assert cert.singleton_bound.bound_value == 3
         assert cert.singleton_bound.witness == (2, 1)
@@ -242,7 +242,7 @@ class TestCertifyPyramid:
         # k_1 = 3 with r_1 = 2 leaves a slack block; the declared-dimension
         # evaluation must still match the distance exactly (a shape-based
         # allocation could shave the last ceiling and report 4)
-        cert = certify_pyramid(PyramidSpec.from_dims(23, 3, ((3, 2), (4, 3))))
+        cert = certify_pyramid(PyramidSpec(23, 3, ((3, 2), (4, 3))))
         assert (cert.n, cert.k, cert.d) == (12, 7, 3)
         assert cert.singleton_bound.bound_value == 3
         assert cert.singleton_bound.witness == (2, 2)
@@ -259,12 +259,12 @@ class TestCertifyPyramid:
             (23, 4, ((1, 1), (2, 2), (3, 3))),
         ]
         for q, d, dims in instances:
-            cert = certify_pyramid(PyramidSpec.from_dims(q, d, dims))
+            cert = certify_pyramid(PyramidSpec(q, d, dims))
             assert cert.singleton_optimal is True, (q, d, dims)
             assert cert.d == d
 
     def test_render_marks_alphabet_not_applicable(self):
-        cert = certify_pyramid(PyramidSpec.from_dims(7, 4, ((4, 2),)))
+        cert = certify_pyramid(PyramidSpec(7, 4, ((4, 2),)))
         text = render_certificate_text(cert)
         assert "not applicable" in text
         assert "(declared, information-symbol)" in text

@@ -9,6 +9,7 @@ constructions tests.
 import hashlib
 import json
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -24,8 +25,10 @@ from mllrc import (
     algorithm1_ml_lrc,
     algorithm3_ml_lrc,
     construction2_binary_lrc,
+    construction2_gcc_spec,
     load_code,
     save_code,
+    save_gcc_spec,
     save_pyramid_spec,
     tamo_barg,
 )
@@ -100,9 +103,18 @@ class TestConstruct:
         expected = algorithm3_ml_lrc(construction2_binary_lrc(3, 0), 2, 1)
         assert np.array_equal(load_code(out_file).G.a, expected.G.a)
 
+    def test_group_errors_name_input_coordinates(self, cli, tmp_path):
+        tb_file = tmp_path / "tb13.code"
+        save_code(tamo_barg(13, 12, 6, 3), tb_file)
+        argv = ("construct", "alg1", "--in", str(tb_file), "--r1", "2", "--n1", "3")
+        assert cli(*argv, "--groups", "1,2,3,84") == (
+            2, "", "usage error: position 84 outside 1..12\n")
+        assert cli(*argv, "--groups", "1,2,3,4;5,6,7,7") == (
+            2, "", "usage error: positions must be distinct: '5,6,7,7'\n")
+
     def test_pyramid_spec(self, cli, tmp_path):
         spec_file = tmp_path / "pyr.spec"
-        save_pyramid_spec(PyramidSpec.from_dims(7, 4, ((4, 2),)), spec_file)
+        save_pyramid_spec(PyramidSpec(7, 4, ((4, 2),)), spec_file)
         rc, out, _ = cli("construct", "pyramid", "--spec", str(spec_file))
         assert rc == 0
         assert out.splitlines()[0] == "q=7 p=7 m=1 n=8 k=4"
@@ -146,8 +158,9 @@ class TestShorten:
         save_code(tamo_barg(13, 12, 6, 3), tb_file)
         rc, out, err = cli("shorten", "--in", str(tb_file), "--at", "1,2,3,4,5,6")
         assert (rc, out) == (2, "")
-        assert err.startswith("precondition error:")
-        assert "allow_zero_column" not in err
+        assert err == ("precondition error: cannot shorten at position 1: the generator "
+                       "column is identically zero; shortening would not reduce the "
+                       "dimension\n")
 
 
 class TestBound:
@@ -299,7 +312,7 @@ class TestCertify:
 
     def test_pyramid_certificate(self, cli, tmp_path):
         spec_file = tmp_path / "pyr.spec"
-        save_pyramid_spec(PyramidSpec.from_dims(7, 4, ((4, 2),)), spec_file)
+        save_pyramid_spec(PyramidSpec(7, 4, ((4, 2),)), spec_file)
         rc, out, _ = cli("certify", "--pyramid", str(spec_file))
         assert rc == 0
         assert "(declared, information-symbol)" in out
@@ -307,7 +320,7 @@ class TestCertify:
 
     def test_pyramid_excludes_code_files(self, cli, tmp_path, spc_file):
         spec_file = tmp_path / "pyr.spec"
-        save_pyramid_spec(PyramidSpec.from_dims(7, 4, ((4, 2),)), spec_file)
+        save_pyramid_spec(PyramidSpec(7, 4, ((4, 2),)), spec_file)
         rc, _, err = cli("certify", "--pyramid", str(spec_file),
                          "--in", spc_file)
         assert rc == 2
@@ -640,6 +653,20 @@ def test_construct_groups_golden_outputs(cli, tmp_path, monkeypatch):
     _replay_golden(cli, tmp_path, monkeypatch, "construct-groups")
 
 
+def test_pyramid_golden_outputs(cli, tmp_path, monkeypatch):
+    """construct pyramid and certify --pyramid (text and kv) on the demo's
+    three specs and 30 seeded canonical ones, q <= 32, some of them refused:
+    exit code, stdout and stderr as recorded before PyramidSpec was reduced
+    to (q, d, dims)."""
+    golden = json.loads((Path(__file__).parent / "pyramid_golden.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for name, text in golden["specs"].items():
+        (tmp_path / name).write_text(text)
+    assert len(golden["ops"]) == 3 * len(golden["specs"]) == 99
+    for op in golden["ops"]:
+        assert cli(*op["argv"]) == (op["rc"], op["stdout"], op["stderr"]), op["id"]
+
+
 # ---------------------------------------------------------------------------
 # seeded fuzzing of code files through analyze and certify
 # ---------------------------------------------------------------------------
@@ -760,3 +787,102 @@ class TestCodeFileFuzz:
         for command in ("analyze", "certify"):
             rc, out, err = cli(command, "--in", str(path))
             assert (rc, out, err) == (2, "", f"parse error: {path}: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing of pyramid and concatenation spec files
+# ---------------------------------------------------------------------------
+
+
+def _pyramid_lines(rng):
+    """A well-formed pyramid spec, small enough to certify at once; some ask
+    for a field smaller than k+d-1."""
+    locs = sorted(rng.sample(range(1, 6), rng.randint(1, 3)))
+    return ["[pyramid]", f"q={rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13])}",
+            f"d={rng.randint(2, 5)}",
+            "classes=" + ",".join(f"({rng.randint(1, 4)},{r})" for r in locs)]
+
+
+def _mutate_spec(rng, lines):
+    """One line-level mutation of a spec file, then maybe character edits."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(6)
+    if kind == 0 and "=" in lines[i]:  # a value
+        key = lines[i].split("=")[0]
+        lines[i] = f"{key}={_fuzz_number(rng, 20) if rng.random() < 0.8 else 'x'}"
+    elif kind == 1:  # some numbers of a line, a header, a class list or a row
+        lines[i] = re.sub(r"\d+", lambda m: rng.choice(
+            [m.group(), _fuzz_number(rng, 20), "-1"]), lines[i])
+    elif kind == 2:
+        del lines[i]
+    elif kind == 3:  # a repeated key, row or section
+        lines.insert(i, lines[i])
+    elif kind == 4:
+        lines.insert(i, rng.choice(["zz=1", "[extra]", "[band 9]", "1 1", "# note", ""]))
+    text = "\n".join(lines) + "\n"
+    return _mutate(rng, text, "[]()=,# 0123456789-x\n") if rng.random() < 0.3 else text
+
+
+class TestSpecFileFuzz:
+    @pytest.mark.parametrize("k1", [9999999, 99999999999999999999])
+    def test_huge_pyramid_class_is_refused_at_once(self, cli, tmp_path, k1):
+        # the class's blocks used to be laid out before the field-size check:
+        # 26 s for 10^7 coordinates, an OverflowError traceback for 10^20
+        spec = tmp_path / "huge.spec"
+        spec.write_text(f"[pyramid]\nq=7\nd=2\nclasses=({k1},1)\n")
+        message = (f"precondition error: field size 7 too small for a [{k1 + 1}, {k1}] "
+                   "evaluation base (needs q >= k+d-1)\n")
+        for argv in (("certify", "--pyramid", str(spec)),
+                     ("construct", "pyramid", "--spec", str(spec))):
+            start = time.perf_counter()
+            assert cli(*argv) == (2, "", message)
+            assert time.perf_counter() - start < 1
+
+    def test_huge_band_entry_is_a_parse_error(self, cli, tmp_path):
+        # used to overflow int64 in MatrixGF: a traceback and exit 1
+        spec = tmp_path / "band.gcc"
+        spec.write_text("[gcc]\nq=2\nlevels=1\nmultiplicities=1\n[outer 1]\n"
+                        "q=2 p=2 m=1 n=2 k=1\n1 1\n[band 1]\n99999999999999999999 1\n")
+        assert cli("construct", "gcc", "--spec", str(spec)) == (
+            2, "", f"parse error: {spec} [band 1]: entry out of range [0, 2)\n")
+
+    def test_overlong_numbers_are_parse_errors(self, cli, tmp_path):
+        # int() refuses more than 4300 digits: both were ValueError tracebacks
+        big = "9" * 5000
+        spec = tmp_path / "big.gcc"
+        head = "[gcc]\nq=2\nlevels=1\nmultiplicities=1\n"
+        for text, where in ((f"{head}[outer {big}]\n", f"{spec}: malformed section header"),
+                            (f"{head}[outer 1]\nq=2 p={big} m=1 n=2 k=1\n1 1\n",
+                             f"{spec} [outer 1]: malformed header line")):
+            spec.write_text(text)
+            rc, out, err = cli("construct", "gcc", "--spec", str(spec))
+            assert (rc, out) == (2, "") and err.startswith(f"parse error: {where}"), err
+
+    def test_pyramid_and_gcc_specs(self, cli, tmp_path):
+        gcc_texts = []
+        for r, j in ((2, 0), (3, 0), (3, 1)):
+            save_gcc_spec(construction2_gcc_spec(r, j), tmp_path / "base.gcc")
+            gcc_texts.append((tmp_path / "base.gcc").read_text().splitlines())
+        rng = random.Random(10)
+        seen = set()
+        for case in range(300):
+            path = tmp_path / f"fuzz{case}.spec"
+            kind = rng.randrange(3)
+            if kind == 2:
+                path.write_text(_mutate_spec(rng, rng.choice(gcc_texts)))
+                argv = ("construct", "gcc", "--spec", str(path))
+            else:
+                path.write_text(_mutate_spec(rng, _pyramid_lines(rng)))
+                argv = (("construct", "pyramid", "--spec", str(path)) if kind == 0 else
+                        ("certify", "--pyramid", str(path), "--format",
+                         rng.choice(["text", "kv"])))
+            start = time.perf_counter()
+            result = cli(*argv)
+            assert time.perf_counter() - start < 5, argv
+            _assert_documented(result, argv)
+            seen.add((argv[1], result[2].split(":")[0] if result[0] else "ok"))
+        for command in ("gcc", "pyramid", "--pyramid"):
+            for outcome in ("ok", "parse error"):
+                assert (command, outcome) in seen, seen
+        assert ("--pyramid", "precondition error") in seen, seen

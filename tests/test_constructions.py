@@ -22,7 +22,6 @@ from mllrc.bounds import griesmer_max_k, ml_alphabet, ml_singleton
 from mllrc.constructions import (
     GccLevel,
     GccSpec,
-    PyramidClass,
     PyramidSpec,
     algorithm1_ml_lrc,
     algorithm3_ml_lrc,
@@ -675,7 +674,7 @@ class TestShorteningRoundTrip:
 
 class TestPyramid:
     def test_single_class_instance(self):
-        spec = PyramidSpec.from_dims(7, 4, ((4, 2),))
+        spec = PyramidSpec(7, 4, ((4, 2),))
         code = ml_pyramid(spec)
         assert (code.n, code.k) == (8, 4)
         assert brute_distance(code) == 4
@@ -690,7 +689,7 @@ class TestPyramid:
         assert spec.n == 4 + 2 + 2
 
     def test_single_class_meets_size_bound(self):
-        spec = PyramidSpec.from_dims(7, 4, ((4, 2),))
+        spec = PyramidSpec(7, 4, ((4, 2),))
         shape = pyramid_bound_shape(spec)
         assert shape == ((6, 2),)
         # declared-dimension evaluation: n - k + 2 - sum(ceil(k_i/r_i))
@@ -699,7 +698,7 @@ class TestPyramid:
     def test_degenerates_to_mds_base(self):
         # one class with locality >= k: the single block parity is the first
         # systematic parity column, so the output is the systematic MDS base
-        spec = PyramidSpec.from_dims(7, 4, ((3, 4),))
+        spec = PyramidSpec(7, 4, ((3, 4),))
         code = ml_pyramid(spec)
         base = reed_solomon(F7, 6, 3)
         R, piv = mat_rref(base.G)
@@ -707,7 +706,7 @@ class TestPyramid:
         assert np.array_equal(code.G.a, R.a)
 
     def test_two_class_instance_meets_bound_with_equality(self):
-        spec = PyramidSpec.from_dims(7, 3, ((2, 1), (2, 2)))
+        spec = PyramidSpec(7, 3, ((2, 1), (2, 2)))
         code = ml_pyramid(spec)
         assert code.n == 4 + 2 + 1 + 1 == 8
         d = brute_distance(code)
@@ -731,7 +730,7 @@ class TestPyramid:
         # splitting one parity across ceil(k_i/r_i) blocks charges each class
         # exactly its information plus block-parity coordinates
         for dims in [((4, 2),), ((2, 1), (2, 2)), ((3, 2), (4, 3))]:
-            spec = PyramidSpec.from_dims(23, 3, dims)
+            spec = PyramidSpec(23, 3, dims)
             shape = pyramid_bound_shape(spec)
             for (k_i, r_i), (size, r_out) in zip(dims, shape):
                 assert r_out == r_i
@@ -741,19 +740,17 @@ class TestPyramid:
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
-            ml_pyramid(PyramidSpec.from_dims(7, 5, ((4, 2),)))  # q < k+d-1
+            ml_pyramid(PyramidSpec(7, 5, ((4, 2),)))  # q < k+d-1
         with pytest.raises(PreconditionError):
-            PyramidSpec.from_dims(6, 4, ((4, 2),))  # not a prime power
+            PyramidSpec(6, 4, ((4, 2),))  # not a prime power
         with pytest.raises(PreconditionError):
-            PyramidSpec.from_dims(7, 1, ((4, 2),))  # distance too small
+            PyramidSpec(7, 1, ((4, 2),))  # distance too small
         with pytest.raises(PreconditionError):
-            PyramidSpec.from_dims(7, 4, ((2, 2), (2, 2)))  # localities equal
-        with pytest.raises(PreconditionError):
-            PyramidClass(2, ((0, 1, 2),))  # block larger than the locality
-        with pytest.raises(PreconditionError):
-            PyramidClass(2, ((0, 1), (2,), (3,)))  # wrong block count
-        with pytest.raises(PreconditionError):
-            PyramidSpec(7, 3, (PyramidClass(1, ((1,), (2,))),))  # not 0-based
+            PyramidSpec(7, 4, ((2, 2), (2, 2)))  # localities equal
+        with pytest.raises(PreconditionError, match="class size must be >= 1"):
+            PyramidSpec(7, 4, ((0, 2),))
+        with pytest.raises(PreconditionError, match="locality must be >= 1"):
+            PyramidSpec(7, 4, ((4, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -1079,15 +1076,10 @@ class TestSpecFiles:
         assert np.array_equal(gcc_generator(loaded).G.a, gcc_generator(spec).G.a)
 
     def test_pyramid_round_trip(self, tmp_path):
-        spec = PyramidSpec.from_dims(7, 3, ((2, 1), (2, 2)))
+        spec = PyramidSpec(7, 3, ((2, 1), (2, 2)))
         path = tmp_path / "split.pyramid"
         save_pyramid_spec(spec, path)
         assert load_pyramid_spec(path) == spec
-
-    def test_pyramid_only_canonical_layouts_serialize(self, tmp_path):
-        scrambled = PyramidSpec(7, 4, (PyramidClass(2, ((0, 2), (1, 3))),))
-        with pytest.raises(PreconditionError):
-            save_pyramid_spec(scrambled, tmp_path / "x.pyramid")
 
     def test_gcc_malformed_files(self, tmp_path):
         good = tmp_path / "good.gcc"
@@ -1135,7 +1127,7 @@ class TestSpecFiles:
         # canonicalizes by locality
         unsorted = tmp_path / "unsorted.pyramid"
         unsorted.write_text("[pyramid]\nq=7\nd=3\nclasses=(2,2),(2,1)\n")
-        assert load_pyramid_spec(unsorted).dims() == ((2, 1), (2, 2))
+        assert load_pyramid_spec(unsorted).dims == ((2, 1), (2, 2))
         for i, content in enumerate(cases):
             p = tmp_path / f"bad{i}.pyramid"
             p.write_text(content)
