@@ -166,7 +166,7 @@ def tamo_barg(q: int, n: int, k: int, r: int) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 _SUPPORT_SEARCH_CAP = 1 << 20
-# Column subsets row-reduced together: enough to amortise the numpy calls, few
+# Column subsets tested together: enough to amortise the numpy calls, few
 # enough that a chunk's (subsets x k x size) stack stays small.
 _SUBSET_CHUNK = 256
 
@@ -175,38 +175,53 @@ def _full_support_flags(F: FiniteField, A: np.ndarray, subsets):
     """For each column subset S of A, in order: is some dual word's support
     exactly S, i.e. does the kernel of A[:, S] hold a vector with no zero?
 
-    Subsets are read _SUBSET_CHUNK at a time and each chunk is row-reduced in
-    lockstep.  Kernel dimension 0 means no.  Dimension 1 means yes iff the
-    free column of the RREF is nonzero in every pivot row.  A larger kernel is
-    scanned word by word from its RREF basis with the split-table kernel.  A
-    kernel of more than _SUPPORT_SEARCH_CAP words raises BudgetError when its
-    subset's turn comes, after the flags of all earlier subsets.
+    Subsets are read _SUBSET_CHUNK at a time.  Over GF(2) the only vector
+    with no zero is all-ones, so S qualifies iff its columns XOR to zero.  A
+    binary chunk whose kernels cannot exceed _SUPPORT_SEARCH_CAP words
+    (2^|S| <= cap) is answered that way, on bit-packed columns; every other
+    chunk goes to _elimination_flags, which gives the same flags there.
     """
+    packed = np.packbits(A.T != 0, axis=1) if F.q == 2 else None
     it = iter(subsets)
     while chunk := list(itertools.islice(it, _SUBSET_CHUNK)):
         S = np.array(chunk, dtype=np.int64)
-        R, pivot, rank = _rref_stack(F, A[:, S].transpose(1, 0, 2))
-        dims = S.shape[1] - rank
-        R_free = R[np.arange(len(S)), :, pivot.argmin(axis=1)]
-        in_rank = np.arange(R.shape[1]) < rank[:, None]
-        one_free_full = np.all((R_free != 0) | ~in_rank, axis=1)
-        for b, dim in enumerate(dims.tolist()):
-            if dim == 0:
-                yield False
-                continue
-            total = F.q**dim
-            if total > _SUPPORT_SEARCH_CAP:
-                raise BudgetError(
-                    f"kernel enumeration needs {total} combinations "
-                    f"(cap {_SUPPORT_SEARCH_CAP})"
-                )
-            if dim == 1:
-                yield bool(one_free_full[b])
-                continue
-            K = _kernel_basis(F, R[b], np.flatnonzero(pivot[b]).tolist())
-            yield any(
-                bool((zeros == 0).any()) for *_, zeros in _SplitTable(F, K).blocks()
+        if packed is not None and 2 ** S.shape[1] <= _SUPPORT_SEARCH_CAP:
+            yield from (~np.bitwise_xor.reduce(packed[S], axis=1).any(axis=1)).tolist()
+        else:
+            yield from _elimination_flags(F, A, S)
+
+
+def _elimination_flags(F: FiniteField, A: np.ndarray, S: np.ndarray):
+    """_full_support_flags for the equal-size subsets S (one per row), all
+    row-reduced in lockstep.  Kernel dimension 0 means no.  Dimension 1 means
+    yes iff the free column of the RREF is nonzero in every pivot row.  A
+    larger kernel is scanned word by word from its RREF basis with the
+    split-table kernel.  A kernel of more than _SUPPORT_SEARCH_CAP words
+    raises BudgetError when its subset's turn comes, after the flags of all
+    earlier subsets.
+    """
+    R, pivot, rank = _rref_stack(F, A[:, S].transpose(1, 0, 2))
+    dims = S.shape[1] - rank
+    R_free = R[np.arange(len(S)), :, pivot.argmin(axis=1)]
+    in_rank = np.arange(R.shape[1]) < rank[:, None]
+    one_free_full = np.all((R_free != 0) | ~in_rank, axis=1)
+    for b, dim in enumerate(dims.tolist()):
+        if dim == 0:
+            yield False
+            continue
+        total = F.q**dim
+        if total > _SUPPORT_SEARCH_CAP:
+            raise BudgetError(
+                f"kernel enumeration needs {total} combinations "
+                f"(cap {_SUPPORT_SEARCH_CAP})"
             )
+        if dim == 1:
+            yield bool(one_free_full[b])
+            continue
+        K = _kernel_basis(F, R[b], np.flatnonzero(pivot[b]).tolist())
+        yield any(
+            bool((zeros == 0).any()) for *_, zeros in _SplitTable(F, K).blocks()
+        )
 
 
 def _exact_cover(n: int, groups: list[tuple[int, ...]]):
@@ -239,7 +254,7 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
 
     The candidates are the supports of the weight-(r+1) dual words: every
     (r+1)-subset S is tested for a dual word whose support is exactly S.  The
-    subsets are streamed in combinations order and row-reduced together in
+    subsets are streamed in combinations order and tested together in
     fixed-size chunks; a kernel of more than 2^20 words raises BudgetError.
     The lexicographically smallest exact cover by the candidates is returned,
     ordered by smallest element.  Raises if no partition exists.
@@ -291,11 +306,11 @@ def _normalize_groups(code: LinearCode, repair_groups) -> tuple[tuple[int, ...],
             f"repair groups must partition all {code.n} coordinates "
             f"(got {len(flat)})"
         )
-    for g, ok in zip(groups, _full_support_flags(code.field, code.G.a, groups)):
+    for i, ok in enumerate(_full_support_flags(code.field, code.G.a, groups), 1):
         if not ok:
             raise PreconditionError(
-                f"coordinates {g} carry no dual word with full support; "
-                "not a valid repair group"
+                f"repair group {i} of {len(groups)} carries no dual word with "
+                "full support"
             )
     return tuple(sorted(groups))
 

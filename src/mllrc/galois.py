@@ -312,6 +312,11 @@ class FiniteField:
         return self._wrap(a, None, out)
 
     def sub(self, a, b):
+        if self.m == 1:
+            out = (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.p
+            return self._wrap(a, b, out)
+        if self.p == 2:
+            return self.add(a, b)
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):

@@ -111,6 +111,12 @@ class TestConstruct:
             2, "", "usage error: position 84 outside 1..12\n")
         assert cli(*argv, "--groups", "1,2,3,4;5,6,7,7") == (
             2, "", "usage error: positions must be distinct: '5,6,7,7'\n")
+        # a group with no full-support dual word is named by its place in the list
+        for groups, i in (("1,2,3,5;4,6,7,8;9,10,11,12", 1),
+                          ("1,2,3,4;5,6,7,9;8,10,11,12", 2)):
+            assert cli(*argv, "--groups", groups) == (
+                2, "", f"precondition error: repair group {i} of 3 carries no "
+                "dual word with full support\n")
 
     def test_pyramid_spec(self, cli, tmp_path):
         spec_file = tmp_path / "pyr.spec"

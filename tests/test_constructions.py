@@ -13,6 +13,7 @@ oracles and cross-checked by hand where small.
 import functools
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -307,11 +308,11 @@ def detect_reference(code, r):
 
 
 def normalize_reference(code, groups):
-    for g in groups:
+    for i, g in enumerate(groups, 1):
         if not full_support_reference(code.field, code.G.a, g):
             raise PreconditionError(
-                f"coordinates {g} carry no dual word with full support; "
-                "not a valid repair group"
+                f"repair group {i} of {len(groups)} carries no dual word with "
+                "full support"
             )
     return tuple(sorted(groups))
 
@@ -388,6 +389,81 @@ class TestFullSupportFlags:
             }
         assert dims == {0, 1, 2}
 
+    @pytest.mark.parametrize("chunk", [1, 3, constructions._SUBSET_CHUNK])
+    def test_binary_xor_route_matches_elimination(self, monkeypatch, chunk):
+        # k = 1..70 rows: partial bytes and more than 8 bytes per packed column
+        monkeypatch.setattr(constructions, "_SUBSET_CHUNK", chunk)
+        rng = random.Random(2000 + chunk)
+        seen, zero_or_repeated = set(), 0
+        for k in range(1, 71):
+            n = rng.randint(2, 24)
+            size = rng.randint(1, min(n, 20)) if k % 5 else min(n, 20)
+            subsets = [
+                tuple(sorted(rng.sample(range(n), size)))
+                for _ in range(rng.randint(1, 40))
+            ]
+            A = random_columns(rng, F2, k, n)
+            for S in subsets[::2]:  # make some subsets sum to zero
+                A[:, S[-1]] = A[:, list(S[:-1])].sum(axis=1) % 2
+            cols = {tuple(c) for c in A.T.tolist()}
+            zero_or_repeated += len(cols) < n or (0,) * k in cols
+            expect = list(constructions._elimination_flags(F2, A, np.array(subsets)))
+            got = list(constructions._full_support_flags(F2, A, subsets))
+            assert got == expect, (k, size, A.tolist(), subsets)
+            seen |= set(got)
+        assert seen == {False, True} and zero_or_repeated > 10
+
+    def test_binary_subsets_up_to_the_cap_skip_elimination(self, monkeypatch):
+        calls = []
+        elimination = constructions._elimination_flags
+        monkeypatch.setattr(
+            constructions,
+            "_elimination_flags",
+            lambda F, A, S: calls.append(S.shape) or elimination(F, A, S),
+        )
+        A = np.zeros((1, 21), dtype=np.int64)
+        assert list(constructions._full_support_flags(F2, A, [tuple(range(20))]))
+        assert detect_repair_groups(construction2_binary_lrc(3, 0), 3)
+        assert calls == []
+        with pytest.raises(BudgetError):
+            list(constructions._full_support_flags(F2, A, [tuple(range(21))]))
+        assert calls == [(1, 21)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binary_detect_and_normalize_match_reference(self, seed):
+        rng = random.Random(300 + seed)
+        found = 0
+        for _ in range(5):
+            size = rng.randint(2, 5)
+            n = size * rng.randint(3, 16 // size)
+            code = grouped_code(rng, F2, n, size)
+            expect = outcome(detect_reference, code, size - 1)
+            assert outcome(detect_repair_groups, code, size - 1) == expect
+            found += isinstance(expect[0], tuple)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            groups = [tuple(sorted(perm[i : i + size])) for i in range(0, n, size)]
+            if isinstance(expect[0], tuple) and rng.random() < 0.7:
+                groups = list(expect)
+                if rng.random() < 0.5:  # swap one coordinate of the last two
+                    (*a, x), (y, *b) = groups[-2:]
+                    groups[-2:] = [tuple(sorted(a + [y])), tuple(sorted(b + [x]))]
+            assert outcome(constructions._normalize_groups, code, groups) == (
+                outcome(normalize_reference, code, groups)
+            )
+        assert found
+
+    def test_gcc2_r4_without_partition_is_refused_quickly(self):
+        # C(45, 5) = 1,221,759 candidate subsets, none of which partition
+        code = construction2_binary_lrc(4, 0)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as exc:
+            detect_repair_groups(code, 4)
+        assert time.perf_counter() - start < 5
+        assert str(exc.value) == (
+            "no partition of the 45 coordinates into disjoint repair groups of size 5"
+        )
+
     @pytest.mark.parametrize("q,dim", [(2, 20), (16, 5)])
     def test_cap_edge(self, q, dim):
         F = field_from_order(q)
@@ -432,8 +508,7 @@ class TestFullSupportFlags:
         first, second = tuple(range(7)), tuple(range(7, 14))
         assert outcome(constructions._normalize_groups, code, [first, second]) == (
             "PreconditionError",
-            f"coordinates {first} carry no dual word with full support; "
-            "not a valid repair group",
+            "repair group 1 of 2 carries no dual word with full support",
         )
         assert outcome(constructions._normalize_groups, code, [second, first]) == (
             over_cap

@@ -7,6 +7,7 @@ frozen from that oracle (and from hand arithmetic for the pinned moduli).
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mllrc.galois import (
     FiniteField,
     MatrixGF,
     default_modulus,
+    field_from_order,
     field_new,
     is_irreducible,
     mat_kernel,
@@ -143,6 +145,30 @@ def test_pow_matches_repeated_mul():
     assert F.pow(0, 3) == 0
     g = F.generator
     assert F.mul(F.pow(g, 5), F.pow(g, -5)) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 13, 16, 257])
+def test_sub_matches_add_of_neg(q):
+    F = field_from_order(q)
+    rng = random.Random(q)
+    if q <= 16:  # every element pair
+        a, b = F.elements()[:, None], F.elements()[None, :]
+    else:
+        a, b = (np.array([rng.randrange(q) for _ in range(5000)]) for _ in "ab")
+    assert np.array_equal(F.sub(a, b), F.add(a, F.neg(b)))
+    for shape in [(1,), (7,), (3, 4), (2, 3, 5)]:
+        x, y = (np.array([rng.randrange(q) for _ in range(int(np.prod(shape)))])
+                .reshape(shape) for _ in "xy")
+        assert np.array_equal(F.sub(x, y), F.add(x, F.neg(y)))
+        assert np.array_equal(F.sub(x, y[..., :1]), F.add(x, F.neg(y[..., :1])))
+        s = rng.randrange(q)
+        assert np.array_equal(F.sub(x, s), F.add(x, F.neg(s)))
+        assert np.array_equal(F.sub(s, x), F.add(s, F.neg(x)))
+    for _ in range(50):
+        x, y = rng.randrange(q), rng.randrange(q)
+        got = F.sub(x, y)
+        assert type(got) is int and got == F.add(x, F.neg(y))
+        assert type(F.sub(np.int64(x), y)) is int
 
 
 def test_scalar_calls_return_python_ints():
