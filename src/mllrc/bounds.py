@@ -24,6 +24,7 @@ bound, merely flagged non-exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from math import prod
@@ -87,7 +88,7 @@ def griesmer_max_k(q: int, n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KOptValue:
     """One oracle answer: the dimension value, exactness, and its source."""
 
@@ -164,6 +165,7 @@ class _SearchBudgetExceeded(Exception):
     pass
 
 
+@functools.cache
 def _exhaustive_max_dim_q2(n: int, d: int, stop_at: int, budget: int) -> tuple[int, bool]:
     """Largest k such that a binary linear [n, k, >=d] code exists.
 
@@ -184,6 +186,11 @@ def _exhaustive_max_dim_q2(n: int, d: int, stop_at: int, budget: int) -> tuple[i
     the new coset, found by one array filter.  Candidates that fail are
     charged in bulk, in the same visit order, so every search returns what
     the candidate-by-candidate scan returns.
+
+    Memoized for the process under all four arguments, so every oracle
+    shares completed and aborted searches and each budget has its own
+    entries.  Through the oracle 2 <= d <= n <= _EXHAUSTIVE_MAX_N and
+    stop_at follows from (n, d): at most 91 entries per budget.
     """
     weight = np.zeros(1, dtype=np.uint8)
     for _ in range(n):  # weight[w] = popcount(w) for every n-bit word w
@@ -253,12 +260,15 @@ class KOptOracle:
     non-linear code could in principle exceed the best linear one.  Searches
     that would exceed _SEARCH_BUDGET primitive coset checks (the enumeration
     budget ``budget=`` / MLLRC_BUDGET does not apply) abort deterministically,
-    raise nothing and produce no value, so the chain falls through.  A user ``table`` is validated entry by entry;
-    the bundled table was validated at import.  The analytic stage returns
-    min(Singleton, Griesmer) and is flagged non-exact: always a valid upper
-    bound, unusable for optimality certification.  The singleton stage
-    returns n - d + 1 and exists so bounds can be evaluated in pure
-    Singleton-relaxation form.
+    raise nothing and produce no value, so the chain falls through.  Each
+    search, completed or aborted, runs once per process and budget: the
+    memo of ``_exhaustive_max_dim_q2`` is shared by every oracle, while
+    ``query``'s own memo belongs to this instance.  A user ``table`` is
+    validated entry by entry; the bundled table was validated at import.
+    The analytic stage returns min(Singleton, Griesmer) and is flagged
+    non-exact: always a valid upper bound, unusable for optimality
+    certification.  The singleton stage returns n - d + 1 and exists so
+    bounds can be evaluated in pure Singleton-relaxation form.
     """
 
     def __init__(self, mode: str = "table,exhaustive,analytic", table=None):

@@ -470,9 +470,6 @@ class MatrixGF:
     def tolist(self) -> list[list[int]]:
         return self.a.tolist()
 
-    def take_rows(self, idx) -> "MatrixGF":
-        return MatrixGF(self.field, self.a[list(idx), :])
-
     def take_cols(self, idx) -> "MatrixGF":
         return MatrixGF(self.field, self.a[:, list(idx)])
 

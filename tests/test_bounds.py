@@ -25,6 +25,7 @@ from mllrc.bounds import (
     BUNDLED_KOPT_TABLE,
     BoundReport,
     KOptOracle,
+    KOptValue,
     _exhaustive_max_dim_q2,
     _normalize_shape,
     cm_bound,
@@ -638,11 +639,48 @@ def test_exhaustive_search_matches_reference():
             ceiling = min(singleton_max_k(n, d), griesmer_max_k(2, n, d))
             for stop_at in {ceiling, ceiling + 1, 1}:
                 for budget in (1, 777, 20_000, 200_000, 2_000_000):
-                    got = _exhaustive_max_dim_q2(n, d, stop_at, budget)
+                    # the search itself, not entries that earlier tests memoized
+                    got = _exhaustive_max_dim_q2.__wrapped__(n, d, stop_at, budget)
                     assert got == ref_exhaustive_max_dim_q2(n, d, stop_at, budget), (
                         n, d, stop_at, budget)
                     outcomes.add(got[1])
     assert outcomes == {True, False}  # both the abort and the completed path ran
+
+
+def test_fresh_oracles_share_the_exhaustive_search():
+    KOptOracle().query(2, 12, 6)
+    before = _exhaustive_max_dim_q2.cache_info()
+    assert KOptOracle().query(2, 12, 6) == KOptValue(4, True, "exhaustive")
+    after = _exhaustive_max_dim_q2.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+
+def test_each_search_budget_has_its_own_memo_entry(monkeypatch):
+    # k_opt(2, 10, 5) = 3: the search aborts at 777 coset checks and
+    # completes at 2*10^6, whichever budget asks first
+    for budgets in ((777, 2_000_000, 777), (2_000_000, 777, 2_000_000)):
+        answers = []
+        for budget in budgets:
+            monkeypatch.setattr(bounds_module, "_SEARCH_BUDGET", budget)
+            answers.append(KOptOracle("exhaustive").query(2, 10, 5))
+        want = {777: None, 2_000_000: KOptValue(3, True, "exhaustive")}
+        assert answers == [want[b] for b in budgets]
+        monkeypatch.setattr(bounds_module, "_SEARCH_BUDGET", 777)
+        assert KOptOracle().query(2, 10, 5) == KOptValue(3, False, "analytic")
+
+
+def test_exhaustive_memo_holds_one_entry_per_cell_and_budget(monkeypatch):
+    monkeypatch.setattr(bounds_module, "_SEARCH_BUDGET", 20_000)
+    _exhaustive_max_dim_q2.cache_clear()
+    for _ in range(2):
+        oracle = KOptOracle("exhaustive")
+        for n in range(-1, 18):
+            for d in range(-1, n + 3):
+                oracle.query(2, n, d)
+                oracle.query(3, n, d)
+        # 2 <= d <= n <= 14: sum of n - 1 over n = 2..14
+        assert _exhaustive_max_dim_q2.cache_info().currsize == 91
+    assert _exhaustive_max_dim_q2.cache_info().misses == 91
 
 
 def _random_table(rng):

@@ -213,14 +213,20 @@ class TestBound:
 
     def test_cm_aborted_exhaustive_searches_are_skipped(self, cli):
         # k_opt(2, 14, 4) and k_opt(2, 11, 4) need more than the 2*10^6 coset
-        # checks of the exhaustive stage, so t = 0 and t = 1 get no value
-        rc, out, _ = cli("bound", "cm", "--n", "14", "--d", "4", "--r", "2",
-                         "--q", "2", "--oracle", "exhaustive", "--format", "kv")
-        assert rc == 0
-        assert out.splitlines() == [
-            "name=cm", "bound=7", "witness=3", "exact=false",
-            "flags=edge,exhaustive", "skipped=0;1", "collapsed=false", "shape=(14,2)",
-        ]
+        # checks of the exhaustive stage, so t = 0 and t = 1 get no value; the
+        # second run reuses the memoized aborts, which stay aborts
+        search = bounds_module._exhaustive_max_dim_q2
+        misses = []
+        for _ in range(2):
+            rc, out, _ = cli("bound", "cm", "--n", "14", "--d", "4", "--r", "2",
+                             "--q", "2", "--oracle", "exhaustive", "--format", "kv")
+            assert rc == 0
+            assert out.splitlines() == [
+                "name=cm", "bound=7", "witness=3", "exact=false",
+                "flags=edge,exhaustive", "skipped=0;1", "collapsed=false", "shape=(14,2)",
+            ]
+            misses.append(search.cache_info().misses)
+        assert misses[0] == misses[1]
 
     def test_cm_grid_above_budget_is_refused_at_once(self, cli):
         # t runs over 0..5*10^8: refused before the oracle is asked once
@@ -652,7 +658,13 @@ def test_certify_binary_golden_outputs(cli, tmp_path, monkeypatch):
 
 
 def test_bounds_sweep_golden_outputs(cli, tmp_path, monkeypatch):
+    # the second replay answers every binary k_opt cell from the search memo
+    search = bounds_module._exhaustive_max_dim_q2
     _replay_golden(cli, tmp_path, monkeypatch, "bounds-sweep")
+    before = search.cache_info()
+    _replay_golden(cli, tmp_path, monkeypatch, "bounds-sweep")
+    after = search.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_construct_groups_golden_outputs(cli, tmp_path, monkeypatch):
