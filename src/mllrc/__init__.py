@@ -5,7 +5,6 @@ from .bounds import (
     KOptOracle,
     cm_bound,
     griesmer_max_k,
-    kopt,
     load_kopt_table,
     ml_alphabet,
     ml_singleton,
@@ -60,7 +59,6 @@ from .galois import (
     field_from_order,
     field_new,
     mat_kernel,
-    mat_kronecker,
     mat_rank,
     mat_rref,
 )

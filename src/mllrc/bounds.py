@@ -40,7 +40,6 @@ __all__ = [
     "KOptValue",
     "BUNDLED_KOPT_TABLE",
     "load_kopt_table",
-    "kopt",
     "griesmer_max_k",
     "singleton_max_k",
     "singleton_r_local",
@@ -259,7 +258,7 @@ class KOptOracle:
     binary *linear* codes only; it is flagged exact, with the caveat that a
     non-linear code could in principle exceed the best linear one.  Searches
     that would exceed _SEARCH_BUDGET primitive coset checks (the enumeration
-    budget ``budget=`` / MLLRC_BUDGET does not apply) abort deterministically,
+    budget ``budget=`` does not apply) abort deterministically,
     raise nothing and produce no value, so the chain falls through.  Each
     search, completed or aborted, runs once per process and budget: the
     memo of ``_exhaustive_max_dim_q2`` is shared by every oracle, while
@@ -334,24 +333,6 @@ class KOptOracle:
             elif stage == "singleton":
                 return KOptValue(singleton_max_k(n, d), False, "singleton")
         return None
-
-
-def kopt(oracle: KOptOracle, q: int, n: int, d: int, require_exact: bool = False) -> int:
-    """k_opt(q, n, d) as a plain integer via the given oracle."""
-    if n < 0 or d < 0:
-        raise PreconditionError(f"n and d must be >= 0, got n={n}, d={d}")
-    kv = oracle.query(q, n, d)
-    if kv is None:
-        raise PreconditionError(
-            f"oracle {oracle.mode!r} has no value for (q={q}, n={n}, d={d}); "
-            "extend the table or add a fallback stage"
-        )
-    if require_exact and not kv.exact:
-        raise PreconditionError(
-            f"exact k_opt required but (q={q}, n={n}, d={d}) resolved via "
-            f"non-exact stage {kv.source!r}"
-        )
-    return kv.value
 
 
 # ---------------------------------------------------------------------------

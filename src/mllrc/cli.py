@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import (
     KOptOracle,
@@ -201,11 +200,6 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _certify_one(task):
-    path, oracle, mode, budget = task
-    return certify(load_code(path), oracle=oracle, mode=mode, budget=budget)
-
-
 def _cmd_certify(args) -> int:
     render = render_certificate_kv if args.format == "kv" else render_certificate_text
     if args.pyramid:
@@ -216,13 +210,10 @@ def _cmd_certify(args) -> int:
         if not args.input:
             raise _UsageError("certify needs code files or --pyramid")
         oracle = _oracle(args)
-        tasks = [(path, oracle, args.mode, args.budget) for path in args.input]
-        if args.jobs > 1 and len(tasks) > 1:
-            workers = min(args.jobs, len(tasks))  # fork starts every worker at once
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                certs = list(pool.map(_certify_one, tasks))
-        else:
-            certs = [_certify_one(task) for task in tasks]
+        certs = [
+            certify(load_code(path), oracle=oracle, mode=args.mode, budget=args.budget)
+            for path in args.input
+        ]
     _emit(["\n".join(render(c) for c in certs)], args.out)
     if args.expect_optimal:
         key = args.expect_optimal + "_optimal"
@@ -355,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "accounting instead of a code file")
     ce.add_argument("--expect-optimal", choices=["singleton", "alphabet"],
                     help="exit 1 unless this verdict is true for every input")
-    ce.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers for batch certification (never "
-                    "more than the number of inputs)")
     _add_oracle(ce)
     _add_report(ce)
     _add_out(ce)
@@ -379,15 +367,12 @@ def run(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
-    if hasattr(args, "budget"):  # --budget, else MLLRC_BUDGET
+    if hasattr(args, "budget"):  # refuse a bad --budget before any work
         try:
             resolve_budget(args.budget)
         except PreconditionError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
-    if getattr(args, "jobs", 1) < 1:
-        print("usage error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except _UsageError as exc:

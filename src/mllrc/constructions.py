@@ -21,6 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .linear_code import (
     code_to_lines,
     format_profile_shape,
     parse_profile_shape,
+    resolve_budget,
 )
 
 __all__ = [
@@ -171,6 +173,11 @@ _SUPPORT_SEARCH_CAP = 1 << 20
 _SUBSET_CHUNK = 256
 
 
+def _xor_route(F: FiniteField, size: int) -> bool:
+    """Whether _full_support_flags answers subsets of this size by XOR."""
+    return F.q == 2 and 2**size <= _SUPPORT_SEARCH_CAP
+
+
 def _full_support_flags(F: FiniteField, A: np.ndarray, subsets):
     """For each column subset S of A, in order: is some dual word's support
     exactly S, i.e. does the kernel of A[:, S] hold a vector with no zero?
@@ -185,7 +192,7 @@ def _full_support_flags(F: FiniteField, A: np.ndarray, subsets):
     it = iter(subsets)
     while chunk := list(itertools.islice(it, _SUBSET_CHUNK)):
         S = np.array(chunk, dtype=np.int64)
-        if packed is not None and 2 ** S.shape[1] <= _SUPPORT_SEARCH_CAP:
+        if packed is not None and _xor_route(F, S.shape[1]):
             yield from (~np.bitwise_xor.reduce(packed[S], axis=1).any(axis=1)).tolist()
         else:
             yield from _elimination_flags(F, A, S)
@@ -256,6 +263,9 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
     (r+1)-subset S is tested for a dual word whose support is exactly S.  The
     subsets are streamed in combinations order and tested together in
     fixed-size chunks; a kernel of more than 2^20 words raises BudgetError.
+    The walk is charged against the enumeration budget before it starts: a
+    unit per subset on the binary XOR route, else k(r+1) units per subset
+    (a span-search rank test); BudgetError when that is over the budget.
     The lexicographically smallest exact cover by the candidates is returned,
     ordered by smallest element.  Raises if no partition exists.
     """
@@ -266,6 +276,14 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
         raise PreconditionError(
             f"n = {n} is not a multiple of r+1 = {r + 1}; no partition into "
             "repair groups exists"
+        )
+    count = comb(n, r + 1)
+    units = count if _xor_route(code.field, r + 1) else count * code.k * (r + 1)
+    budget = resolve_budget()
+    if units > budget:
+        raise BudgetError(
+            f"repair-group detection at r = {r} needs {units} units for "
+            f"{count} subsets; budget is {budget}"
         )
     subsets, tested = itertools.tee(itertools.combinations(range(n), r + 1))
     cands = list(
@@ -316,8 +334,10 @@ def _normalize_groups(code: LinearCode, repair_groups) -> tuple[tuple[int, ...],
 
 
 def _auto_groups(code: LinearCode, r_min: int) -> tuple[tuple[int, ...], ...]:
-    """Detect groups at the smallest locality >= r_min that admits a partition."""
-    for r2 in range(max(r_min, 1), code.n - code.k + 1):
+    """Detect groups at the smallest locality >= r_min that admits a
+    partition.  Every r2 with (r2+1) | n is tried, up to n-1: disjoint
+    groups need only n/(r2+1) <= n-k independent dual words."""
+    for r2 in range(max(r_min, 1), code.n):
         if code.n % (r2 + 1):
             continue
         try:

@@ -28,7 +28,6 @@ __all__ = [
     "mat_rank",
     "mat_rref",
     "mat_kernel",
-    "mat_kronecker",
 ]
 
 MAX_FIELD_SIZE = 1 << 16
@@ -372,15 +371,6 @@ class FiniteField:
             t //= self.p
         return out
 
-    def from_coeffs(self, digits) -> np.ndarray:
-        d = np.asarray(digits, dtype=np.int64) % self.p
-        v = np.zeros(d.shape[:-1], dtype=np.int64)
-        pw = 1
-        for i in range(d.shape[-1]):
-            v += d[..., i] * pw
-            pw *= self.p
-        return v
-
 
 _FIELD_CACHE: dict[tuple, FiniteField] = {}
 
@@ -436,14 +426,6 @@ class MatrixGF:
     def __setattr__(self, *_):
         raise AttributeError("MatrixGF is immutable")
 
-    @classmethod
-    def zeros(cls, field: FiniteField, nrows: int, ncols: int) -> "MatrixGF":
-        return cls(field, np.zeros((nrows, ncols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: FiniteField, n: int) -> "MatrixGF":
-        return cls(field, np.eye(n, dtype=np.int64))
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
@@ -473,16 +455,6 @@ class MatrixGF:
     def take_cols(self, idx) -> "MatrixGF":
         return MatrixGF(self.field, self.a[:, list(idx)])
 
-    def hstack(self, other: "MatrixGF") -> "MatrixGF":
-        if self.field != other.field:
-            raise PreconditionError("field mismatch in hstack")
-        return MatrixGF(self.field, np.hstack([self.a, other.a]))
-
-    def vstack(self, other: "MatrixGF") -> "MatrixGF":
-        if self.field != other.field:
-            raise PreconditionError("field mismatch in vstack")
-        return MatrixGF(self.field, np.vstack([self.a, other.a]))
-
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
         if self.field != other.field:
             raise PreconditionError("field mismatch in matrix product")
@@ -496,9 +468,6 @@ class MatrixGF:
             for t in range(self.ncols):
                 out = F.add(out, F.mul(self.a[:, t : t + 1], other.a[t : t + 1, :]))
         return MatrixGF(F, out)
-
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.a.T)
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +563,3 @@ def _kernel_basis(F: FiniteField, R: np.ndarray, piv) -> np.ndarray:
     K[np.arange(len(free)), free] = 1
     K[:, list(piv)] = F.neg(R[: len(piv)][:, free].T)
     return K
-
-
-def mat_kronecker(A: MatrixGF, B: MatrixGF) -> MatrixGF:
-    """Kronecker product over the common field."""
-    if A.field != B.field:
-        raise PreconditionError("field mismatch in Kronecker product")
-    F = A.field
-    prod = F.mul(A.a[:, None, :, None], B.a[None, :, None, :])
-    out = prod.reshape(A.nrows * B.nrows, A.ncols * B.ncols)
-    return MatrixGF(F, out)

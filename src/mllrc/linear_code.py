@@ -56,7 +56,6 @@ results (localities and witnesses together) on the code.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from dataclasses import dataclass
 from math import comb
@@ -93,7 +92,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**8
-_BUDGET_ENV = "MLLRC_BUDGET"
 _LOW_WORDS = 1 << 12
 # Span tests row-reduced together: enough to amortise the numpy calls, few
 # enough that a chunk's (tests x k x (s+1)) stack stays small.
@@ -115,19 +113,9 @@ _DUAL_WORDS_PER_WORD = 5
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument, else the MLLRC_BUDGET env var, else 10^8."""
+    """Explicit argument, else 10^8."""
     if budget is None:
-        env = os.environ.get(_BUDGET_ENV)
-        if not env:
-            return DEFAULT_BUDGET
-        bad = f"{_BUDGET_ENV} must be a positive integer, got {env!r}"
-        try:
-            budget = int(env)
-        except ValueError:
-            raise PreconditionError(bad) from None
-        if budget <= 0:
-            raise PreconditionError(bad)
-        return budget
+        return DEFAULT_BUDGET
     budget = int(budget)
     if budget <= 0:
         raise PreconditionError(f"enumeration budget must be positive, got {budget}")
@@ -899,32 +887,6 @@ class LinearCode:
         scan = self._dual_support_scan(support, rest, K, witnesses)
         out.update((t, (w - 1, wit)) for t, (w, wit) in scan.items())
         return out
-
-    def locality_of_coordinate(
-        self, i: int, restrict_to=None, budget: int | None = None
-    ) -> tuple[int, RepairSet]:
-        """Exact locality of coordinate i and a witness repair set.
-
-        restrict_to: optional coordinate set the helpers must come from.
-        """
-        if not 0 <= i < self.n:
-            raise PreconditionError(f"coordinate {i} out of range [0, {self.n})")
-        if not self.G.a[:, i].any():
-            raise PreconditionError(
-                f"coordinate {i} is identically zero; locality is undefined"
-            )
-        if restrict_to is None:
-            support = tuple(range(self.n))
-        else:
-            support = tuple(sorted(set(restrict_to) | {i}))
-            if any(not 0 <= c < self.n for c in support):
-                raise PreconditionError("restrict_to coordinates out of range")
-        loc, witness = self._repairs(support, (i,), budget)[i]
-        if loc is None:
-            raise PreconditionError(
-                f"coordinate {i} has no repair relation (no dual word through it)"
-            )
-        return loc, witness
 
     def _check_no_zero_column(self) -> None:
         zero_cols = [int(j) for j in range(self.n) if not self.G.a[:, j].any()]

@@ -30,7 +30,6 @@ from mllrc.bounds import (
     _normalize_shape,
     cm_bound,
     griesmer_max_k,
-    kopt,
     load_kopt_table,
     ml_alphabet,
     ml_singleton,
@@ -94,12 +93,10 @@ def brute_kopt2(n, d):
 
 def test_kopt_edges():
     o = KOptOracle()
-    assert kopt(o, 2, 5, 9) == 0  # d > n
-    assert kopt(o, 2, 0, 3) == 0
+    assert o.query(2, 5, 9).value == 0  # d > n
+    assert o.query(2, 0, 3).value == 0
     assert o.query(2, -2, 3).value == 0  # negative residuals inside grids
-    assert kopt(o, 3, 7, 1) == 7  # d = 1: full space
-    with pytest.raises(PreconditionError):
-        kopt(o, 2, -2, 3)
+    assert o.query(3, 7, 1).value == 7  # d = 1: full space
     with pytest.raises(PreconditionError):
         KOptOracle(mode="table,nonsense")
     with pytest.raises(PreconditionError):
@@ -109,17 +106,17 @@ def test_kopt_edges():
 def test_kopt_paper_values_table_and_exhaustive_agree():
     table = KOptOracle("table")
     exhaustive = KOptOracle("exhaustive")
-    assert kopt(table, 2, 12, 8) == 2
-    assert kopt(exhaustive, 2, 12, 8) == 2
-    assert kopt(table, 2, 6, 6) == 1
-    assert kopt(exhaustive, 2, 6, 6) == 1
+    assert table.query(2, 12, 8).value == 2
+    assert exhaustive.query(2, 12, 8).value == 2
+    assert table.query(2, 6, 6).value == 1
+    assert exhaustive.query(2, 6, 6).value == 1
 
 
 def test_exhaustive_matches_full_matrix_bruteforce():
     o = KOptOracle("exhaustive")
     for n in range(1, 5):
         for d in range(1, n + 1):
-            assert kopt(o, 2, n, d) == brute_kopt2(n, d), (n, d)
+            assert o.query(2, n, d).value == brute_kopt2(n, d), (n, d)
 
 
 def test_exhaustive_within_analytic_and_griesmer_attained():
@@ -129,22 +126,18 @@ def test_exhaustive_within_analytic_and_griesmer_attained():
     # ceiling is attained so the search exits early
     for n in range(1, 8):
         for d in range(2, n + 1):
-            assert kopt(ex, 2, n, d) <= kopt(an, 2, n, d)
+            assert ex.query(2, n, d).value <= an.query(2, n, d).value
     # Griesmer ceiling attained exactly for the bundled length-8 distance-8
     # and length-11 distance-8 values
-    assert kopt(ex, 2, 8, 8) == 1 == griesmer_max_k(2, 8, 8)
-    assert kopt(ex, 2, 11, 8) == 1 == griesmer_max_k(2, 11, 8)
+    assert ex.query(2, 8, 8).value == 1 == griesmer_max_k(2, 8, 8)
+    assert ex.query(2, 11, 8).value == 1 == griesmer_max_k(2, 11, 8)
 
 
 def test_kopt_strict_table_misses_and_exactness():
     o = KOptOracle("table")
     assert o.query(2, 9, 6) is None
-    with pytest.raises(PreconditionError):
-        kopt(o, 2, 9, 6)
-    with pytest.raises(PreconditionError):
-        kopt(KOptOracle("analytic"), 2, 9, 6, require_exact=True)
-    assert kopt(KOptOracle("analytic"), 2, 9, 6) == min(
-        singleton_max_k(9, 6), griesmer_max_k(2, 9, 6)
+    assert KOptOracle("analytic").query(2, 9, 6) == KOptValue(
+        min(singleton_max_k(9, 6), griesmer_max_k(2, 9, 6)), False, "analytic"
     )
 
 
@@ -166,7 +159,7 @@ def test_kopt_table_file(tmp_path):
     assert table[(2, 12, 8)] == (2, "example entry")
     assert table[(13, 10, 4)] == (7, "singleton tight")
     o = KOptOracle("table", table=table)
-    assert kopt(o, 13, 10, 4) == 7
+    assert o.query(13, 10, 4).value == 7
     for bad in ["2 12 8 2", "2 12 8 x entry", "2 5 5 2 bad", "2 12 8 3 bad"]:
         p.write_text(bad + "\n")
         with pytest.raises(ParseError):
@@ -221,7 +214,7 @@ def test_cm_bound_degenerate_r_at_least_n():
         for d in range(2, n + 1):
             for r in (n, n + 3):
                 rep = cm_bound(n, d, r, 2, oracle=o)
-                assert rep.bound_value == min(kopt(o, 2, n, d), r)
+                assert rep.bound_value == min(o.query(2, n, d).value, r)
                 assert rep.bound_value <= singleton_max_k(n, d) + 0
 
 

@@ -37,6 +37,7 @@ import mllrc.cli as cli_module
 from mllrc.cli import run
 from mllrc.errors import PreconditionError
 from mllrc.galois import field_new
+from mllrc.linear_code import code_from_parity_check
 
 F2 = field_new(2)
 
@@ -92,6 +93,34 @@ class TestConstruct:
         assert auto.read_text() == manual.read_text()
         expected = algorithm1_ml_lrc(tamo_barg(13, 12, 6, 3), 2, 3)
         assert np.array_equal(load_code(auto).G.a, expected.G.a)
+
+    def test_alg1_detects_groups_larger_than_n_minus_k(self, cli, tmp_path):
+        # two binary [5,4] single-parity blocks ([10,8]) and a [4,3] one
+        codes = {
+            "blocks": ([[1] * 5 + [0] * 5, [0] * 5 + [1] * 5], "1,2,3,4,5;6,7,8,9,10"),
+            "spc": ([[1, 1, 1, 1]], "1,2,3,4"),
+        }
+        for name, (H, groups) in codes.items():
+            base = tmp_path / f"{name}.code"
+            save_code(code_from_parity_check(F2, H), base)
+            argv = ("construct", "alg1", "--in", str(base), "--r1", "1", "--n1", "2")
+            rc, auto, err = cli(*argv)
+            assert (rc, err) == (0, "")
+            assert cli(*argv, "--groups", groups) == (0, auto, "")
+
+    def test_alg1_detection_over_budget_is_refused(self, cli, tmp_path):
+        # gcc2 r = 4 ([45,23]_2): r2 = 4 has no partition, r2 = 8 would walk
+        # C(45, 9) subsets
+        base = tmp_path / "g45.code"
+        save_code(construction2_binary_lrc(4, 0), base)
+        start = time.perf_counter()
+        rc, out, err = cli("construct", "alg1", "--in", str(base), "--r1", "3", "--n1", "4")
+        assert time.perf_counter() - start < 5
+        assert (rc, out) == (1, "")
+        assert err == (
+            "budget error: repair-group detection at r = 8 needs 886163135 units "
+            "for 886163135 subsets; budget is 100000000\n"
+        )
 
     def test_alg3_matches_library(self, cli, tmp_path):
         base_file = tmp_path / "g20.code"
@@ -270,17 +299,13 @@ class TestCertify:
         assert rc == 1
         assert err.startswith("verification failure:")
 
-    def test_batch_order_and_jobs(self, cli, tmp_path):
+    def test_batch_order(self, cli, tmp_path):
         f1, f2 = tmp_path / "c1.code", tmp_path / "c2.code"
         cli("construct", "gcc2", "--r", "3", "--j", "0", "--out", str(f1))
         cli("construct", "gcc2", "--r", "3", "--j", "1", "--out", str(f2))
         rc, seq, _ = cli("certify", "--in", str(f1), str(f2), "--oracle",
                          "table", "--format", "kv")
         assert rc == 0
-        rc, par, _ = cli("certify", "--in", str(f1), str(f2), "--oracle",
-                         "table", "--format", "kv", "--jobs", "2")
-        assert rc == 0
-        assert seq == par
         # outputs serialized in input order
         assert seq.index("n=20") < seq.index("n=16")
         # repeating the flag accumulates files instead of replacing them
@@ -289,38 +314,13 @@ class TestCertify:
         assert rc == 0
         assert rep == seq
 
-    def test_jobs_above_input_count_starts_one_worker_per_input(
-        self, cli, tmp_path, monkeypatch
-    ):
-        f1, f2 = tmp_path / "c1.code", tmp_path / "c2.code"
-        cli("construct", "gcc2", "--r", "3", "--j", "0", "--out", str(f1))
-        cli("construct", "gcc2", "--r", "2", "--j", "0", "--out", str(f2))
-        argv = ("certify", "--in", str(f1), str(f2), "--oracle", "table",
-                "--format", "kv")
-        rc, serial, _ = cli(*argv, "--jobs", "1")
-        assert rc == 0
-        sizes = []
-
-        class Recording(cli_module.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", Recording)
-        rc, parallel, _ = cli(*argv, "--jobs", "3")
-        assert rc == 0
-        assert parallel == serial
-        assert sizes == [2]
-
-    def test_jobs_worker_parse_error_names_the_file(self, cli, tmp_path):
+    def test_batch_parse_error_names_the_file(self, cli, tmp_path):
         good, bad = tmp_path / "good.code", tmp_path / "bad.code"
         cli("construct", "gcc2", "--r", "3", "--j", "0", "--out", str(good))
         bad.write_text("q=2 p=2 m=1 n=4 k=2\n1 0 1\n")
-        argv = ("certify", "--in", str(good), str(bad), "--oracle", "table")
-        rc, _, serial_err = cli(*argv)
+        rc, _, err = cli("certify", "--in", str(good), str(bad), "--oracle", "table")
         assert rc == 2
-        assert serial_err.startswith(f"parse error: {bad}:")
-        assert cli(*argv, "--jobs", "2")[0::2] == (2, serial_err)
+        assert err.startswith(f"parse error: {bad}:")
 
     def test_pyramid_certificate(self, cli, tmp_path):
         spec_file = tmp_path / "pyr.spec"
@@ -371,8 +371,10 @@ class TestErrorHandling:
         assert err.startswith("budget error:")
 
     def test_flag_range_validation(self, cli, tmp_path, spc_file):
-        assert cli("analyze", "--in", spc_file, "--budget", "0")[0] == 2
-        assert cli("certify", "--in", spc_file, "--jobs", "0")[0] == 2
+        for command in ("analyze", "certify"):
+            rc, out, err = cli(command, "--in", spc_file, "--budget", "0")
+            assert (rc, out) == (2, "")
+            assert err.startswith("usage error:")
 
     @pytest.mark.parametrize("argv,name", [
         (("analyze", "--in"), "code.txt"),
@@ -387,17 +389,6 @@ class TestErrorHandling:
         rc, out, err = cli(*argv, str(bad))
         assert (rc, out) == (2, "")
         assert err.startswith("parse error:") and "0xc3" in err
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_malformed_budget_env_is_usage_error(self, cli, monkeypatch,
-                                                 spc_file, value):
-        monkeypatch.setenv("MLLRC_BUDGET", value)
-        for argv in (("analyze", "--in", spc_file), ("certify", "--in", spc_file)):
-            rc, out, err = cli(*argv)
-            assert (rc, out) == (2, "")
-            assert err.startswith("usage error:") and "MLLRC_BUDGET" in err
-        # an explicit --budget takes precedence over the variable
-        assert cli("analyze", "--in", spc_file, "--budget", "100")[0] == 0
 
     def test_malformed_groups(self, cli, tmp_path):
         tb_file = tmp_path / "tb.code"
@@ -418,6 +409,15 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    def test_cli_import_loads_no_process_pool(self):
+        # the CLI runs in one process; a process pool's import costs setup time
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, mllrc.cli; print([m for m in "
+             "('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
     def test_subprocess_entry(self, tmp_path):
         # the installed entry point behaves like the in-process runner

@@ -14,11 +14,12 @@ import functools
 import itertools
 import random
 import time
+from math import comb
 
 import numpy as np
 import pytest
 
-from mllrc import constructions
+from mllrc import constructions, linear_code
 from mllrc.bounds import griesmer_max_k, ml_alphabet, ml_singleton
 from mllrc.constructions import (
     GccLevel,
@@ -50,7 +51,6 @@ from mllrc.galois import (
     MatrixGF,
     field_from_order,
     field_new,
-    mat_kronecker,
     mat_rank,
     mat_rref,
 )
@@ -59,6 +59,7 @@ from mllrc.linear_code import (
     LocalityClass,
     LocalityProfile,
     RepairSet,
+    code_from_parity_check,
 )
 
 F2 = field_new(2)
@@ -251,6 +252,36 @@ class TestRepairGroups:
             code, 2, 3, repair_groups=[[3, 1, 0, 2], (8, 9, 10, 11), (5, 4, 7, 6)]
         )
         assert np.array_equal(auto.G.a, manual.G.a)
+
+    def test_auto_detection_tries_group_sizes_beyond_n_minus_k(self):
+        # two binary [5,4] single-parity blocks ([10,8]: r2 = 4 > n - k = 2)
+        # and a [4,3] single-parity code (r2 = 3 > n - k = 1)
+        blocks = code_from_parity_check(F2, [[1] * 5 + [0] * 5, [0] * 5 + [1] * 5])
+        spc = code_from_parity_check(F2, [[1, 1, 1, 1]])
+        for code, groups in ((blocks, [range(5), range(5, 10)]), (spc, [range(4)])):
+            assert detect_repair_groups(code, code.n // len(groups) - 1) == tuple(
+                tuple(g) for g in groups
+            )
+            auto = algorithm1_ml_lrc(code, 1, 2)
+            manual = algorithm1_ml_lrc(code, 1, 2, repair_groups=groups)
+            assert np.array_equal(auto.G.a, manual.G.a)
+        assert algorithm1_ml_lrc(blocks, 1, 2).locality_profile().shape() == ((2, 1), (5, 4))
+
+    @pytest.mark.parametrize("code,r,units", [
+        (tamo_barg(13, 12, 6, 3), 3, 495 * 6 * 4),  # C(12, 4) rank tests of 6 x 4
+        (construction2_binary_lrc(3, 0), 3, 4845),  # C(20, 4) XORs
+    ])
+    def test_detection_is_charged_before_any_subset(self, monkeypatch, code, r, units):
+        monkeypatch.setattr(linear_code, "DEFAULT_BUDGET", units)
+        assert detect_repair_groups(code, r)
+        monkeypatch.setattr(linear_code, "DEFAULT_BUDGET", units - 1)
+        monkeypatch.setattr(constructions, "_full_support_flags", None)  # never reached
+        with pytest.raises(BudgetError) as exc:
+            detect_repair_groups(code, r)
+        assert str(exc.value) == (
+            f"repair-group detection at r = {r} needs {units} units for "
+            f"{comb(code.n, r + 1)} subsets; budget is {units - 1}"
+        )
 
     def test_invalid_groups_rejected(self):
         code = tamo_barg(13, 12, 6, 3)
@@ -839,15 +870,13 @@ class TestGcc:
         A = LinearCode(F3, [[1, 2, 0], [0, 1, 1]])
         band = MatrixGF(F3, [[1, 1, 2]])
         code = gcc_generator(GccSpec(F3, (GccLevel(A, 1, band),)))
-        assert np.array_equal(code.G.a, mat_kronecker(A.G, band).a)
+        assert np.array_equal(code.G.a, np.kron(A.G.a, band.a) % 3)
 
     def test_multiplicity_stacks_kronecker_blocks(self):
         A = LinearCode(F2, [[1, 0, 1, 1], [0, 1, 1, 0]])
         band = MatrixGF(F2, [[1, 0, 1], [0, 1, 1]])
         code = gcc_generator(GccSpec(F2, (GccLevel(A, 2, band),)))
-        row0 = MatrixGF(F2, band.a[:1])
-        row1 = MatrixGF(F2, band.a[1:])
-        want = np.vstack([mat_kronecker(A.G, row0).a, mat_kronecker(A.G, row1).a])
+        want = np.vstack([np.kron(A.G.a, band.a[:1]), np.kron(A.G.a, band.a[1:])]) % 2
         assert np.array_equal(code.G.a, want)
 
     def test_two_level_binary_parameters(self):
