@@ -242,6 +242,10 @@ _EXHAUSTIVE_MAX_N = 14
 # The most primitive coset checks one exhaustive search may make; a search
 # that needs more aborts and the chain falls through.
 _SEARCH_BUDGET = 2_000_000
+# The most answers one oracle's query memo holds; a full memo is emptied
+# before the next answer is stored.  A 10^4-point dominance sweep needs
+# about half as many.
+_QUERY_MEMO_CAP = 1 << 15
 
 
 class KOptOracle:
@@ -262,7 +266,8 @@ class KOptOracle:
     raise nothing and produce no value, so the chain falls through.  Each
     search, completed or aborted, runs once per process and budget: the
     memo of ``_exhaustive_max_dim_q2`` is shared by every oracle, while
-    ``query``'s own memo belongs to this instance.  A user ``table`` is
+    ``query``'s own memo belongs to this instance and is emptied whenever it
+    reaches _QUERY_MEMO_CAP answers.  A user ``table`` is
     validated entry by entry; the bundled table was validated at import.
     The analytic stage returns min(Singleton, Griesmer) and is flagged
     non-exact: always a valid upper bound, unusable for optimality
@@ -303,6 +308,8 @@ class KOptOracle:
         if key in self._memo:
             return self._memo[key]
         result = self._resolve(q, n, d)
+        if len(self._memo) >= _QUERY_MEMO_CAP:
+            self._memo.clear()
         self._memo[key] = result
         return result
 

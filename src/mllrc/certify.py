@@ -43,6 +43,8 @@ from .linear_code import (
     LinearCode,
     LocalityProfile,
     RepairSet,
+    _CheckedShape,
+    _normalize_shape,
     format_profile_shape,
 )
 
@@ -234,6 +236,7 @@ def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
     Singleton-relaxation oracle, the combination under which rejection of
     every Singleton-violating (profile, k, d, q) point is provable.
     """
+    profile = _CheckedShape(_normalize_shape(profile))  # checked once, here
     sb = ml_singleton(profile, k)
     singleton_feasible = d <= sb.bound_value
     ab = ml_alphabet(

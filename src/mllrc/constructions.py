@@ -96,7 +96,7 @@ def reed_solomon(field: FiniteField, n: int, k: int) -> LinearCode:
             f"length {n} exceeds the number of distinct field points {field.q}"
         )
     pts = np.arange(n, dtype=np.int64)
-    G = np.array([[field.pow(int(x), i) for x in pts] for i in range(k)])
+    G = np.array([field.pow(pts, i) for i in range(k)])
     return LinearCode(field, G)
 
 
@@ -231,43 +231,22 @@ def _elimination_flags(F: FiniteField, A: np.ndarray, S: np.ndarray):
         )
 
 
-def _exact_cover(n: int, groups: list[tuple[int, ...]]):
-    """Lexicographically smallest partition of range(n) into given groups."""
-    groups = sorted(groups)
-    by_coord: dict[int, list[tuple[int, ...]]] = {c: [] for c in range(n)}
-    for g in groups:
-        by_coord[g[0]].append(g)
-
-    def dfs(covered: set, acc: list):
-        if len(covered) == n:
-            return tuple(acc)
-        x = min(set(range(n)) - covered)
-        for g in by_coord[x]:
-            if covered & set(g):
-                continue
-            acc.append(g)
-            res = dfs(covered | set(g), acc)
-            if res is not None:
-                return res
-            acc.pop()
-        return None
-
-    return dfs(set(), [])
-
-
 def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...]:
     """Partition all coordinates into disjoint (r+1)-sets, each the exact
     support of some dual word (so each set is a self-contained repair group).
 
-    The candidates are the supports of the weight-(r+1) dual words: every
-    (r+1)-subset S is tested for a dual word whose support is exactly S.  The
-    subsets are streamed in combinations order and tested together in
-    fixed-size chunks; a kernel of more than 2^20 words raises BudgetError.
-    The walk is charged against the enumeration budget before it starts: a
-    unit per subset on the binary XOR route, else k(r+1) units per subset
-    (a span-search rank test); BudgetError when that is over the budget.
-    The lexicographically smallest exact cover by the candidates is returned,
-    ordered by smallest element.  Raises if no partition exists.
+    The lexicographically smallest such partition is returned, ordered by
+    smallest element; raises if none exists.  A depth-first walk places the
+    least uncovered coordinate x at each step, trying the candidates with
+    least element x in lexicographic order.  The first visit of x tests all
+    (r+1)-subsets with least element x in one _full_support_flags batch and
+    keeps the candidates for later visits, so no subset is tested twice, and
+    a subset whose least element the walk never reaches is never tested (nor
+    can its kernel raise the 2^20-word BudgetError).  Before the walk, the
+    worst case of testing all C(n, r+1) subsets is charged against the
+    enumeration budget: a unit per subset on the binary XOR route, else
+    k(r+1) units per subset (a span-search rank test); BudgetError when that
+    is over the budget.
     """
     n = code.n
     if not 1 <= r < n:
@@ -285,11 +264,32 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
             f"repair-group detection at r = {r} needs {units} units for "
             f"{count} subsets; budget is {budget}"
         )
-    subsets, tested = itertools.tee(itertools.combinations(range(n), r + 1))
-    cands = list(
-        itertools.compress(subsets, _full_support_flags(code.field, code.G.a, tested))
-    )
-    part = _exact_cover(n, cands)
+    by_least: dict[int, list[tuple[int, ...]]] = {}
+
+    def candidates(x: int) -> list[tuple[int, ...]]:
+        if x not in by_least:
+            subsets, tested = itertools.tee(
+                (x, *c) for c in itertools.combinations(range(x + 1, n), r)
+            )
+            flags = _full_support_flags(code.field, code.G.a, tested)
+            by_least[x] = list(itertools.compress(subsets, flags))
+        return by_least[x]
+
+    def walk(covered: set, acc: list):
+        if len(covered) == n:
+            return tuple(acc)
+        x = min(set(range(n)) - covered)
+        for g in candidates(x):
+            if covered & set(g):
+                continue
+            acc.append(g)
+            res = walk(covered | set(g), acc)
+            if res is not None:
+                return res
+            acc.pop()
+        return None
+
+    part = walk(set(), [])
     if part is None:
         raise PreconditionError(
             f"no partition of the {n} coordinates into disjoint repair groups "
@@ -510,6 +510,8 @@ def ml_pyramid(spec: PyramidSpec) -> LinearCode:
 
     Length k + sum_i ceil(k_i/r_i) + d - 2; distance stays d; information
     coordinates of class i (and the block parities) have locality <= r_i.
+    Row-reducing the base is charged k^2 (k+d-1) units against the
+    enumeration budget before it is built; BudgetError when over.
     """
     F = field_from_order(spec.q)
     k, d = spec.k, spec.d
@@ -517,6 +519,13 @@ def ml_pyramid(spec: PyramidSpec) -> LinearCode:
         raise PreconditionError(
             f"field size {spec.q} too small for a [{k + d - 1}, {k}] "
             f"evaluation base (needs q >= k+d-1)"
+        )
+    units = k * k * (k + d - 1)  # one row reduction of the base
+    budget = resolve_budget()
+    if units > budget:
+        raise BudgetError(
+            f"pyramid construction needs {units} units for the "
+            f"{k} x {k + d - 1} base; budget is {budget}"
         )
     base = reed_solomon(F, k + d - 1, k)
     P = _systematic_generator(base)[:, k:]  # k x (d-1), all entries nonzero

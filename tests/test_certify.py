@@ -324,6 +324,59 @@ class TestCheckDominance:
                 assert getattr(rep, field.name) == getattr(fresh, field.name), (
                     point, field.name)
 
+    def test_memo_never_holds_more_than_its_cap(self, monkeypatch):
+        # a sweep over more distinct (q, n, d) cells than the cap empties the
+        # memo whenever it is full, and reports what an uncapped oracle does
+        certify_module = sys.modules["mllrc.certify"]
+        rng = random.Random(2001)
+        points = []
+        for _ in range(300):
+            shape = _random_shape(rng)
+            n = sum(sz for sz, _ in shape)
+            points.append((shape, rng.randint(1, n - 1), rng.randint(1, n),
+                           rng.choice([2, 3, 4, 5, 8, 13])))
+        uncapped = KOptOracle("singleton")
+        monkeypatch.setattr(certify_module, "_DOMINANCE_ORACLE", uncapped)
+        expect = [check_dominance(*point) for point in points]
+        cap = 64
+        assert len(uncapped._memo) > 4 * cap
+        monkeypatch.setattr(sys.modules["mllrc.bounds"], "_QUERY_MEMO_CAP", cap)
+        capped = KOptOracle("singleton")
+        monkeypatch.setattr(certify_module, "_DOMINANCE_ORACLE", capped)
+        sizes = []
+        resolve = capped._resolve
+        monkeypatch.setattr(
+            capped, "_resolve", lambda *cell: sizes.append(len(capped._memo)) or resolve(*cell)
+        )
+        assert [check_dominance(*point) for point in points] == expect
+        assert max(sizes + [len(capped._memo)]) == cap
+
+    def test_profile_is_checked_once(self, monkeypatch):
+        linear_code = sys.modules["mllrc.linear_code"]
+        normalize = linear_code._normalize_shape
+        checks = []
+
+        def counted(profile, *args, **kwargs):
+            checks.append(type(profile) is not linear_code._CheckedShape)
+            return normalize(profile, *args, **kwargs)
+
+        for name in ("mllrc.certify", "mllrc.bounds"):
+            monkeypatch.setattr(sys.modules[name], "_normalize_shape", counted)
+        rep = check_dominance(((3, 2), (8, 3)), 5, 7, 13)
+        assert sum(checks) == 1
+        assert type(rep.singleton_bound.effective_shape) is tuple
+        assert type(rep.alphabet_bound.effective_shape) is tuple
+
+    @pytest.mark.parametrize("shape", [
+        (), ((0, 1),), ((3, 0),), ((3, 2), (4, 2)), ((3, 3), (4, 2)),
+    ])
+    def test_invalid_profile_refused_as_by_the_singleton_bound(self, shape):
+        with pytest.raises(PreconditionError) as want:
+            ml_singleton(shape, 1)
+        with pytest.raises(PreconditionError) as got:
+            check_dominance(shape, 1, 2, 2)
+        assert str(got.value) == str(want.value)
+
 
 class TestFullAnalysis:
     def test_small_subgroup_code(self):

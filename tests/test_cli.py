@@ -147,6 +147,19 @@ class TestConstruct:
                 2, "", f"precondition error: repair group {i} of 3 carries no "
                 "dual word with full support\n")
 
+    def test_pyramid_over_budget_is_refused(self, cli, tmp_path):
+        # k = 1000 over GF(1021): a 1000 x 1002 base
+        spec_file = tmp_path / "big.spec"
+        save_pyramid_spec(PyramidSpec(1021, 3, ((1000, 1),)), spec_file)
+        err = (
+            "budget error: pyramid construction needs 1002000000 units for the "
+            "1000 x 1002 base; budget is 100000000\n"
+        )
+        for argv in (("construct", "pyramid", "--spec"), ("certify", "--pyramid")):
+            start = time.perf_counter()
+            assert cli(*argv, str(spec_file)) == (1, "", err)
+            assert time.perf_counter() - start < 1
+
     def test_pyramid_spec(self, cli, tmp_path):
         spec_file = tmp_path / "pyr.spec"
         save_pyramid_spec(PyramidSpec(7, 4, ((4, 2),)), spec_file)

@@ -10,6 +10,7 @@ inside LinearCode.  Expected values frozen below were produced by those
 oracles and cross-checked by hand where small.
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -159,6 +160,13 @@ class TestReedSolomon:
         rs = reed_solomon(F7, 6, 3)
         assert (rs.n, rs.k) == (6, 3)
         assert brute_distance(rs) == 4  # n - k + 1
+
+    @pytest.mark.parametrize("q", [2, 4, 7, 16, 17])
+    def test_rows_are_powers_of_the_points(self, q):
+        F = field_from_order(q)
+        k = min(q, 4)
+        expect = [[F.pow(x, i) for x in range(q)] for i in range(k)]
+        assert reed_solomon(F, q, k).G.tolist() == expect
 
     def test_rs_rejects_bad_dims(self):
         with pytest.raises(PreconditionError):
@@ -323,13 +331,38 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _exact_cover(n: int, groups: list[tuple[int, ...]]):
+    """Lexicographically smallest partition of range(n) into given groups."""
+    groups = sorted(groups)
+    by_coord: dict[int, list[tuple[int, ...]]] = {c: [] for c in range(n)}
+    for g in groups:
+        by_coord[g[0]].append(g)
+
+    def dfs(covered: set, acc: list):
+        if len(covered) == n:
+            return tuple(acc)
+        x = min(set(range(n)) - covered)
+        for g in by_coord[x]:
+            if covered & set(g):
+                continue
+            acc.append(g)
+            res = dfs(covered | set(g), acc)
+            if res is not None:
+                return res
+            acc.pop()
+        return None
+
+    return dfs(set(), [])
+
+
 def detect_reference(code, r):
+    """Eager detection: test every (r+1)-subset, then search for the cover."""
     cands = [
         S
         for S in itertools.combinations(range(code.n), r + 1)
         if full_support_reference(code.field, code.G.a, S)
     ]
-    part = constructions._exact_cover(code.n, cands)
+    part = _exact_cover(code.n, cands)
     if part is None:
         raise PreconditionError(
             f"no partition of the {code.n} coordinates into disjoint repair "
@@ -568,6 +601,103 @@ class TestFullSupportFlags:
         assert found
 
 
+def walk_visits(n, cands) -> collections.Counter:
+    """How often the cover search of _exact_cover branches on each coordinate."""
+    by_coord: dict[int, list[tuple[int, ...]]] = {}
+    for g in sorted(cands):
+        by_coord.setdefault(g[0], []).append(g)
+    visits = collections.Counter()
+
+    def dfs(covered: set) -> bool:
+        if len(covered) == n:
+            return True
+        x = min(set(range(n)) - covered)
+        visits[x] += 1
+        return any(
+            not covered & set(g) and dfs(covered | set(g)) for g in by_coord.get(x, ())
+        )
+
+    dfs(set())
+    return visits
+
+
+def record_tested_subsets(monkeypatch) -> list:
+    """Record every subset that _full_support_flags is asked about."""
+    seen = []
+    flags = constructions._full_support_flags
+
+    def record(F, A, subsets):
+        subsets = list(subsets)
+        seen.extend(subsets)
+        return flags(F, A, subsets)
+
+    monkeypatch.setattr(constructions, "_full_support_flags", record)
+    return seen
+
+
+# (q, n, group size, seed): grouped_code(random.Random(seed), F, n, size) is a
+# code whose cover search meets a dead end and then branches again on a
+# coordinate it has branched on before.  The last column: a partition exists.
+BACKTRACKING = [
+    (2, 12, 4, 333, True), (2, 12, 4, 344, True), (2, 12, 4, 0, False),
+    (3, 9, 3, 12, True), (3, 9, 3, 13, True), (3, 9, 3, 2, False),
+    (16, 9, 3, 34, True), (16, 9, 3, 35, True), (16, 9, 3, 124, False),
+    (17, 9, 3, 4, True), (17, 9, 3, 11, True), (17, 9, 3, 104, False),
+]
+
+
+class TestLazyDetection:
+    @pytest.mark.parametrize("q,n,size,seed,partition", BACKTRACKING)
+    def test_backtracking_reuses_each_batch(
+        self, monkeypatch, q, n, size, seed, partition
+    ):
+        code = grouped_code(random.Random(seed), field_from_order(q), n, size)
+        subsets = list(itertools.combinations(range(n), size))
+        cands = [S for S in subsets if full_support_reference(code.field, code.G.a, S)]
+        visits = walk_visits(n, cands)
+        assert max(visits.values()) > 1
+        expect = outcome(detect_reference, code, size - 1)
+        assert isinstance(expect[0], tuple) == partition
+        seen = record_tested_subsets(monkeypatch)
+        assert outcome(detect_repair_groups, code, size - 1) == expect
+        # one batch per coordinate branched on, each subset tested once
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {S for S in subsets if S[0] in visits}
+
+    @pytest.mark.parametrize("r,tested", [(3, 455 + 165 + 35 + 1), (1, 15)])
+    def test_only_the_reached_subsets_are_tested(self, monkeypatch, r, tested):
+        # [16,9]_17: groups (0..3), (4..7), ... at r = 3, so the walk branches
+        # on 0, 4, 8, 12; at r = 1 no subset with least element 0 qualifies
+        code = tamo_barg(17, 16, 9, 3)
+        seen = record_tested_subsets(monkeypatch)
+        if r == 3:
+            assert detect_repair_groups(code, r) == tuple(
+                tuple(range(i, i + 4)) for i in range(0, 16, 4)
+            )
+        else:
+            with pytest.raises(PreconditionError, match="no partition"):
+                detect_repair_groups(code, r)
+        assert len(seen) == len(set(seen)) == tested < comb(16, r + 1)
+
+    def test_unreached_subset_over_the_cap_is_never_tested(self):
+        # GF(257), unit columns u, v, w: columns 1..4 are u, 2u, 3u, 4u, so
+        # (1, 2, 3, 4) has a 257^3-word kernel, over the 2^20 cap.  The walk
+        # places (0, 1, 2, 5), then (3, 4, 6, 7), and never branches on 1.
+        F = field_from_order(257)
+        u, v, w = np.eye(3, dtype=np.int64)
+        code = LinearCode(F, np.array([v, u, 2 * u, 3 * u, 4 * u, v + u, w, w + u]).T)
+        over_cap = "kernel enumeration needs 16974593 combinations (cap 1048576)"
+        with pytest.raises(BudgetError) as exc:  # testing every subset
+            list(constructions._full_support_flags(
+                F, code.G.a, itertools.combinations(range(8), 4)
+            ))
+        assert str(exc.value) == over_cap
+        groups = detect_repair_groups(code, 3)
+        assert groups == ((0, 1, 2, 5), (3, 4, 6, 7))
+        for g, y in zip(groups, ([-1, 1, -1, 1], [1, -1, -1, 1])):  # dual words
+            assert not (code.G.a[:, list(g)] @ np.array(y) % 257).any()
+
+
 # ---------------------------------------------------------------------------
 # locality-splitting transforms
 # ---------------------------------------------------------------------------
@@ -793,6 +923,21 @@ class TestPyramid:
         ]
         # length bookkeeping: k + number of blocks + d - 2
         assert spec.n == 4 + 2 + 2
+
+    def test_base_row_reduction_is_charged(self, monkeypatch):
+        spec = PyramidSpec(7, 4, ((4, 2),))  # a 4 x 7 base: 4^2 * 7 units
+        monkeypatch.setattr(linear_code, "DEFAULT_BUDGET", 112)
+        assert ml_pyramid(spec).G.shape == (4, 8)
+        monkeypatch.setattr(linear_code, "DEFAULT_BUDGET", 111)
+        with pytest.raises(BudgetError) as exc:
+            ml_pyramid(spec)
+        assert str(exc.value) == (
+            "pyramid construction needs 112 units for the 4 x 7 base; budget is 111"
+        )
+        # the spec's own checks come first: q = 7 < k + d - 1 = 9
+        monkeypatch.setattr(linear_code, "DEFAULT_BUDGET", 1)
+        with pytest.raises(PreconditionError, match="field size 7 too small"):
+            ml_pyramid(PyramidSpec(7, 4, ((6, 2),)))
 
     def test_single_class_meets_size_bound(self):
         spec = PyramidSpec(7, 4, ((4, 2),))
