@@ -508,20 +508,21 @@ def mat_rref(M: MatrixGF) -> tuple[MatrixGF, tuple[int, ...]]:
     return MatrixGF(F, A), tuple(pivots)
 
 
-def _rref_stack(F: FiniteField, B: np.ndarray):
+def _rref_stack(F: FiniteField, B: np.ndarray, limit: int | None = None):
     """Row-reduce every matrix of the stack B (N x k x s) in lockstep.
 
     Each matrix gets the reduction of mat_rref: column by column, the pivot is
     the first nonzero entry from the current row down, scaled to 1 and cleared
-    above and below.  Returns the reduced stack, the (N x s) mask of pivot
-    columns and the ranks.
+    above and below; only the first `limit` columns (default all) take
+    pivots.  Returns the reduced stack, the (N x s) mask of pivot columns
+    and the ranks.
     """
     N, k, s = B.shape
     B = B.copy()
     rank = np.zeros(N, dtype=np.int64)
     pivot = np.zeros((N, s), dtype=bool)
     rows = np.arange(k)
-    for c in range(s):
+    for c in range(s if limit is None else limit):
         cand = (B[:, :, c] != 0) & (rows >= rank[:, None])
         idx = np.flatnonzero(cand.any(axis=1))
         if idx.size == 0:

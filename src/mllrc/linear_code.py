@@ -38,16 +38,18 @@ refused: the plan never exceeds the first set alone.
 
 Locality has a second route, span search: coordinate t has locality s when
 s is the least size of a set S of other allowed coordinates whose generator
-columns span column t.  Level 1 is a lookup of parallel columns; each level
-s >= 2 row-reduces [G_S | g_t] for every s-subset S in combinations order,
-batched across the unresolved targets (_span_level), and t is resolved at
-the first S whose last column is not a pivot.  A minimal S has independent
-columns, so its coefficients are unique and nonzero and the first S is the
-dual scan's lexicographically least witness.  LinearCode._locality_scan
-predicts each level's cost as (open targets) x C(|support| - 1, s) tests of
-k(s+1) units, charged against the same budget, and hands the open targets
-to the dual scan when its q^dim words fit the budget and number fewer than
-_WORDS_PER_UNIT times the level's units, or when the level does not fit.
+columns span column t.  Such an S is independent, so its coefficients are
+unique and nonzero, and its first s - 1 columns P do not span g_t.  Level s
+row-reduces [G_P | G] once per (s-1)-subset P, pivoting on P's columns only,
+and P + (j,) spans g_t iff the residuals of g_j and g_t below P's pivots
+match once scaled to a leading 1.  The first P in combinations order with a
+match, with its least j, is the dual scan's lexicographically least witness
+(_span_level); level 1 is the same lookup on the empty prefix.
+LinearCode._locality_scan predicts each level's cost as (open targets) x
+C(|support| - 1, s) tests of k(s+1) units, charged against the same budget,
+and hands the open targets to the dual scan when its q^dim words fit the
+budget and number fewer than _WORDS_PER_UNIT times the level's units, or
+when the level does not fit.
 Locality is refused only when both routes are over the budget.  Every
 locality answer goes through LinearCode._repairs, which keeps the exact
 results (localities and witnesses together) on the code.
@@ -93,15 +95,16 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _LOW_WORDS = 1 << 12
-# Span tests row-reduced together: enough to amortise the numpy calls, few
-# enough that a chunk's (tests x k x (s+1)) stack stays small.
-_SPAN_CHUNK = 256
+# Span-search prefixes row-reduced together: enough to amortise the numpy
+# calls, few enough that a chunk's (prefixes x k x (m+s-1)) stack stays small.
+_SPAN_CHUNK = 64
 # Dual-scan words that cost as much as one span-test unit (one entry of a
 # k x (s+1) rank test), for the route choice in LinearCode._locality_scan.
 # Timed through LinearCode.locality_profile on the perfbench corpus (2-core
 # x86-64, Python 3.11, numpy 2.4): the dual scan took 8-16 ns a word on
-# [12,6]_13, [11,5]_13, [15,10]_16 and [45,23]_2, span search 125-180 ns a
-# predicted unit on [12,6]_13, [15,8]_16 and [20,8]_2.
+# [12,6]_13, [11,5]_13, [15,10]_16 and [45,23]_2; span search 8-33 ns a
+# predicted unit on [12,6]_13, [15,8]_16 and [20,8]_2 (140-190 ns before it
+# shared prefixes).  16 is kept so that no route or refusal edge moves.
 _WORDS_PER_UNIT = 16
 # MacWilliams dual words that cost as much as one Brouwer-Zimmermann word,
 # for the route choice in LinearCode._distance_scan.  Timed on the same host
@@ -357,56 +360,51 @@ class _MessageLevels:
                 yield self._weigh(P[last < i], i)
 
 
-def _parallel_columns(F: FiniteField, A: np.ndarray, targets):
-    """Level 1 of _span_level, by lookup: per nonzero target column t, the
-    first other column j with a_t = c * a_j, as ((j,), [c])."""
-    m = A.shape[1]
-    heads = A[(A != 0).argmax(axis=0), np.arange(m)]  # first nonzero entries
-    unit = F.mul(A, F.inv(np.where(heads != 0, heads, 1))[None, :])
-    keys = [col.tobytes() for col in unit.T]
-    by_key: dict[bytes, list[int]] = {}
-    for j in np.flatnonzero(heads).tolist():
-        by_key.setdefault(keys[j], []).append(j)
-    found = {}
-    for t in targets:
-        j = next((j for j in by_key.get(keys[t], ()) if j != t), None)
-        if j is not None:
-            found[t] = ((j,), [F.div(int(heads[t]), int(heads[j]))])
-    return found
+def _first_matches(F: FiniteField, R: np.ndarray, P, targets):
+    """_span_level's lookup on one chunk of prefixes P (rows, in order): R
+    stacks [A_P | A] row-reduced on P's p columns.  Per target t, the first
+    independent P where some j != t has a residual (rows p and down) c times
+    t's nonzero one, as (P + (j,), R[:p, t] - c R[:p, j] then c) for the
+    least such j.  That j exceeds max(P) once every earlier prefix was tried:
+    else P + (j,) less max(P) would be an earlier match."""
+    p = P.shape[1]
+    U = R[:, p:, p:]
+    head = np.take_along_axis(U, (U != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    U = F.mul(U, F.inv(np.where(head != 0, head, 1))[:, None, :])
+    t = np.asarray(targets, dtype=np.int64)
+    indep = (R[:, :p, :p] == np.eye(p, dtype=np.int64)).all(axis=(1, 2))
+    live = indep[:, None] & (head[:, t] != 0)  # and a_t outside span(A_P)
+    match = live[:, :, None] & (np.arange(U.shape[2]) != t[:, None])
+    for row in U.transpose(1, 0, 2):
+        match &= row[:, t, None] == row[:, None, :]
+    hit = match.any(axis=2)
+    got = np.flatnonzero(hit.any(axis=0))
+    n = hit[:, got].argmax(axis=0)
+    j, t = match[n, got].argmax(axis=1), t[got]
+    c = F.div(head[n, t], head[n, j])
+    alpha = F.sub(R[n, :p, p + t], F.mul(c[:, None], R[n, :p, p + j]))
+    coeffs = np.concatenate([alpha, c[:, None]], axis=1)
+    S = np.concatenate([P[n], j[:, None]], axis=1).tolist()
+    return {int(x): (tuple(S[i]), coeffs[i]) for i, x in enumerate(t)}
 
 
 def _span_level(F: FiniteField, A: np.ndarray, targets, s: int):
     """Per target column t of A: the first s-subset S of the other columns, in
     combinations order, whose span holds column t, with the coefficients of
     column t over the columns of S.  Targets with no such S are left out.
-
-    [A_S | a_t] is row-reduced for _SPAN_CHUNK subsets at a time, taken in
-    turn from every target not yet resolved; S spans a_t exactly when the
-    last column is not a pivot.  The first such S of a target at its least s
-    has independent columns, so its RREF is the identity over the last
-    column's coefficients."""
-    m = A.shape[1]
-    streams = {
-        t: itertools.combinations([j for j in range(m) if j != t], s) for t in targets
-    }
+    Level s - 1 must have left every target open (see the module docstring).
+    The (s-1)-subsets P are taken _SPAN_CHUNK at a time, and each chunk is
+    row-reduced in one _rref_stack call that pivots on P's columns only."""
+    m, p = A.shape[1], s - 1
+    prefixes = itertools.combinations(range(m), p)
     found: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-    while streams:
-        per = max(1, _SPAN_CHUNK // len(streams))
-        tags, cols = [], []
-        for t, it in list(streams.items()):
-            got = list(itertools.islice(it, per))
-            if len(got) < per:
-                del streams[t]
-            tags += [t] * len(got)
-            cols += [S + (t,) for S in got]
-        if not cols:
+    for chunk in iter(lambda: list(itertools.islice(prefixes, _SPAN_CHUNK)), []):
+        if len(found) == len(targets):
             break
-        R, pivot, _ = _rref_stack(F, A[:, cols].transpose(1, 0, 2))
-        for b in np.flatnonzero(~pivot[:, s]).tolist():
-            t = tags[b]
-            if t not in found:
-                found[t] = (cols[b][:s], R[b, :s, s])
-                streams.pop(t, None)
+        P = np.array(chunk, dtype=np.int64)
+        B = np.broadcast_to(A, (len(P),) + A.shape)
+        R = _rref_stack(F, np.concatenate([A[:, P].transpose(1, 0, 2), B], axis=2), p)[0]
+        found.update(_first_matches(F, R, P, [t for t in targets if t not in found]))
     return found
 
 
@@ -840,9 +838,7 @@ class LinearCode:
     def _locality_scan(self, support, targets, budget, cap, witnesses):
         """Exact (locality, witness) per target, by span search or dual scan.
 
-        Span search (see _span_level) looks for the least s such that some
-        s-subset of the other support columns spans the target's column.
-        Level 1 is a lookup of parallel columns and is charged nothing.
+        Span search (see the module docstring) charges nothing for level 1.
         Before each level s >= 2 its cost is predicted as (open targets) x
         C(|support| - 1, s) rank tests of k(s+1) units each, charged against
         the budget.  The open targets go to the dual scan of q^dim words
@@ -866,7 +862,9 @@ class LinearCode:
         }
         out = {t: (None, None) for t in targets if not rel[t]}
         open_ = [pos[t] for t in targets if rel[t]]
-        found, spent, s = _parallel_columns(F, A, open_), 0, 1
+        # level 1 is span search's lookup on the empty prefix: parallel columns
+        found = _first_matches(F, A[None], np.empty((1, 0), dtype=np.int64), open_)
+        spent, s = 0, 1
         while True:
             for p, (S, coeffs) in found.items():
                 t = support[p]

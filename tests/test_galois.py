@@ -16,6 +16,7 @@ from mllrc.errors import PreconditionError
 from mllrc.galois import (
     FiniteField,
     MatrixGF,
+    _rref_stack,
     default_modulus,
     field_from_order,
     field_new,
@@ -210,6 +211,33 @@ def test_rref_shape_and_span():
         assert rowspace_vectors(F, A.tolist()) == rowspace_vectors(
             F, [r for r in R.tolist() if any(r)] or [[0] * 5]
         )
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (13, 1), (2, 4), (3, 2)])
+def test_rref_stack_pivot_limit(p, m):
+    """With the limit equal to the width the stack is reduced as without one.
+    With limit l, the first l columns of each matrix are reduced as mat_rref
+    reduces them alone, no later column takes a pivot, and each matrix keeps
+    its row space."""
+    F = field_new(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    for k, s in [(1, 1), (3, 5), (4, 7), (5, 3)]:
+        B = rng.integers(0, F.q, size=(16, k, s))
+        B[::4, :, 0] = 0  # a zero column
+        B[1::4, :, s - 1] = F.mul(int(rng.integers(1, F.q)), B[1::4, :, 0])  # a multiple
+        full = _rref_stack(F, B)
+        for got, want in zip(_rref_stack(F, B, s), full):
+            assert np.array_equal(got, want)
+        for limit in range(s + 1):
+            R, pivot, rank = _rref_stack(F, B, limit)
+            assert not pivot[:, limit:].any()
+            for b in range(len(B)):
+                Rl, piv = mat_rref(MatrixGF(F, B[b, :, :limit]))
+                assert np.array_equal(R[b, :, :limit], Rl.a)
+                assert np.flatnonzero(pivot[b]).tolist() == list(piv)
+                assert rank[b] == len(piv)
+                both = MatrixGF(F, np.vstack([B[b], R[b]]))
+                assert mat_rank(MatrixGF(F, R[b])) == mat_rank(MatrixGF(F, B[b])) == mat_rank(both)
 
 
 def test_kernel_is_the_null_space():

@@ -17,7 +17,7 @@ import pytest
 import mllrc.linear_code as linear_code
 from mllrc.constructions import construction2_binary_lrc, reed_solomon, tamo_barg
 from mllrc.errors import BudgetError, ParseError, PreconditionError
-from mllrc.galois import MatrixGF, field_new, mat_rank
+from mllrc.galois import MatrixGF, _rref_stack, field_from_order, field_new, mat_rank
 from mllrc.linear_code import (
     LinearCode,
     LocalityClass,
@@ -491,7 +491,8 @@ def route_spy(monkeypatch):
     return state, calls
 
 
-@pytest.mark.parametrize("chunk", [1, 3, linear_code._SPAN_CHUNK])
+# 256 was the chunk of the per-subset search; the default chunk is covered too
+@pytest.mark.parametrize("chunk", sorted({1, 3, linear_code._SPAN_CHUNK, 256}))
 @pytest.mark.parametrize("field", sorted(_ROUTE_FIELDS), ids=lambda f: f"{f[0]}^{f[1]}")
 def test_locality_routes_match_reference(monkeypatch, route_spy, field, chunk):
     monkeypatch.setattr(linear_code, "_SPAN_CHUNK", chunk)
@@ -545,6 +546,98 @@ def test_locality_routes_match_reference(monkeypatch, route_spy, field, chunk):
     # every route ran as intended, and the switch happened mid-scan
     assert any(c and c[0] == "span2" and c[-1] == "dual" for c in calls)
     assert not any("dual" in c and c[-1] != "dual" for c in calls)
+
+
+def span_level_reference(F, A, targets, s):
+    """The per-subset span search that prefix-shared span search replaced:
+    one rank test of [A_S | a_t] per target t and s-subset S, in
+    combinations order, 256 tests row-reduced at a time."""
+    m = A.shape[1]
+    streams = {
+        t: itertools.combinations([j for j in range(m) if j != t], s) for t in targets
+    }
+    found: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    while streams:
+        per = max(1, 256 // len(streams))
+        tags, cols = [], []
+        for t, it in list(streams.items()):
+            got = list(itertools.islice(it, per))
+            if len(got) < per:
+                del streams[t]
+            tags += [t] * len(got)
+            cols += [S + (t,) for S in got]
+        if not cols:
+            break
+        R, pivot, _ = _rref_stack(F, A[:, cols].transpose(1, 0, 2))
+        for b in np.flatnonzero(~pivot[:, s]).tolist():
+            t = tags[b]
+            if t not in found:
+                found[t] = (cols[b][:s], R[b, :s, s])
+                streams.pop(t, None)
+    return found
+
+
+def _span_matrix(F, rng):
+    """A random k x m matrix, k <= 8 and m <= 14.  Most have zero columns,
+    columns that repeat or scale an earlier one, and columns that combine two
+    earlier ones, so that many prefixes are rank-deficient; the rest are
+    plain random, so that high levels are reached."""
+    k = rng.randint(1, 8)
+    m = rng.randint(2, 14) if rng.random() < 0.2 else rng.randint(k + 1, 14)
+    odd = rng.choice([0.0, 0.2, 0.4])
+    A = np.array([[rng.randrange(F.q) for _ in range(m)] for _ in range(k)])
+    for j in range(1, m):
+        kind = rng.random() / odd if odd else 1.0
+        if kind < 0.2:
+            A[:, j] = 0
+        elif kind < 0.6:
+            A[:, j] = F.mul(rng.randrange(1, F.q), A[:, rng.randrange(j)])
+        elif kind < 1.0 and j > 1:
+            a, b = rng.sample(range(j), 2)
+            A[:, j] = F.add(F.mul(rng.randrange(F.q), A[:, a]), A[:, b])
+    return A
+
+
+def _witness_bytes(found):
+    return {t: (S, np.asarray(c, dtype=np.int64).tobytes()) for t, (S, c) in found.items()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 13, 16, 17])
+def test_span_search_matches_per_subset_reference(monkeypatch, q):
+    """Level 1 (the lookup on the empty prefix) and every level s >= 2 until
+    all targets are resolved give the reference's S and coefficient bytes, at
+    every chunk size."""
+    F = field_from_order(q)
+    rng = random.Random(f"span-search/{q}")
+    empty = np.empty((1, 0), dtype=np.int64)
+    deepest = 0
+    for _ in range(12):
+        A = _span_matrix(F, rng)
+        rank = mat_rank(MatrixGF(F, A))
+        # nonzero columns in the span of the others: their least s is <= rank
+        targets = [
+            t for t in range(A.shape[1])
+            if A[:, t].any() and mat_rank(MatrixGF(F, np.delete(A, t, axis=1))) == rank
+        ]
+        want = span_level_reference(F, A, targets, 1)
+        got = linear_code._first_matches(F, A[None], empty, targets)
+        assert _witness_bytes(got) == _witness_bytes(want)
+        levels, open_ = [], [t for t in targets if t not in want]
+        while open_:
+            s = len(levels) + 2
+            levels.append((s, open_, span_level_reference(F, A, open_, s)))
+            deepest = max(deepest, s) if levels[-1][2] else deepest
+            open_ = [t for t in open_ if t not in levels[-1][2]]
+        assert 1 + len(levels) <= max(rank, 1)  # the least s is at most the rank
+        # one prefix a chunk, or three, on the narrower matrices: a level
+        # there has at most C(10, 5) prefixes
+        small = (1, 3) if A.shape[1] <= 10 else ()
+        for chunk in small + (linear_code._SPAN_CHUNK,):
+            monkeypatch.setattr(linear_code, "_SPAN_CHUNK", chunk)
+            for s, open_, want in levels:
+                got = linear_code._span_level(F, A, open_, s)
+                assert _witness_bytes(got) == _witness_bytes(want), (chunk, s, A.tolist())
+    assert deepest >= 3
 
 
 # Field -> the largest k of a distance-corpus code, so the reference lists
