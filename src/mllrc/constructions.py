@@ -226,9 +226,8 @@ def _elimination_flags(F: FiniteField, A: np.ndarray, S: np.ndarray):
             yield bool(one_free_full[b])
             continue
         K = _kernel_basis(F, R[b], np.flatnonzero(pivot[b]).tolist())
-        yield any(
-            bool((zeros == 0).any()) for *_, zeros in _SplitTable(F, K).blocks()
-        )
+        full = K.shape[1]  # a word with no zero
+        yield any(bool((w == full).any()) for _, w, _ in _SplitTable(F, K).blocks())
 
 
 def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...]:

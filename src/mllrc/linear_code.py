@@ -10,13 +10,18 @@ Every exhaustive pass (the dual weight distribution behind the MacWilliams
 distance route, and the dual-word scans behind localities and repair-set
 witnesses) runs on one split-table kernel, `_SplitTable`.  The first a
 generator rows are encoded once into a low codebook of q^a words (a is the
-largest value with q^a <= 2^12, clamped to [1, k]); block b is that codebook
-shifted by high word b, the combination of the remaining rows.  A block's
-zero pattern is the single comparison low == -high[b] on a column-major
-uint8 table (uint16 when q > 256), so no block re-encodes messages; actual
-codewords are rebuilt only for witness candidates.  The budget charges the
-nominal q^dim words before a pass starts, and the zero word is never
-visited.
+largest value with q^a <= 2^12, clamped to [1, k]); high word b is the
+combination of the remaining rows, and word (b, c) is low word c plus it.
+Over GF(2) with n <= 64 words are uint64 bitmasks: a block is a batch of at
+most 2^16 words, high[b:b+h, None] ^ low[None, :], weighed by
+np.bitwise_count.  Otherwise a block is the codebook shifted by one high
+word, and its zero pattern is the single comparison low == -high[b] on a
+column-major uint8 table (uint16 when q > 256).  No block re-encodes
+messages; actual codewords are rebuilt only for witness candidates.  The
+budget charges the nominal q^dim words before a pass starts, and the zero
+word is never visited.  A dual scan seeds each target's bound from the
+basis rows and reduces only the words of a block lighter than the largest
+bound still open.
 
 Minimum distance has two routes.  Brouwer-Zimmermann takes disjoint
 information sets greedily in column order (_information_sets); set j has
@@ -59,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -75,6 +79,10 @@ from .galois import (
     mat_kernel,
     mat_rank,
     mat_rref,
+)
+from .profiles import (  # re-exported: part of this module's API
+    LocalityClass, LocalityProfile, RepairSet, _CheckedShape, _normalize_shape,
+    _profile_from_localities, format_profile_shape, parse_profile_shape,
 )
 
 __all__ = [
@@ -100,18 +108,19 @@ _LOW_WORDS = 1 << 12
 _SPAN_CHUNK = 64
 # Dual-scan words that cost as much as one span-test unit (one entry of a
 # k x (s+1) rank test), for the route choice in LinearCode._locality_scan.
-# Timed through LinearCode.locality_profile on the perfbench corpus (2-core
-# x86-64, Python 3.11, numpy 2.4): the dual scan took 8-16 ns a word on
-# [12,6]_13, [11,5]_13, [15,10]_16 and [45,23]_2; span search 8-33 ns a
-# predicted unit on [12,6]_13, [15,8]_16 and [20,8]_2 (140-190 ns before it
-# shared prefixes).  16 is kept so that no route or refusal edge moves.
+# Timed on the perfbench corpus (2-core x86-64, Python 3.11, numpy 2.4): a
+# dual-scan word takes 3.6-5.4 ns on [12,6]_13, [11,5]_13 and [15,10]_16 and
+# 2.0 ns on [45,23]_2 (packed, 10-11 ns unpacked); span search 8-33 ns a
+# predicted unit on [12,6]_13, [15,8]_16 and [20,8]_2.  16 is kept on purpose
+# so that no route or refusal edge moves.
 _WORDS_PER_UNIT = 16
 # MacWilliams dual words that cost as much as one Brouwer-Zimmermann word,
 # for the route choice in LinearCode._distance_scan.  Timed on the same host
 # in two runs: a BZ word took 30-32 ns on [45,23]_2 (bit-packed), 50-67 ns on
 # [15,8]_16, 74-84 ns on [12,6]_13 and 200-266 ns on [102,64]_2 (too long to
-# pack); a MacWilliams dual word 8-11 ns on [15,10]_16 and [12,6]_13 and
-# 11-16 ns on [45,23]_2.  So a BZ word costs 2 to 8 dual words.
+# pack); a MacWilliams dual word 8-11 ns on [15,10]_16 and [12,6]_13 and,
+# packed, 2.8-3.0 ns on [45,23]_2 (9-13 ns unpacked).  So a BZ word costs 2
+# to 11 dual words; 5 is kept on purpose so that no route or refusal edge moves.
 _DUAL_WORDS_PER_WORD = 5
 
 
@@ -139,6 +148,17 @@ def _low_rows(q: int, k: int) -> int:
     return a
 
 
+def _packs(F: FiniteField, n: int) -> bool:
+    """Whether words of length n over F pack into uint64 (numpy >= 2 weighs them)."""
+    return F.q == 2 and n <= 64 and hasattr(np, "bitwise_count")
+
+
+def _pack(G: np.ndarray) -> np.ndarray:
+    """Each row of a 0/1 matrix as one uint64, bit j holding column j."""
+    shifts = np.arange(G.shape[1], dtype=np.uint64)
+    return np.bitwise_or.reduce(G.astype(np.uint64) << shifts, axis=1)
+
+
 def _codebook(F: FiniteField, G: np.ndarray) -> np.ndarray:
     """All q^r words spanned by the r rows of G, one per row, in message order
     (digit i multiplies row i; digit 0 is least significant)."""
@@ -150,61 +170,106 @@ def _codebook(F: FiniteField, G: np.ndarray) -> np.ndarray:
     return words
 
 
-def _word_chunks(F: FiniteField, G: np.ndarray):
-    """The words of _codebook(F, G) in the same order, in chunks of at most
-    max(q, _LOW_WORDS) rows, so memory stays bounded whatever the dimension."""
-    a = _low_rows(F.q, G.shape[0])
-    low = _codebook(F, G[:a])
-    if a >= G.shape[0]:  # also the lone zero word of an empty G
+def _xor_codebook(rows: np.ndarray) -> np.ndarray:
+    """_codebook over GF(2) on packed rows, by XOR doubling."""
+    words = np.zeros(1, dtype=np.uint64)
+    for row in rows:
+        words = np.concatenate([words, words ^ row])
+    return words
+
+
+def _word_chunks(q: int, rows, codebook, add):
+    """The words of codebook(rows) in the same order, in chunks of at most
+    max(q, _LOW_WORDS) words, so memory stays bounded whatever the dimension;
+    add(low, h) shifts a chunk by one word."""
+    a = _low_rows(q, len(rows))
+    low = codebook(rows[:a])
+    if a >= len(rows):  # also the lone zero word of no rows
         yield low
         return
-    for top in _word_chunks(F, G[a:]):
+    for top in _word_chunks(q, rows[a:], codebook, add):
         for h in top:
-            yield F.add(low, h)
+            yield add(low, h)
 
 
 class _SplitTable:
     """Exhaustive enumeration of a row space by split tables.
 
     The first a generator rows (a = _low_rows) are encoded once into a low
-    codebook of q^a words; the other rows give q^(k-a) high words.  Block b is
-    the low codebook shifted by high word b, so message index = c + q^a * b,
-    the same order as counting messages with digit 0 least significant.  The
-    codebook is held column-major as uint8 (uint16 when q > 256), and word
-    (b, c) is zero at coordinate j exactly when low[c, j] == -high[b, j]: one
-    comparison per block gives every zero pattern, with no per-block field
-    arithmetic.  Actual words are rebuilt only on request (witnesses).
+    codebook of q^a words; the other rows give q^(k-a) high words.  Word
+    (b, c) is low word c plus high word b, message c + q^a * b: the order of
+    counting messages with digit 0 least significant.  Over GF(2) with
+    n <= 64 (_packs) words are uint64 bitmasks: a block is a batch of
+    _LOW_WORDS * 16 words or one high word, whichever is more, built as
+    high[b:b+h, None] ^ low[None, :] and weighed by np.bitwise_count.
+    Otherwise a block is one high word: the codebook is held column-major as
+    uint8 (uint16 when q > 256), and word (b, c) is nonzero at coordinate j
+    exactly when low[c, j] != -high[b, j], so one comparison gives every
+    zero pattern, with no per-block field arithmetic.  Actual words are
+    rebuilt only on request (witnesses).
     """
 
     def __init__(self, F: FiniteField, G: np.ndarray):
         k, n = G.shape
         a = _low_rows(F.q, k)
-        self.field = F
-        self.low = _codebook(F, G[:a])
-        self._low_t = np.ascontiguousarray(
-            self.low.T, dtype=np.uint8 if F.q <= 256 else np.uint16
-        )
+        self.field, self.n = F, n
+        self.packed = _packs(F, n)
+        if self.packed:
+            rows = _pack(G)
+            self._low, self._high_rows = _xor_codebook(rows[:a]), rows[a:]
+            self._bits = np.arange(n, dtype=np.uint64)
+            return
+        self._low = _codebook(F, G[:a])
+        self._low_t = self._low.T.astype(np.uint8 if F.q <= 256 else np.uint16, order="C")
         self._neg_high_rows = F.neg(G[a:])
-        # zero counts (and zero counts + 1) fit in a byte for n < 255
+        # weights (and n + 1) fit in a byte for n < 255
         self._count_dtype = np.uint8 if n < 255 else np.int64
 
     def blocks(self):
-        """Yield (first, neg_high, eq, zeros) per block, skipping the zero word.
+        """Yield (first, weights, block) per block, skipping the zero word.
 
-        eq[j, c] says low word first + c plus the block's high word is zero at
-        coordinate j; zeros[c] is its number of zero coordinates.  neg_high is
-        the negated high word (int64), for word()."""
-        first = 1  # message 0 is the zero word
-        for chunk in _word_chunks(self.field, self._neg_high_rows):
+        The block's words are messages first, first + 1, ...; weights[i] is
+        the weight of word i, and block is read by lightest and word."""
+        first = 0
+        if self.packed:
+            span = max(1, (_LOW_WORDS << 4) // len(self._low))  # high words a batch
+            for top in _word_chunks(2, self._high_rows, _xor_codebook, np.bitwise_xor):
+                for at in range(0, len(top), span):
+                    words = (top[at:at + span, None] ^ self._low).ravel()
+                    skip = int(first == 0)  # message 0 is the zero word
+                    yield first + skip, np.bitwise_count(words[skip:]), words[skip:]
+                    first += len(words)
+            return
+        F = self.field
+        for chunk in _word_chunks(F.q, self._neg_high_rows, lambda G: _codebook(F, G), F.add):
             for neg_high, nh in zip(chunk, chunk.astype(self._low_t.dtype)):
-                eq = self._low_t[:, first:] == nh[:, None]
-                zeros = eq.view(np.uint8).sum(axis=0, dtype=self._count_dtype)
-                yield first, neg_high, eq, zeros
-                first = 0
+                skip = int(first == 0)
+                ne = self._low_t[:, skip:] != nh[:, None]
+                weights = ne.view(np.uint8).sum(axis=0, dtype=self._count_dtype)
+                yield first + skip, weights, (skip, neg_high, ne)
+                first += self._low_t.shape[1]
 
-    def word(self, c: int, neg_high: np.ndarray) -> np.ndarray:
-        """The codeword with low index c in the block of neg_high."""
-        return self.field.sub(self.low[c], neg_high)
+    def lightest(self, block, weights, sel, cols) -> np.ndarray:
+        """Per coordinate cols[j], the least weight of a word among sel
+        (nonempty) nonzero there, else n + 1.  Packed, the supports of each
+        weight are ORed, so memory stays linear in len(sel)."""
+        w = weights[sel]
+        if not self.packed:
+            return np.where(block[2][np.ix_(cols, sel)], w, self.n + 1).min(axis=1)
+        order = np.argsort(w)
+        w = w[order]
+        starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+        # seen[g]: the coordinates where some word of weight <= w[starts[g]] is nonzero
+        seen = np.bitwise_or.accumulate(np.bitwise_or.reduceat(block[sel][order], starts))
+        hit = (seen[:, None] >> self._bits[cols]) & 1 != 0
+        return np.where(hit.any(axis=0), w[starts][hit.argmax(axis=0)], self.n + 1)
+
+    def word(self, block, i: int) -> np.ndarray:
+        """Word i of the block, as an int64 vector."""
+        if self.packed:
+            return ((block[i] >> self._bits) & 1).astype(np.int64)
+        skip, neg_high, _ = block
+        return self.field.sub(self._low[skip + i], neg_high)
 
 
 def _information_sets(F: FiniteField, G: np.ndarray):
@@ -311,10 +376,8 @@ class _MessageLevels:
         self.k = k
         self.row_weights = np.count_nonzero(G, axis=1)
         self.piece = max(1, _LOW_WORDS // (F.q - 1))  # P words per step
-        if F.q == 2 and n <= 64 and hasattr(np, "bitwise_count"):  # numpy >= 2
-            self.rows = np.bitwise_or.reduce(
-                G.astype(np.uint64) << np.arange(n, dtype=np.uint64), axis=1
-            )
+        if _packs(F, n):
+            self.rows = _pack(G)
             self._add = lambda P, i: P ^ self.rows[i]
             self._weigh = lambda P, i: np.bitwise_count(P ^ self.rows[i])
         else:
@@ -406,159 +469,6 @@ def _span_level(F: FiniteField, A: np.ndarray, targets, s: int):
         R = _rref_stack(F, np.concatenate([A[:, P].transpose(1, 0, 2), B], axis=2), p)[0]
         found.update(_first_matches(F, R, P, [t for t in targets if t not in found]))
     return found
-
-
-# ---------------------------------------------------------------------------
-# profiles and repair sets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RepairSet:
-    """c[target] = sum coefficients[j] * c[helpers[j]] for every codeword."""
-
-    target: int
-    helpers: tuple[int, ...]
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.helpers) < 1:
-            raise PreconditionError("repair set needs at least one helper")
-        if self.target in self.helpers:
-            raise PreconditionError("repair target cannot be its own helper")
-        if len(self.helpers) != len(self.coefficients):
-            raise PreconditionError("helpers and coefficients must align")
-
-    def holds_for(self, code: "LinearCode") -> bool:
-        """Exact check of the repair relation on every generator row."""
-        F = code.field
-        G = code.G.a
-        rhs = np.zeros(code.k, dtype=np.int64)
-        for j, c in zip(self.helpers, self.coefficients):
-            rhs = F.add(rhs, F.mul(c, G[:, j]))
-        return bool(np.array_equal(rhs, G[:, self.target]))
-
-
-@dataclass(frozen=True)
-class LocalityClass:
-    locality: int
-    coordinates: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.locality < 1:
-            raise PreconditionError(f"locality must be >= 1, got {self.locality}")
-        if not self.coordinates:
-            raise PreconditionError("locality class cannot be empty")
-        if tuple(sorted(set(self.coordinates))) != self.coordinates:
-            raise PreconditionError("class coordinates must be sorted and distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.coordinates)
-
-
-@dataclass(frozen=True)
-class LocalityProfile:
-    """Coordinate classes with strictly increasing localities r_1 < ... < r_s."""
-
-    classes: tuple[LocalityClass, ...]
-
-    def __post_init__(self):
-        if not self.classes:
-            raise PreconditionError("profile needs at least one class")
-        locs = [c.locality for c in self.classes]
-        if locs != sorted(set(locs)):
-            raise PreconditionError("class localities must be strictly increasing")
-        seen: set[int] = set()
-        for c in self.classes:
-            if seen & set(c.coordinates):
-                raise PreconditionError("classes must be pairwise disjoint")
-            seen |= set(c.coordinates)
-
-    @property
-    def n(self) -> int:
-        return sum(c.size for c in self.classes)
-
-    @property
-    def s(self) -> int:
-        return len(self.classes)
-
-    def shape(self) -> tuple[tuple[int, int], ...]:
-        """((n_1, r_1), ..., (n_s, r_s))."""
-        return tuple((c.size, c.locality) for c in self.classes)
-
-    def covers(self, n: int) -> bool:
-        return set().union(*(c.coordinates for c in self.classes)) == set(range(n))
-
-    def __str__(self) -> str:
-        return format_profile_shape(self.shape())
-
-
-class _CheckedShape(tuple):
-    """A shape _normalize_shape has already accepted with every n_i >= 1."""
-
-
-def _normalize_shape(profile, allow_empty_class: bool = False):
-    """The ((n_1, r_1), ..., (n_s, r_s)) shape of a LocalityProfile or of a
-    sequence of pairs, checked: at least one class, every r_i >= 1 and
-    n_i >= 1 (n_i = 0 too with allow_empty_class), r_i strictly increasing.
-    A _CheckedShape passes without a second check."""
-    if type(profile) is _CheckedShape:
-        return tuple(profile)
-    if isinstance(profile, LocalityProfile):
-        shape = profile.shape()
-    else:
-        shape = tuple((int(n_i), int(r_i)) for n_i, r_i in profile)
-    if not shape:
-        raise PreconditionError("profile must have at least one class")
-    for n_i, r_i in shape:
-        if r_i < 1:
-            raise PreconditionError(f"locality must be >= 1, got {r_i}")
-        if n_i < 0 or (n_i == 0 and not allow_empty_class):
-            raise PreconditionError(f"class size must be >= 1, got {n_i}")
-    locs = [r_i for _, r_i in shape]
-    if any(a >= b for a, b in zip(locs, locs[1:])):
-        raise PreconditionError(f"localities must be strictly increasing, got {locs}")
-    return shape
-
-
-_PROFILE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-
-
-def parse_profile_shape(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse "(n1,r1),(n2,r2),..." into a shape tuple, validating the grammar.
-
-    Classes may appear in any order; the result is canonical (sorted by
-    locality).  Duplicate localities are rejected."""
-    pairs = _PROFILE_RE.findall(text)
-    canonical = ",".join(f"({a},{b})" for a, b in pairs)
-    stripped = re.sub(r"\s+", "", text)
-    if not pairs or stripped != canonical:
-        raise ParseError(f"malformed profile string: {text!r}")
-    try:
-        shape = tuple(sorted(((int(a), int(b)) for a, b in pairs), key=lambda p: p[1]))
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError(f"malformed profile string: {exc}") from exc
-    locs = [r for _, r in shape]
-    if len(locs) != len(set(locs)):
-        raise ParseError(f"profile localities must be distinct: {text!r}")
-    if any(n < 1 or r < 1 for n, r in shape):
-        raise ParseError(f"profile entries must be positive: {text!r}")
-    return shape
-
-
-def format_profile_shape(shape) -> str:
-    return ",".join(f"({n},{r})" for n, r in shape)
-
-
-def _profile_from_localities(locs: dict[int, int]) -> LocalityProfile:
-    by_r: dict[int, list[int]] = {}
-    for coord, r in locs.items():
-        by_r.setdefault(r, []).append(coord)
-    classes = tuple(
-        LocalityClass(r, tuple(sorted(by_r[r]))) for r in sorted(by_r)
-    )
-    return LocalityProfile(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +583,11 @@ class LinearCode:
 
     def _weight_counts(self, G: np.ndarray) -> list[int]:
         """Number of words of each weight 0..n in the row space of G."""
-        by_zeros = np.zeros(self.n + 1, dtype=np.int64)
-        for *_, zeros in _SplitTable(self.field, G).blocks():
-            by_zeros += np.bincount(zeros, minlength=self.n + 1)
-        by_zeros[self.n] += 1  # zero word
-        return [int(c) for c in by_zeros[::-1]]
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        counts[0] = 1  # zero word
+        for _, weights, _ in _SplitTable(self.field, G).blocks():
+            counts += np.bincount(weights, minlength=self.n + 1)
+        return counts.tolist()
 
     def _distance_via_dual(self) -> int:
         """Exact distance from the dual weight distribution via the
@@ -757,52 +667,50 @@ class LinearCode:
         """Min weight of dual words supported within `support` through each target.
 
         Enumerates K, a basis of the kernel of G restricted to `support`
-        (exactly the dual words vanishing outside it).  Witnesses are
-        normalized to h_target = 1 and chosen as the lexicographically
-        smallest (helper set, coefficient vector) among minimum-weight
-        candidates.
+        (exactly the dual words vanishing outside it).  Bounds start at the
+        lightest row of K through each target (no row: no word), and a block
+        lowers them only from its words lighter than the largest open bound.
+        Witnesses are normalized to h_target = 1 and chosen as the
+        lexicographically smallest (helper set, coefficient vector) among
+        the words whose weight is the target's minimum.
         """
-        F = self.field
-        dim = K.shape[0]
+        F, m = self.field, len(support)
         pos = {c: idx for idx, c in enumerate(support)}
         t_pos = np.array([pos[t] for t in targets], dtype=np.intp)
-        # per target: 1 + the most zeros of a word nonzero there (0: no word)
-        best = np.zeros(len(targets), dtype=np.int64)
-        if dim > 0:
+        through = K[:, t_pos] != 0
+        # per target: the least weight of a word through it (m + 1: none)
+        bound = np.where(through, np.count_nonzero(K, axis=1)[:, None], m + 1)
+        bound = bound.min(axis=0, initial=m + 1)
+        open_ = through.any(axis=0)
+        if open_.any():
             table = _SplitTable(F, K)
-            for _, _, eq, zeros in table.blocks():
-                # a target can improve only if some word of this block has
-                # more zeros than its best so far; the rest skip this block
-                lagging = np.nonzero(best <= zeros.max())[0]
-                if lagging.size:
-                    score = np.where(eq[t_pos[lagging]], 0, zeros + 1)
-                    best[lagging] = np.maximum(best[lagging], score.max(axis=1))
-        weight = {
-            t: len(support) + 1 - int(m) if m else None for t, m in zip(targets, best)
-        }
+            top = int(bound[open_].max())
+            for _, weights, block in table.blocks():
+                if weights.min() < top:
+                    sel = np.flatnonzero(weights < top)
+                    bound = np.minimum(bound, table.lightest(block, weights, sel, t_pos))
+                    top = int(bound[open_].max())
+        weight = {t: int(w) if w <= m else None for t, w in zip(targets, bound)}
         if not want_witnesses:
             return {t: (weight[t], None) for t in targets}
-        keys: dict[int, tuple] = {}
-        wit: dict[int, RepairSet | None] = {t: None for t in targets}
-        active = np.nonzero(best)[0]
+        keys: dict[int, tuple] = {}  # the least (helpers, coefficients) so far
+        active = np.flatnonzero(open_)
         if active.size:
-            rows = t_pos[active]
-            want = best[active][:, None]
-            for first, neg_high, eq, zeros in table.blocks():
-                if want.min() > zeros.max() + 1:
+            rows, want = t_pos[active], bound[active]
+            wanted, top = np.zeros(m + 1, dtype=bool), int(want.max())
+            wanted[want] = True
+            for _, weights, block in table.blocks():
+                if weights.min() > top:
                     continue  # no minimum-weight word in this block
-                score = np.where(eq[rows], 0, zeros + 1)
-                for i, ci in zip(*np.nonzero(score == want)):
-                    t, tp = targets[active[i]], int(rows[i])
-                    h = table.word(first + int(ci), neg_high)
-                    hn = F.mul(F.inv(int(h[tp])), h)  # normalize h_t = 1
-                    supp = tuple(support[j] for j in np.nonzero(hn)[0] if j != tp)
-                    coeffs = tuple(int(F.neg(int(hn[pos[c]]))) for c in supp)
-                    key = (supp, coeffs)
-                    if t not in keys or key < keys[t]:
-                        keys[t] = key
-                        wit[t] = RepairSet(t, supp, coeffs)
-        return {t: (weight[t], wit[t]) for t in targets}
+                for i in np.flatnonzero(wanted[weights]).tolist():
+                    h = table.word(block, i)
+                    for a in np.flatnonzero((want == weights[i]) & (h[rows] != 0)):
+                        t, tp = targets[active[a]], int(rows[a])
+                        hn = F.mul(F.inv(int(h[tp])), h)  # normalize h_t = 1
+                        supp = tuple(support[j] for j in np.nonzero(hn)[0] if j != tp)
+                        coeffs = tuple(int(F.neg(int(hn[pos[c]]))) for c in supp)
+                        keys[t] = min(keys.get(t, (supp, coeffs)), (supp, coeffs))
+        return {t: (weight[t], RepairSet(t, *keys[t]) if t in keys else None) for t in targets}
 
     def _repairs(
         self,

@@ -17,7 +17,14 @@ import pytest
 import mllrc.linear_code as linear_code
 from mllrc.constructions import construction2_binary_lrc, reed_solomon, tamo_barg
 from mllrc.errors import BudgetError, ParseError, PreconditionError
-from mllrc.galois import MatrixGF, _rref_stack, field_from_order, field_new, mat_rank
+from mllrc.galois import (
+    MatrixGF,
+    _rref_stack,
+    field_from_order,
+    field_new,
+    mat_rank,
+    mat_rref,
+)
 from mllrc.linear_code import (
     LinearCode,
     LocalityClass,
@@ -811,26 +818,160 @@ def test_macwilliams_matches_reference():
                 assert LinearCode(F, A)._distance_via_dual() == _ref_distance(F, A)
 
 
+_PACKS = hasattr(np, "bitwise_count")  # numpy >= 2 packs GF(2) words
+
+
 @pytest.mark.parametrize("low_words", [1, 9, 1 << 12])
 def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
-    # a small codebook bound forces several chunk levels on small inputs
+    # a small codebook bound forces several chunk levels on small inputs;
+    # binary n = 64 packs words into uint64, n = 65 takes the general path
     monkeypatch.setattr(linear_code, "_LOW_WORDS", low_words)
     rng = random.Random(low_words)
     for field, n, k in [((2, 1), 5, 7), ((3, 1), 4, 5), ((2, 2), 3, 4),
-                        ((3, 2), 3, 3), ((257, 1), 2, 2)]:
+                        ((3, 2), 3, 3), ((257, 1), 2, 2), ((2, 1), 64, 7),
+                        ((2, 1), 65, 7)]:
         F = field_new(*field)
         G = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
         table = linear_code._SplitTable(F, np.array(G, dtype=np.int64))
+        assert table.packed == (F.q == 2 and n <= 64 and _PACKS)
         seen = [(0,) * n]  # the zero word is never yielded
-        for first, neg_high, eq, zeros in table.blocks():
-            for c in range(eq.shape[1]):
-                w = table.word(first + c, neg_high)
-                assert eq[:, c].tolist() == (w == 0).tolist()
-                assert zeros[c] == n - np.count_nonzero(w)
+        for first, weights, block in table.blocks():
+            assert first == len(seen)  # message order, no word twice
+            for c in range(len(weights)):
+                w = table.word(block, c)
+                # a word's own weight where it is nonzero, n + 1 where zero
+                alone = table.lightest(block, weights, np.array([c]), np.arange(n))
+                assert alone.tolist() == np.where(w == 0, n + 1, weights[c]).tolist()
+                assert weights[c] == np.count_nonzero(w)
                 seen.append(tuple(w.tolist()))
         # message digit 0 is least significant; itertools varies the last
         # position fastest, so the reference lists the rows reversed
         assert seen == _Ref(F).words(G[::-1])
+
+
+def test_packed_weight_counts_span_several_batches():
+    # 2^17 words of length 30: two batches of the packed table at the
+    # default codebook size, against a numpy listing of every message
+    F = field_new(2)
+    rng = np.random.default_rng(17)
+    while True:
+        G = rng.integers(0, 2, size=(17, 30))
+        if mat_rank(MatrixGF(F, G)) == 17:
+            break
+    C = LinearCode(F, G)
+    table = linear_code._SplitTable(F, G)
+    assert table.packed == _PACKS
+    assert sum(1 for _ in table.blocks()) == (2 if _PACKS else 2**5)
+    msgs = (np.arange(1 << 17)[:, None] >> np.arange(17)) & 1
+    weights = ((msgs @ G) % 2).sum(axis=1)
+    want = np.bincount(weights, minlength=31).tolist()
+    assert C._weight_counts(G) == want
+    assert C._distance_via_dual() == C.min_distance() == min(weights[1:])
+    # the dual's MacWilliams route lists C again, from another basis
+    dual = LinearCode(F, C.H.a)
+    assert dual._weight_counts(dual.H.a) == want
+    assert dual._distance_via_dual() == dual.min_distance()
+
+
+def _sparse_check_code(n, r, rng):
+    """A binary [n, n - r] code whose r parity checks have density about
+    1/4, so its dual words have a spread of weights; coordinate 0 lies in
+    no check's support, so it has no repair relation."""
+    F = field_new(2)
+    while True:
+        H = (rng.random((r, n)) < 0.25).astype(np.int64)
+        empty = np.flatnonzero(~H.any(axis=0))
+        H[rng.integers(r, size=len(empty)), empty] = 1
+        H[:, 0] = 0
+        if mat_rank(MatrixGF(F, H)) == r:
+            C = code_from_parity_check(F, H)
+            if C.G.a.any(axis=0).all():  # no dual word of weight 1
+                return C, H
+
+
+_SCAN_REFERENCE: dict = {}
+
+
+def _scan_reference(C, H, support):
+    """_Ref.repair of every coordinate of `support`, helpers from it, as
+    (weight, witness): the dual scan's answer.  Kept across parameters."""
+    key = (C.G.a.tobytes(), support)
+    if key not in _SCAN_REFERENCE:
+        ref = _Ref(C.field)
+        dual_words = ref.words(H.tolist())
+        got = {}
+        for t in support:
+            v = ref.repair(dual_words, t, set(support))
+            got[t] = (None, None) if v is None else (v[0] + 1, v[1])
+        _SCAN_REFERENCE[key] = got
+    return _SCAN_REFERENCE[key]
+
+
+@pytest.mark.parametrize("low_words", [1, 9, linear_code._LOW_WORDS])
+def test_dual_support_scan_matches_reference(monkeypatch, low_words):
+    # supports of at most 64 coordinates scan packed words, longer ones the
+    # general comparison; loose (every coordinate) and strict (one
+    # locality class) supports, and an independent support (no dual word)
+    monkeypatch.setattr(linear_code, "_LOW_WORDS", low_words)
+    rng = np.random.default_rng(20)
+    F = field_new(2)
+    paths, blocks = set(), 0
+    for n, r in [(12, 5), (40, 7), (64, 8), (65, 8), (70, 7)]:
+        C, H = _sparse_check_code(n, r, rng)
+        full = tuple(range(n))
+        loose = _scan_reference(C, H, full)
+        assert loose[0] == (None, None)
+        by_loc = {}
+        for t, (w, _) in loose.items():
+            by_loc.setdefault(w, []).append(t)
+        supports = [full] + [tuple(c) for w, c in by_loc.items() if w and len(c) > 1]
+        supports.append(tuple(int(j) for j in mat_rref(C.G)[1][:3]))  # independent
+        for support in supports:
+            R, piv = mat_rref(MatrixGF(F, C.G.a[:, list(support)]))
+            K = linear_code._kernel_basis(F, R.a[: len(piv)], piv)
+            if support is supports[-1]:
+                assert K.shape[0] == 0
+            else:
+                table = linear_code._SplitTable(F, K)
+                paths.add(table.packed)
+                blocks = max(blocks, sum(1 for _ in table.blocks()))
+            want = _scan_reference(C, H, support)
+            got = LinearCode(F, C.G.a)._dual_support_scan(support, support, K, True)
+            assert repr(got) == repr(want), (n, support)
+            weights = LinearCode(F, C.G.a)._dual_support_scan(support, support, K, False)
+            assert weights == {t: (w, None) for t, (w, _) in want.items()}
+    assert paths == ({True, False} if _PACKS else {False})
+    assert blocks > 1 or low_words == 1 << 12
+
+
+def test_unpacked_fallback_matches_packed(monkeypatch):
+    # numpy 1.x has no np.bitwise_count: every binary pass then takes the
+    # general path, with the same distances, profiles and witnesses
+    F = field_new(2)
+    rng = np.random.default_rng(24)
+    codes = [construction2_binary_lrc(3, 0).G.a, construction2_binary_lrc(4, 0).G.a,
+             _golay().G.a] + [_sparse_check_code(n, r, rng)[0].G.a
+                              for n, r in [(20, 8), (30, 6), (64, 9)]]
+
+    def answers(G):
+        C = LinearCode(F, G)
+        out = [C.min_distance(), C._distance_via_dual()]
+        for mode in ("loose", "strict"):
+            try:
+                profile = C.locality_profile(mode, keep_witnesses=True)
+            except PreconditionError as exc:
+                out.append(str(exc))
+                continue
+            out += [profile, repr(C.verify_profile(profile, mode))]
+        return out
+
+    packed = [answers(G) for G in codes]
+    assert linear_code._SplitTable(F, codes[1]).packed == _PACKS
+    assert (linear_code._MessageLevels(F, codes[1]).rows.dtype == np.uint64) == _PACKS
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert not linear_code._SplitTable(F, codes[1]).packed
+    assert linear_code._MessageLevels(F, codes[1]).rows.dtype != np.uint64
+    assert [answers(G) for G in codes] == packed
 
 
 def test_budget_edges_refuse_only_when_both_locality_routes_are_over():
