@@ -10,6 +10,21 @@ the lexicographically first monic irreducible polynomial of degree m, where
 All array operations take and return numpy int64 arrays (plain Python ints in,
 plain ints out for scalar/scalar calls).  Arithmetic is exact; nothing here is
 floating point.
+
+Row reduction (mat_rref, mat_rank, _rref_stack, and LinearCode.shorten) runs
+its pivot steps in the integer domain, in one helper, _pivot_step: the pivot
+row is scaled by the inverse from the field's table, and the pivot column is
+cleared in one whole-array update A - f (x) row, where f is that column with
+a 0 at the pivot row.  The arithmetic is fixed once per field
+(FiniteField._elim_ops) and skips the conversions, range checks and scalar
+wrapping of the public field methods.  Prime fields use integer products,
+reduced by the clearing update (XOR on GF(2), mod p otherwise; no
+intermediate exceeds (p-1)^3 < 2^48, so none overflows int64).  Extension
+fields with q <= 2^8 gather from a q x q uint8 product table and, in odd
+characteristic, a difference table (XOR in characteristic 2), 64 KiB each at
+q = 2^8, built on first use.  Larger extension fields use the field's own
+mul and sub.  The table routes return uint8 arrays, which _pivot_step writes
+into the int64 matrix in place.
 """
 
 from __future__ import annotations
@@ -31,6 +46,8 @@ __all__ = [
 ]
 
 MAX_FIELD_SIZE = 1 << 16
+# Largest extension field whose pivot steps gather from q x q uint8 tables.
+_ELIM_TABLE_MAX = 1 << 8
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +189,7 @@ class FiniteField:
         self._log: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._gen: int | None = None
+        self._elim = None
 
     # -- identity ----------------------------------------------------------
 
@@ -359,6 +377,39 @@ class FiniteField:
             out = out[()]
         return self._wrap(a, None, out)
 
+    # -- elimination arithmetic -----------------------------------------------
+
+    def _elim_ops(self):
+        """(mul, axpy) for the pivot step: mul(a, b) = a*b and
+        axpy(a, f, b) = a - f*b elementwise on arrays of field elements,
+        broadcasting.  On prime fields mul leaves its products unreduced and
+        axpy reduces every entry it returns, so _pivot_step passes the scaled
+        row through axpy (with f = 0 there).  The route (see the module
+        docstring) is fixed on first use, from q and the field type."""
+        if self._elim is None:
+            self._ensure_tables()
+            q, p = self.q, self.p
+            if self.m == 1:
+                mul = lambda a, b: a * b
+                if p == 2:
+                    axpy = lambda a, f, b: a ^ (f * b)
+                else:
+                    axpy = lambda a, f, b: _mod(a - f * b, p)
+            elif q <= _ELIM_TABLE_MAX:
+                e = self.elements()
+                prod = self.mul(e[:, None], e[None, :]).astype(np.uint8)
+                mul = lambda a, b: prod[a, b]
+                if p == 2:
+                    axpy = lambda a, f, b: a ^ prod[f, b]
+                else:
+                    diff = self.sub(e[:, None], e[None, :]).astype(np.uint8)
+                    axpy = lambda a, f, b: diff[a, prod[f, b]]
+            else:
+                mul = self.mul
+                axpy = lambda a, f, b: self.sub(a, self.mul(f, b))
+            self._elim = (mul, axpy)
+        return self._elim
+
     # -- digit views ----------------------------------------------------------
 
     def coeffs(self, a) -> np.ndarray:
@@ -370,6 +421,13 @@ class FiniteField:
             out[..., i] = t % self.p
             t //= self.p
         return out
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place on an int64 temporary: numpy's int64 % takes about
+    twice as long as this floor division by a scalar."""
+    x -= x // p * p
+    return x
 
 
 _FIELD_CACHE: dict[tuple, FiniteField] = {}
@@ -475,37 +533,53 @@ class MatrixGF:
 # ---------------------------------------------------------------------------
 
 
+def _pivot_step(F: FiniteField, M: np.ndarray, at: tuple, c: int) -> None:
+    """Scale the pivot row(s) M[at] so that column c reads 1 there, then clear
+    column c in every other row of M, in place.  M is one matrix (at = (r,))
+    or a stack (at = (matrices, rows), one pivot row per matrix).
+
+    The clearing is one whole-array update M - f (x) row, where f is column c
+    with f = 0 at the pivot row, done with the field's integer-domain
+    elimination arithmetic (FiniteField._elim_ops)."""
+    mul, axpy = F._elim_ops()
+    row = mul(M[at], F._inv[M[at + (c,)]][..., None])
+    M[at] = row
+    f = M[..., c].copy()
+    f[at] = 0
+    M[...] = axpy(M, f[..., None], row[..., None, :])
+
+
+def _rref(F: FiniteField, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """mat_rref on a raw int64 array (entries in range, unchecked): returns a
+    reduced copy and the pivot columns."""
+    A = A.copy()
+    nr, nc = A.shape
+    pivots: list[int] = []
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        nz = A[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        _pivot_step(F, A, (r,), c)
+        pivots.append(c)
+    return A, tuple(pivots)
+
+
 def mat_rref(M: MatrixGF) -> tuple[MatrixGF, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns.
 
     Deterministic: the pivot in each column is the first nonzero entry from the
     current row downward; pivots are scaled to 1 and cleared above and below.
+    Each pivot step is one integer-domain update of the whole matrix
+    (_pivot_step).  The RREF and its pivots are unique, so the route a field
+    takes does not show in the result.
     """
-    F = M.field
-    A = M.a.copy()
-    nr, nc = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        pv = int(A[r, c])
-        if pv != 1:
-            A[r] = F.mul(A[r], F.inv(pv))
-        col = A[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            A[rows] = F.sub(A[rows], F.mul(col[rows][:, None], A[r][None, :]))
-        pivots.append(c)
-        r += 1
-    return MatrixGF(F, A), tuple(pivots)
+    R, piv = _rref(M.field, M.a)
+    return MatrixGF(M.field, R), piv
 
 
 def _rref_stack(F: FiniteField, B: np.ndarray, limit: int | None = None):
@@ -514,8 +588,10 @@ def _rref_stack(F: FiniteField, B: np.ndarray, limit: int | None = None):
     Each matrix gets the reduction of mat_rref: column by column, the pivot is
     the first nonzero entry from the current row down, scaled to 1 and cleared
     above and below; only the first `limit` columns (default all) take
-    pivots.  Returns the reduced stack, the (N x s) mask of pivot columns
-    and the ranks.
+    pivots.  A column's pivot step (_pivot_step) runs once on the matrices
+    that pivot there, gathered from the stack, or on the stack itself when
+    all of them do.  Returns the reduced stack, the (N x s) mask of pivot
+    columns and the ranks.
     """
     N, k, s = B.shape
     B = B.copy()
@@ -527,14 +603,14 @@ def _rref_stack(F: FiniteField, B: np.ndarray, limit: int | None = None):
         idx = np.flatnonzero(cand.any(axis=1))
         if idx.size == 0:
             continue
+        every = idx.size == N
         at, top = np.arange(idx.size), rank[idx]
         found = cand[idx].argmax(axis=1)
-        M = B[idx]
+        M = B if every else B[idx]
         M[at, top], M[at, found] = M[at, found], M[at, top]
-        M[at, top] = F.mul(M[at, top], F.inv(M[at, top, c])[:, None])
-        factor = M[:, :, c].copy()
-        factor[at, top] = 0
-        B[idx] = F.sub(M, F.mul(factor[:, :, None], M[at, top][:, None, :]))
+        _pivot_step(F, M, (at, top), c)
+        if not every:
+            B[idx] = M
         pivot[idx, c] = True
         rank[idx] += 1
     return B, pivot, rank

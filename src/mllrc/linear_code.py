@@ -73,12 +73,13 @@ from .galois import (
     FiniteField,
     MatrixGF,
     _kernel_basis,
+    _pivot_step,
+    _rref,
     _rref_stack,
     field_from_order,
     field_new,
     mat_kernel,
     mat_rank,
-    mat_rref,
 )
 from .profiles import (  # re-exported: part of this module's API
     LocalityClass, LocalityProfile, RepairSet, _CheckedShape, _normalize_shape,
@@ -283,11 +284,11 @@ def _information_sets(F: FiniteField, G: np.ndarray):
     increase from one set to the next."""
     rest, used = list(range(G.shape[1])), []
     while rest:
-        R, piv = mat_rref(MatrixGF(F, G[:, rest + used]))
+        R, piv = _rref(F, G[:, rest + used])
         chosen = {rest[p] for p in piv if p < len(rest)}
         if not chosen:  # only zero columns left
             return
-        yield len(chosen), R.a
+        yield len(chosen), R
         used += sorted(chosen)
         rest = [c for c in rest if c not in chosen]
 
@@ -623,10 +624,8 @@ class LinearCode:
         """
         if not 0 <= i < self.n:
             raise PreconditionError(f"coordinate {i} out of range [0, {self.n})")
-        F = self.field
         A = self.G.a.copy()
-        col = A[:, i]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(A[:, i])
         if nz.size == 0:
             raise PreconditionError(
                 "the generator column is identically zero; shortening would not "
@@ -634,15 +633,8 @@ class LinearCode:
             )
         if self.k == 1:
             raise PreconditionError("shortening a dimension-1 code would empty it")
-        piv = int(nz[0])
-        if A[piv, i] != 1:
-            A[piv] = F.mul(A[piv], F.inv(int(A[piv, i])))
-        others = np.nonzero(A[:, i])[0]
-        others = others[others != piv]
-        if others.size:
-            A[others] = F.sub(A[others], F.mul(A[others, i][:, None], A[piv][None, :]))
-        A = np.delete(np.delete(A, piv, axis=0), i, axis=1)
-        return LinearCode(F, A)
+        _pivot_step(self.field, A, (nz[0],), i)
+        return LinearCode(self.field, np.delete(np.delete(A, nz[0], axis=0), i, axis=1))
 
     # -- coordinate-set entropy ---------------------------------------------------
 
@@ -758,8 +750,8 @@ class LinearCode:
         F, k = self.field, self.k
         b = resolve_budget(budget)
         m = len(support)
-        R, piv = mat_rref(MatrixGF(F, self.G.a[:, list(support)]))
-        A = R.a[: len(piv)]
+        R, piv = _rref(F, self.G.a[:, list(support)])
+        A = R[: len(piv)]
         free = [j for j in range(m) if j not in piv]
         dual_words = F.q ** len(free)
         pos = {c: idx for idx, c in enumerate(support)}

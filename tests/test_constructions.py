@@ -1170,7 +1170,10 @@ class TestConstruction2:
             assert binary_locality_scan(code, i, 2) <= 2
 
     def test_r4_parameters_and_block_localities(self):
-        # [45, 23]: too large to enumerate; parameter and locality checks only.
+        # [45, 23]: parameter and per-block locality checks only.  The code is
+        # not too large to enumerate (distance and loose profile take about
+        # 15 ms on a 2-core x86-64 host: d = 6, profile (36,3),(9,8)), but
+        # those values are not pinned here.
         code = construction2_binary_lrc(4, 0)
         assert (code.n, code.k) == construction2_parameters(4, 0)[:2]
         cols = column_ints(code)

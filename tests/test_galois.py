@@ -240,6 +240,125 @@ def test_rref_stack_pivot_limit(p, m):
                 assert mat_rank(MatrixGF(F, R[b])) == mat_rank(MatrixGF(F, B[b])) == mat_rank(both)
 
 
+# ---------------------------------------------------------------------------
+# integer-domain pivot steps against the field-method reference
+# ---------------------------------------------------------------------------
+
+
+def rref_reference(F, A):
+    """mat_rref as it was before integer-domain elimination: each pivot step
+    goes through F.mul / F.inv / F.sub on the rows it touches."""
+    A = np.array(A, dtype=np.int64)
+    nr, nc = A.shape
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        pv = int(A[r, c])
+        if pv != 1:
+            A[r] = F.mul(A[r], F.inv(pv))
+        col = A[:, c].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        if rows.size:
+            A[rows] = F.sub(A[rows], F.mul(col[rows][:, None], A[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return A, tuple(pivots)
+
+
+def rref_stack_reference(F, B, limit=None):
+    """_rref_stack as it was before integer-domain elimination."""
+    N, k, s = B.shape
+    B = B.copy()
+    rank = np.zeros(N, dtype=np.int64)
+    pivot = np.zeros((N, s), dtype=bool)
+    rows = np.arange(k)
+    for c in range(s if limit is None else limit):
+        cand = (B[:, :, c] != 0) & (rows >= rank[:, None])
+        idx = np.flatnonzero(cand.any(axis=1))
+        if idx.size == 0:
+            continue
+        at, top = np.arange(idx.size), rank[idx]
+        found = cand[idx].argmax(axis=1)
+        M = B[idx]
+        M[at, top], M[at, found] = M[at, found], M[at, top]
+        M[at, top] = F.mul(M[at, top], F.inv(M[at, top, c])[:, None])
+        factor = M[:, :, c].copy()
+        factor[at, top] = 0
+        B[idx] = F.sub(M, F.mul(factor[:, :, None], M[at, top][:, None, :]))
+        pivot[idx, c] = True
+        rank[idx] += 1
+    return B, pivot, rank
+
+
+# Prime (GF(2) by XOR, others mod p), table (q <= 2^8, both characteristics)
+# and field-method (512, 729) routes; 65521 puts the largest intermediates,
+# up to (p-1)^3, through the int64 prime route.
+ELIM_FIELDS = [2, 3, 4, 9, 13, 16, 17, 256, 257, 512, 729, 65521]
+
+
+def elimination_cases(F, rng):
+    """Seeded k x n matrices: full rank, rank-deficient (rows combining two
+    others), zero rows, zero columns, repeated columns, 1 x 1, all zero."""
+    q = F.q
+    out = [np.zeros((3, 4), dtype=np.int64), rng.integers(1, q, size=(1, 1)),
+           rng.integers(0, q, size=(1, 6)), rng.integers(0, q, size=(6, 1))]
+    for k, n in [(2, 5), (4, 4), (5, 9), (7, 5), (8, 12)]:
+        out.append(rng.integers(0, q, size=(k, n)))
+        A = rng.integers(0, q, size=(k, n))
+        A[k - 1] = F.add(F.mul(int(rng.integers(1, q)), A[0]), A[k // 2 - 1])
+        A[k // 2] = 0
+        A[:, 0] = 0
+        A[:, n - 1] = F.mul(int(rng.integers(1, q)), A[:, 1])
+        out.append(A)
+        A = rng.integers(0, q, size=(k, n))
+        A[:, : n // 2] = 0  # no pivot in the leading columns
+        out.append(A)
+    return out
+
+
+@pytest.mark.parametrize("q", ELIM_FIELDS)
+def test_rref_matches_field_method_reference(q):
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    for A in elimination_cases(F, rng):
+        want, want_piv = rref_reference(F, A)
+        R, piv = mat_rref(MatrixGF(F, A))
+        assert R.a.dtype == np.int64
+        assert np.array_equal(R.a, want) and piv == want_piv
+        assert mat_rank(MatrixGF(F, A)) == len(want_piv)
+
+
+@pytest.mark.parametrize("q", ELIM_FIELDS)
+def test_rref_stack_matches_field_method_reference(q):
+    """Stacks of one matrix, stacks with no zero entry, where every matrix
+    pivots in column 0 (the step runs on the whole stack), and mixed stacks
+    (it runs on the gathered matrices), at limits None, 0, 1, s - 1 and s."""
+    F = field_from_order(q)
+    rng = np.random.default_rng(1000 + q)
+    for k, s in [(1, 1), (3, 5), (4, 7), (6, 3)]:
+        full = rng.integers(1, q, size=(8, k, s))
+        mixed = rng.integers(0, q, size=(24, k, s))
+        mixed[::3, :, 0] = 0
+        mixed[1::3, k - 1] = 0
+        mixed[2::4, :, s - 1] = F.mul(int(rng.integers(1, q)), mixed[2::4, :, 0])
+        for B in (full[:1], mixed[:1], full, mixed):
+            for limit in (None, 0, 1, s - 1, s):
+                got = _rref_stack(F, B, limit)
+                want = rref_stack_reference(F, B, limit)
+                assert got[0].dtype == np.int64
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
+
 def test_kernel_is_the_null_space():
     F = field_new(3)
     rng = np.random.default_rng(11)

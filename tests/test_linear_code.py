@@ -1062,6 +1062,30 @@ def test_shorten_drops_n_k_and_never_distance():
                 assert S.min_distance() >= d
 
 
+def shorten_reference(C, i):
+    """LinearCode.shorten's generator as it was before integer-domain pivot
+    steps: scale and clear column i through F.mul / F.inv / F.sub."""
+    F, A = C.field, C.G.a.copy()
+    piv = int(np.nonzero(A[:, i])[0][0])
+    if A[piv, i] != 1:
+        A[piv] = F.mul(A[piv], F.inv(int(A[piv, i])))
+    others = np.nonzero(A[:, i])[0]
+    others = others[others != piv]
+    if others.size:
+        A[others] = F.sub(A[others], F.mul(A[others, i][:, None], A[piv][None, :]))
+    return np.delete(np.delete(A, piv, axis=0), i, axis=1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 13, 256, 729, 65521])
+def test_shorten_matches_field_method_reference(q):
+    rng = np.random.default_rng(q)
+    F = field_from_order(q)
+    for n, k in [(6, 2), (9, 4), (8, 8)]:
+        C = random_code(F, n, k, rng)
+        for i in range(n):  # random_code leaves no zero column
+            assert np.array_equal(C.shorten(i).G.a, shorten_reference(C, i))
+
+
 def test_shorten_zero_column_handling():
     F = field_new(2)
     C = LinearCode(F, [[1, 0, 1], [0, 0, 1]])
