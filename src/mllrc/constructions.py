@@ -35,12 +35,12 @@ from .galois import (
     field_new,
     mat_rref,
 )
+from .kernel import _SplitTable
 from .linear_code import (
     LinearCode,
     LocalityClass,
     LocalityProfile,
     RepairSet,
-    _SplitTable,
     _field_from_header,
     _normalize_shape,
     _read_ascii,

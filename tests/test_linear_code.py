@@ -14,6 +14,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import mllrc.kernel as kernel
 import mllrc.linear_code as linear_code
 from mllrc.constructions import construction2_binary_lrc, reed_solomon, tamo_barg
 from mllrc.errors import BudgetError, ParseError, PreconditionError
@@ -212,8 +213,8 @@ def test_gcc2_r5_distance_is_refused_before_any_level(monkeypatch):
     # weighs under 12.  The second set joins the bound only at level 28, so
     # proving d = 12 needs levels 2..11 of the first: sum C(64, w) words.
     levels = []
-    real = linear_code._MessageLevels.weights
-    monkeypatch.setattr(linear_code._MessageLevels, "weights",
+    real = kernel._MessageLevels.weights
+    monkeypatch.setattr(kernel._MessageLevels, "weights",
                         lambda self, w: levels.append(w) or real(self, w))
     C = construction2_binary_lrc(5, 0)
     start = time.perf_counter()
@@ -334,9 +335,9 @@ def _classes(locs):
 def test_kernel_cases_cover_single_and_multi_block():
     for (p, m), shapes in _KERNEL_CASES:
         q = p**m
-        assert any(k <= linear_code._low_rows(q, k) for _, k in shapes)
-        assert any(k > linear_code._low_rows(q, k) for _, k in shapes)
-    assert any(n - k > linear_code._low_rows(p**m, n - k)
+        assert any(k <= kernel._low_rows(q, k) for _, k in shapes)
+        assert any(k > kernel._low_rows(q, k) for _, k in shapes)
+    assert any(n - k > kernel._low_rows(p**m, n - k)
                for (p, m), shapes in _KERNEL_CASES for n, k in shapes)
 
 
@@ -471,7 +472,7 @@ def route_spy(monkeypatch):
     never hands over to the dual scan, "dual" always does after the level-1
     lookup, and "switch" runs span level 2 and then hands over."""
     calls = []
-    real_level, real_dual = linear_code._span_level, LinearCode._dual_support_scan
+    real_level, real_dual = kernel._span_level, LinearCode._dual_support_scan
     real_scan = LinearCode._locality_scan
     state = {"route": "span"}
 
@@ -493,16 +494,16 @@ def route_spy(monkeypatch):
         return real_dual(self, *args)
 
     monkeypatch.setattr(LinearCode, "_locality_scan", scan)
-    monkeypatch.setattr(linear_code, "_span_level", level)
+    monkeypatch.setattr(kernel, "_span_level", level)
     monkeypatch.setattr(LinearCode, "_dual_support_scan", dual)
     return state, calls
 
 
 # 256 was the chunk of the per-subset search; the default chunk is covered too
-@pytest.mark.parametrize("chunk", sorted({1, 3, linear_code._SPAN_CHUNK, 256}))
+@pytest.mark.parametrize("chunk", sorted({1, 3, kernel._SPAN_CHUNK, 256}))
 @pytest.mark.parametrize("field", sorted(_ROUTE_FIELDS), ids=lambda f: f"{f[0]}^{f[1]}")
 def test_locality_routes_match_reference(monkeypatch, route_spy, field, chunk):
-    monkeypatch.setattr(linear_code, "_SPAN_CHUNK", chunk)
+    monkeypatch.setattr(kernel, "_SPAN_CHUNK", chunk)
     state, calls = route_spy
     F = field_new(*field)
     ref = _Ref(F)
@@ -627,7 +628,7 @@ def test_span_search_matches_per_subset_reference(monkeypatch, q):
             if A[:, t].any() and mat_rank(MatrixGF(F, np.delete(A, t, axis=1))) == rank
         ]
         want = span_level_reference(F, A, targets, 1)
-        got = linear_code._first_matches(F, A[None], empty, targets)
+        got = kernel._first_matches(F, A[None], empty, targets)
         assert _witness_bytes(got) == _witness_bytes(want)
         levels, open_ = [], [t for t in targets if t not in want]
         while open_:
@@ -639,10 +640,10 @@ def test_span_search_matches_per_subset_reference(monkeypatch, q):
         # one prefix a chunk, or three, on the narrower matrices: a level
         # there has at most C(10, 5) prefixes
         small = (1, 3) if A.shape[1] <= 10 else ()
-        for chunk in small + (linear_code._SPAN_CHUNK,):
-            monkeypatch.setattr(linear_code, "_SPAN_CHUNK", chunk)
+        for chunk in small + (kernel._SPAN_CHUNK,):
+            monkeypatch.setattr(kernel, "_SPAN_CHUNK", chunk)
             for s, open_, want in levels:
-                got = linear_code._span_level(F, A, open_, s)
+                got = kernel._span_level(F, A, open_, s)
                 assert _witness_bytes(got) == _witness_bytes(want), (chunk, s, A.tolist())
     assert deepest >= 3
 
@@ -704,24 +705,24 @@ def _chain_code(F, k, rng):
 def _needs_levels(F, A):
     """Whether Brouwer-Zimmermann must enumerate beyond the rows of its
     information sets on the code of generator A."""
-    sets = list(linear_code._information_sets(F, np.array(A)))
+    sets = list(kernel._information_sets(F, np.array(A)))
     best = min(int(np.count_nonzero(G, axis=1).min()) for _, G in sets)
-    return bool(linear_code._bz_plan(len(A), F.q, [r for r, _ in sets], best)[1])
+    return bool(kernel._bz_plan(len(A), F.q, [r for r, _ in sets], best)[1])
 
 
-@pytest.mark.parametrize("chunk", [1, 3, linear_code._LOW_WORDS])
+@pytest.mark.parametrize("chunk", [1, 3, kernel._LOW_WORDS])
 @pytest.mark.parametrize("field", sorted(_DISTANCE_FIELDS), ids=lambda f: f"{f[0]}^{f[1]}")
 def test_message_levels_match_reference(monkeypatch, field, chunk):
     # level w: the words of the messages of weight w whose first nonzero
     # entry is 1, each once; GF(2) with n > 64 takes the unpacked path
-    monkeypatch.setattr(linear_code, "_LOW_WORDS", chunk)
+    monkeypatch.setattr(kernel, "_LOW_WORDS", chunk)
     F = field_new(*field)
     ref = _Ref(F)
     rng = random.Random(f"levels/{field}/{chunk}")
     shapes = [(4, 9), (3, 5), (1, 3)] + ([(3, 70)] if F.q == 2 else [])
     for k, n in shapes:
         G = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
-        levels = linear_code._MessageLevels(F, np.array(G, dtype=np.int64))
+        levels = kernel._MessageLevels(F, np.array(G, dtype=np.int64))
         for w in range(1, min(k, 3 if F.q < 257 else 2) + 1):
             want = []
             for rows in itertools.combinations(G, w):
@@ -742,7 +743,7 @@ def distance_spy(monkeypatch):
     "switch" hands over after its first level >= 2."""
     calls = []
     real_scan, real_dual = LinearCode._distance_scan, LinearCode._distance_via_dual
-    real_weights = linear_code._MessageLevels.weights
+    real_weights = kernel._MessageLevels.weights
     state = {"route": "bz"}
 
     def scan(self, b):
@@ -765,14 +766,14 @@ def distance_spy(monkeypatch):
 
     monkeypatch.setattr(LinearCode, "_distance_scan", scan)
     monkeypatch.setattr(LinearCode, "_distance_via_dual", dual)
-    monkeypatch.setattr(linear_code._MessageLevels, "weights", weights)
+    monkeypatch.setattr(kernel._MessageLevels, "weights", weights)
     return state, calls
 
 
-@pytest.mark.parametrize("chunk", [1, 3, linear_code._LOW_WORDS])
+@pytest.mark.parametrize("chunk", [1, 3, kernel._LOW_WORDS])
 @pytest.mark.parametrize("field", sorted(_DISTANCE_FIELDS), ids=lambda f: f"{f[0]}^{f[1]}")
 def test_distance_routes_match_reference(monkeypatch, distance_spy, field, chunk):
-    monkeypatch.setattr(linear_code, "_LOW_WORDS", chunk)
+    monkeypatch.setattr(kernel, "_LOW_WORDS", chunk)
     state, calls = distance_spy
     F = field_new(*field)
     kmax = _DISTANCE_FIELDS[field]
@@ -783,7 +784,7 @@ def test_distance_routes_match_reference(monkeypatch, distance_spy, field, chunk
         (MatrixGF(F, _chain_code(F, kmax, rng)).a[:, :kmax]).tolist(),  # k = n
         _chain_code(F, kmax, rng),
     ] + [_distance_code(F, rng, kmax) for _ in range(6)]
-    ranks = [r for r, _ in linear_code._information_sets(F, np.array(codes[2]))]
+    ranks = [r for r, _ in kernel._information_sets(F, np.array(codes[2]))]
     assert ranks == [kmax, kmax - 1, 1]
     # codes whose rows do not settle d (two-row codes never need a level),
     # and over GF(2) the extended Golay code, which needs levels 2 and 3
@@ -825,14 +826,14 @@ _PACKS = hasattr(np, "bitwise_count")  # numpy >= 2 packs GF(2) words
 def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
     # a small codebook bound forces several chunk levels on small inputs;
     # binary n = 64 packs words into uint64, n = 65 takes the general path
-    monkeypatch.setattr(linear_code, "_LOW_WORDS", low_words)
+    monkeypatch.setattr(kernel, "_LOW_WORDS", low_words)
     rng = random.Random(low_words)
     for field, n, k in [((2, 1), 5, 7), ((3, 1), 4, 5), ((2, 2), 3, 4),
                         ((3, 2), 3, 3), ((257, 1), 2, 2), ((2, 1), 64, 7),
                         ((2, 1), 65, 7)]:
         F = field_new(*field)
         G = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
-        table = linear_code._SplitTable(F, np.array(G, dtype=np.int64))
+        table = kernel._SplitTable(F, np.array(G, dtype=np.int64))
         assert table.packed == (F.q == 2 and n <= 64 and _PACKS)
         seen = [(0,) * n]  # the zero word is never yielded
         for first, weights, block in table.blocks():
@@ -859,7 +860,7 @@ def test_packed_weight_counts_span_several_batches():
         if mat_rank(MatrixGF(F, G)) == 17:
             break
     C = LinearCode(F, G)
-    table = linear_code._SplitTable(F, G)
+    table = kernel._SplitTable(F, G)
     assert table.packed == _PACKS
     assert sum(1 for _ in table.blocks()) == (2 if _PACKS else 2**5)
     msgs = (np.arange(1 << 17)[:, None] >> np.arange(17)) & 1
@@ -907,12 +908,12 @@ def _scan_reference(C, H, support):
     return _SCAN_REFERENCE[key]
 
 
-@pytest.mark.parametrize("low_words", [1, 9, linear_code._LOW_WORDS])
+@pytest.mark.parametrize("low_words", [1, 9, kernel._LOW_WORDS])
 def test_dual_support_scan_matches_reference(monkeypatch, low_words):
     # supports of at most 64 coordinates scan packed words, longer ones the
     # general comparison; loose (every coordinate) and strict (one
     # locality class) supports, and an independent support (no dual word)
-    monkeypatch.setattr(linear_code, "_LOW_WORDS", low_words)
+    monkeypatch.setattr(kernel, "_LOW_WORDS", low_words)
     rng = np.random.default_rng(20)
     F = field_new(2)
     paths, blocks = set(), 0
@@ -932,7 +933,7 @@ def test_dual_support_scan_matches_reference(monkeypatch, low_words):
             if support is supports[-1]:
                 assert K.shape[0] == 0
             else:
-                table = linear_code._SplitTable(F, K)
+                table = kernel._SplitTable(F, K)
                 paths.add(table.packed)
                 blocks = max(blocks, sum(1 for _ in table.blocks()))
             want = _scan_reference(C, H, support)
@@ -966,11 +967,11 @@ def test_unpacked_fallback_matches_packed(monkeypatch):
         return out
 
     packed = [answers(G) for G in codes]
-    assert linear_code._SplitTable(F, codes[1]).packed == _PACKS
-    assert (linear_code._MessageLevels(F, codes[1]).rows.dtype == np.uint64) == _PACKS
+    assert kernel._SplitTable(F, codes[1]).packed == _PACKS
+    assert (kernel._MessageLevels(F, codes[1]).rows.dtype == np.uint64) == _PACKS
     monkeypatch.delattr(np, "bitwise_count", raising=False)
-    assert not linear_code._SplitTable(F, codes[1]).packed
-    assert linear_code._MessageLevels(F, codes[1]).rows.dtype != np.uint64
+    assert not kernel._SplitTable(F, codes[1]).packed
+    assert kernel._MessageLevels(F, codes[1]).rows.dtype != np.uint64
     assert [answers(G) for G in codes] == packed
 
 
