@@ -1,22 +1,30 @@
-"""Enumeration kernel of mllrc.linear_code: split tables, information-set
-levels and prefix-shared span search, over numpy arrays of field elements.
+"""Enumeration kernel of mllrc.linear_code: split tables, Brouwer-Zimmermann
+levels over information sets, and prefix-shared span search, over numpy
+arrays of field elements.
 
-Every exhaustive pass (the dual weight distribution behind the MacWilliams
-distance route, and the dual-word scans behind localities and repair-set
-witnesses) runs on one split-table kernel, `_SplitTable`.  The first a
-generator rows are encoded once into a low codebook of q^a words (a is the
-largest value with q^a <= 2^12, clamped to [1, k]); high word b is the
-combination of the remaining rows, and word (b, c) is low word c plus it.
-Over GF(2) with n <= 64 words are uint64 bitmasks: a block is a batch of at
-most 2^16 words, high[b:b+h, None] ^ low[None, :], weighed by
+Passes that visit every word of a row space (the dual weight distribution
+behind the MacWilliams distance route, a locality dual scan whose kernel
+fits one low codebook or whose Brouwer-Zimmermann plan is not cheaper, and
+repair-group detection) run on the split-table kernel, `_SplitTable`.  The
+first a generator rows are encoded once into a low codebook of q^a words
+(a is the largest value with q^a <= 2^12, clamped to [1, k]); high word b
+is the combination of the remaining rows, and word (b, c) is low word c
+plus it.  Over GF(2) with n <= 64 words are uint64 bitmasks: a block is a
+batch of at most 2^16 words, high[b:b+h, None] ^ low[None, :], weighed by
 np.bitwise_count.  Otherwise a block is the codebook shifted by one high
 word, and its zero pattern is the single comparison low == -high[b] on a
 column-major uint8 table (uint16 when q > 256).  No block re-encodes
 messages; actual codewords are rebuilt only for witness candidates.  The
 budget charges the nominal q^dim words before a pass starts, and the zero
-word is never visited.  A dual scan seeds each target's bound from the
-basis rows and reduces only the words of a block lighter than the largest
-bound still open.
+word is never visited.
+
+Brouwer-Zimmermann order visits a row space lightest-first: on each of
+disjoint information sets (_information_sets), the messages of weight 1,
+2, ... (_MessageLevels), with a lower bound on the weight of every word not
+yet visited (_bz_bound).  The minimum distance and the locality dual scan
+share one walk over the planned levels (_bz_plan, _BZWalk) and stop as
+soon as that bound proves what they need.  _MessageLevels blocks are read
+by the same lightest and word methods as _SplitTable blocks.
 """
 
 from __future__ import annotations
@@ -87,6 +95,19 @@ def _word_chunks(q: int, rows, codebook, add):
             yield add(low, h)
 
 
+def _packed_lightest(words, w, bits, none: int) -> np.ndarray:
+    """Per bit position bits[j], the least w[i] of a packed word words[i]
+    with that bit set, else none.  The supports of each weight are ORed, so
+    memory stays linear in len(words)."""
+    order = np.argsort(w)
+    w = w[order]
+    starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+    # seen[g]: the coordinates where some word of weight <= w[starts[g]] is nonzero
+    seen = np.bitwise_or.accumulate(np.bitwise_or.reduceat(words[order], starts))
+    hit = (seen[:, None] >> bits) & 1 != 0
+    return np.where(hit.any(axis=0), w[starts][hit.argmax(axis=0)], none)
+
+
 class _SplitTable:
     """Exhaustive enumeration of a row space by split tables.
 
@@ -146,18 +167,11 @@ class _SplitTable:
 
     def lightest(self, block, weights, sel, cols) -> np.ndarray:
         """Per coordinate cols[j], the least weight of a word among sel
-        (nonempty) nonzero there, else n + 1.  Packed, the supports of each
-        weight are ORed, so memory stays linear in len(sel)."""
+        (nonempty) nonzero there, else n + 1."""
         w = weights[sel]
         if not self.packed:
             return np.where(block[2][np.ix_(cols, sel)], w, self.n + 1).min(axis=1)
-        order = np.argsort(w)
-        w = w[order]
-        starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
-        # seen[g]: the coordinates where some word of weight <= w[starts[g]] is nonzero
-        seen = np.bitwise_or.accumulate(np.bitwise_or.reduceat(block[sel][order], starts))
-        hit = (seen[:, None] >> self._bits[cols]) & 1 != 0
-        return np.where(hit.any(axis=0), w[starts][hit.argmax(axis=0)], self.n + 1)
+        return _packed_lightest(block[sel], w, self._bits[cols], self.n + 1)
 
     def word(self, block, i: int) -> np.ndarray:
         """Word i of the block, as an int64 vector."""
@@ -169,7 +183,8 @@ class _SplitTable:
 
 def _information_sets(F: FiniteField, G: np.ndarray):
     """Disjoint information sets of the row space of G, chosen greedily in
-    column order, yielded as (rank r, generator) pairs.
+    column order, yielded as (rank r, generator, column order) triples:
+    column i of the generator is column order[i] of G.
 
     Set j is the RREF pivots among the columns no earlier set took.  Its
     generator is the RREF of G with those columns moved first (then the
@@ -178,11 +193,12 @@ def _information_sets(F: FiniteField, G: np.ndarray):
     increase from one set to the next."""
     rest, used = list(range(G.shape[1])), []
     while rest:
-        R, piv = _rref(F, G[:, rest + used])
+        order = rest + used
+        R, piv = _rref(F, G[:, order])
         chosen = {rest[p] for p in piv if p < len(rest)}
         if not chosen:  # only zero columns left
             return
-        yield len(chosen), R
+        yield len(chosen), R, order
         used += sorted(chosen)
         rest = [c for c in rest if c not in chosen]
 
@@ -263,16 +279,20 @@ class _MessageLevels:
     weighed by np.bitwise_count (numpy 2; older numpy takes the general
     path).  Levels are generated depth-first, _LOW_WORDS // (q - 1) words of
     the level below at a time (at least one), so a step makes at most
-    max(q - 1, _LOW_WORDS) words and no level is held whole.
+    max(q - 1, _LOW_WORDS) words and no level is held whole.  words() gives
+    the words themselves, in blocks read by lightest and word as a
+    _SplitTable's are.
     """
 
     def __init__(self, F: FiniteField, G: np.ndarray):
         k, n = G.shape
-        self.k = k
+        self.k, self.n = k, n
         self.row_weights = np.count_nonzero(G, axis=1)
         self.piece = max(1, _LOW_WORDS // (F.q - 1))  # P words per step
-        if _packs(F, n):
+        self.packed = _packs(F, n)
+        if self.packed:
             self.rows = _pack(G)
+            self._bits = np.arange(n, dtype=np.uint64)
             self._add = lambda P, i: P ^ self.rows[i]
             self._weigh = lambda P, i: np.bitwise_count(P ^ self.rows[i])
         else:
@@ -316,6 +336,58 @@ class _MessageLevels:
         for P, last in self._chunks(w - 1):
             for i in range(int(last.min()) + 1, self.k):
                 yield self._weigh(P[last < i], i)
+
+    def words(self, w: int):
+        """The level-w words as (weights, block) chunks of self.piece words."""
+        for P, _ in self._chunks(w):
+            yield (np.bitwise_count(P) if self.packed else np.count_nonzero(P, axis=1)), P
+
+    def lightest(self, block, weights, sel, cols) -> np.ndarray:
+        """Per coordinate cols[j], the least weight of a word among sel
+        (nonempty) nonzero there, else n + 1."""
+        w = weights[sel]
+        if not self.packed:
+            return np.where(block[np.ix_(sel, cols)] != 0, w[:, None], self.n + 1).min(axis=0)
+        return _packed_lightest(block[sel], w, self._bits[cols], self.n + 1)
+
+    def word(self, block, i: int) -> np.ndarray:
+        """Word i of the block, as an int64 vector."""
+        if self.packed:
+            return ((block[i] >> self._bits) & 1).astype(np.int64)
+        return block[i].astype(np.int64)
+
+
+class _BZWalk:
+    """Brouwer-Zimmermann enumeration of the row space of disjoint
+    information sets, set j of rank ranks[j] with generator gens[j], one
+    planned level (see _bz_plan) at a time; level 1 is taken as done.
+    read(levels, v) gives the chunks of one set's messages of weight v
+    (_MessageLevels.weights or _MessageLevels.words)."""
+
+    def __init__(self, F: FiniteField, gens, ranks, read):
+        self.field, self.gens, self.ranks, self.read = F, gens, ranks, read
+        self.done, self._sets = [1] * len(ranks), {}
+
+    def set(self, j: int) -> _MessageLevels:
+        """The levels of set j, built on first use."""
+        if j not in self._sets:
+            self._sets[j] = _MessageLevels(self.field, self.gens[j])
+        return self._sets[j]
+
+    def level(self, w: int, steps):
+        """Yield (bound, levels, chunk) for each chunk of the level's steps,
+        and (bound, levels, None) after each step, where levels is the
+        step's set: no word yielded later, or in this chunk, weighs less
+        than bound."""
+        k = len(self.gens[0])
+        for j, first in steps:
+            levels = self.set(j)
+            for v in range(first, w + 1):
+                bound = _bz_bound(k, self.ranks, self.done)
+                for chunk in self.read(levels, v):
+                    yield bound, levels, chunk
+                self.done[j] = v
+                yield _bz_bound(k, self.ranks, self.done), levels, None
 
 
 def _first_matches(F: FiniteField, R: np.ndarray, P, targets):

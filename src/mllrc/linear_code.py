@@ -6,7 +6,10 @@ locality, repair-set witnesses.  Enumerations are bounded by a hard budget
 falling back to any approximation.  Coordinates are 0-based throughout the
 library API (the CLI layer presents them 1-based).
 
-Every exhaustive pass runs on the enumeration kernel in mllrc.kernel.
+Every enumeration runs on the kernel in mllrc.kernel: split tables visit
+every word of a row space in message order, and Brouwer-Zimmermann levels
+visit words lightest-first, one walk (kernel._BZWalk) shared by the
+distance and the locality dual scan.
 
 Minimum distance has two routes.  Brouwer-Zimmermann takes disjoint
 information sets greedily in column order (_information_sets); set j has
@@ -39,7 +42,10 @@ LinearCode._locality_scan predicts each level's cost as (open targets) x
 C(|support| - 1, s) tests of k(s+1) units, charged against the same budget,
 and hands the open targets to the dual scan when its q^dim words fit the
 budget and number fewer than _WORDS_PER_UNIT times the level's units, or
-when the level does not fit.
+when the level does not fit.  The dual scan is charged its nominal q^dim
+words, but when those exceed one low codebook it visits them in
+Brouwer-Zimmermann order over information sets of the kernel, and stops
+once no unseen word can lower an open bound (LinearCode._dual_support_scan).
 Locality is refused only when both routes are over the budget.  Every
 locality answer goes through LinearCode._repairs, which keeps the exact
 results (localities and witnesses together) on the code.
@@ -95,8 +101,9 @@ DEFAULT_BUDGET = 10**8
 # predicted unit on [12,6]_13, [15,8]_16 and [20,8]_2.  16 is kept on purpose
 # so that no route or refusal edge moves.
 _WORDS_PER_UNIT = 16
-# MacWilliams dual words that cost as much as one Brouwer-Zimmermann word,
-# for the route choice in LinearCode._distance_scan.  Timed on the same host
+# MacWilliams (split-table) dual words that cost as much as one
+# Brouwer-Zimmermann word, for the route choices in LinearCode._distance_scan
+# and LinearCode._dual_support_scan.  Timed on the same host
 # in two runs: a BZ word took 30-32 ns on [45,23]_2 (bit-packed), 50-67 ns on
 # [15,8]_16, 74-84 ns on [12,6]_13 and 200-266 ns on [102,64]_2 (too long to
 # pack); a MacWilliams dual word 8-11 ns on [15,10]_16 and [12,6]_13 and,
@@ -194,7 +201,7 @@ class LinearCode:
         k, q = self.k, self.q
         dual_words = q ** (self.n - k)
         ranks, gens, best = [], [], self.n
-        for r, G in kernel._information_sets(self.field, self.G.a):
+        for r, G, _ in kernel._information_sets(self.field, self.G.a):
             ranks.append(r)
             gens.append(G)
             best = min(best, int(np.count_nonzero(G, axis=1).min()))
@@ -208,22 +215,15 @@ class LinearCode:
                     f"or {words} information-set words; budget is {b}"
                 )
             return self._distance_via_dual()
-        sets, done = {}, [1] * len(ranks)
+        walk = kernel._BZWalk(self.field, gens, ranks, kernel._MessageLevels.weights)
         for w, steps, level in levels:
             if dual_words <= b and dual_words < level * _DUAL_WORDS_PER_WORD:
                 return self._distance_via_dual()
-            for j, first in steps:
-                if j not in sets:
-                    sets[j] = kernel._MessageLevels(self.field, gens[j])
-                for v in range(first, w + 1):
-                    bound = kernel._bz_bound(k, ranks, done)
-                    for weights in sets[j].weights(v):
-                        best = min(best, int(weights.min()))
-                        if best <= bound:  # no unseen word is lighter
-                            return best
-                    done[j] = v
-                    if kernel._bz_bound(k, ranks, done) >= best:
-                        return best
+            for bound, _, weights in walk.level(w, steps):
+                if weights is not None:
+                    best = min(best, int(weights.min()))
+                if best <= bound:  # no unseen word is lighter
+                    return best
         return best  # the plan ran out: the first best is proved, or all seen
 
     def _weight_counts(self, G: np.ndarray) -> list[int]:
@@ -304,27 +304,61 @@ class LinearCode:
 
         Enumerates K, a basis of the kernel of G restricted to `support`
         (exactly the dual words vanishing outside it).  Bounds start at the
-        lightest row of K through each target (no row: no word), and a block
-        lowers them only from its words lighter than the largest open bound.
-        Witnesses are normalized to h_target = 1 and chosen as the
+        lightest basis row through each target (no row: no word), and a
+        chunk lowers them only from its words lighter than the largest open
+        bound.  When K's q^dim words exceed one low codebook, the rows are
+        those of K's information sets, and the words come lightest-first in
+        Brouwer-Zimmermann order (kernel._BZWalk), unless the plan that
+        proves the largest open bound costs at least q^dim /
+        _DUAL_WORDS_PER_WORD words; the walk stops once no unseen word can
+        weigh less than that bound.  Otherwise the split table visits every
+        word.  Witnesses are normalized to h_target = 1 and chosen as the
         lexicographically smallest (helper set, coefficient vector) among
-        the words whose weight is the target's minimum.
+        the words whose weight is the target's minimum, found by a second
+        pass that the walk ends only once no unseen word has that weight.
         """
-        F, m = self.field, len(support)
+        F, m, dim = self.field, len(support), K.shape[0]
         pos = {c: idx for idx, c in enumerate(support)}
         t_pos = np.array([pos[t] for t in targets], dtype=np.intp)
-        through = K[:, t_pos] != 0
+        gens, ranks = [K], []
+        if dim > kernel._low_rows(F.q, dim):
+            gens = []
+            for r, R, order in kernel._information_sets(F, K):
+                ranks.append(r)
+                gens.append(np.empty_like(R))
+                gens[-1][:, order] = R  # columns back in the support's order
+        basis = np.concatenate(gens)
+        through = basis[:, t_pos] != 0
         # per target: the least weight of a word through it (m + 1: none)
-        bound = np.where(through, np.count_nonzero(K, axis=1)[:, None], m + 1)
+        bound = np.where(through, np.count_nonzero(basis, axis=1)[:, None], m + 1)
         bound = bound.min(axis=0, initial=m + 1)
         open_ = through.any(axis=0)
-        if open_.any():
+
+        def chunks(best):
+            """(bound, reader, weights, block) over the dual words: no word
+            after bound weighs less; a reader's lightest and word read the
+            block, and a step's end is (bound, reader, None, None)."""
+            if ranks:
+                words, levels = kernel._bz_plan(dim, F.q, ranks, best)
+                if words * _DUAL_WORDS_PER_WORD < F.q ** dim:
+                    walk = kernel._BZWalk(F, gens, ranks, kernel._MessageLevels.words)
+                    for j in range(len(gens)):
+                        yield from ((0, walk.set(j), *c) for c in walk.set(j).words(1))
+                    for w, steps, _ in levels:
+                        for at_least, reader, chunk in walk.level(w, steps):
+                            yield (at_least, reader) + (chunk or (None, None))
+                    return
             table = kernel._SplitTable(F, K)
+            yield from ((0, table, weights, block) for _, weights, block in table.blocks())
+
+        if open_.any():
             top = int(bound[open_].max())
-            for _, weights, block in table.blocks():
-                if weights.min() < top:
+            for at_least, reader, weights, block in chunks(top):
+                if at_least >= top:
+                    break  # no unseen word is lighter than an open bound
+                if weights is not None and weights.min() < top:
                     sel = np.flatnonzero(weights < top)
-                    bound = np.minimum(bound, table.lightest(block, weights, sel, t_pos))
+                    bound = np.minimum(bound, reader.lightest(block, weights, sel, t_pos))
                     top = int(bound[open_].max())
         weight = {t: int(w) if w <= m else None for t, w in zip(targets, bound)}
         if not want_witnesses:
@@ -335,11 +369,13 @@ class LinearCode:
             rows, want = t_pos[active], bound[active]
             wanted, top = np.zeros(m + 1, dtype=bool), int(want.max())
             wanted[want] = True
-            for _, weights, block in table.blocks():
-                if weights.min() > top:
+            for at_least, reader, weights, block in chunks(top + 1):
+                if at_least > top:
+                    break  # every word of a wanted weight has been seen
+                if weights is None or weights.min() > top:
                     continue  # no minimum-weight word in this block
                 for i in np.flatnonzero(wanted[weights]).tolist():
-                    h = table.word(block, i)
+                    h = reader.word(block, i)
                     for a in np.flatnonzero((want == weights[i]) & (h[rows] != 0)):
                         t, tp = targets[active[a]], int(rows[a])
                         hn = F.mul(F.inv(int(h[tp])), h)  # normalize h_t = 1
@@ -385,9 +421,10 @@ class LinearCode:
         Span search (see the module docstring) charges nothing for level 1.
         Before each level s >= 2 its cost is predicted as (open targets) x
         C(|support| - 1, s) rank tests of k(s+1) units each, charged against
-        the budget.  The open targets go to the dual scan of q^dim words
-        instead when that fits the budget and is predicted cheaper, or when
-        the level does not fit; when neither fits, BudgetError.  Targets
+        the budget.  The open targets go to the dual scan instead, charged
+        its nominal q^dim words whatever order it visits them in, when those
+        fit the budget and are predicted cheaper, or when the level does not
+        fit; when neither fits, BudgetError.  Targets
         still open after level `cap` are left out of the result.  Every
         target column must be nonzero.
         """

@@ -125,11 +125,10 @@ def test_ac05_construction2_sweep_with_stated_distances():
 
 def test_ac05_note_r4_parameters_and_locality_only():
     # the r = 4 member ([45, 23]): acceptance covers parameters and
-    # per-block locality only.  It is enumerable (distance and loose profile
-    # take about 15 ms on a 2-core x86-64 host: d = 6, profile (36,3),(9,8)),
-    # but those values are not pinned here (test_constructions proves the
-    # full negative: the middle in-block coordinate has no dual word of
-    # weight <= 5 anywhere in the code)
+    # per-block locality only.  Its certified d = 6 and profile
+    # (36,3),(9,8) are pinned by test_construction2_ledger below
+    # (test_constructions proves the full negative: the middle in-block
+    # coordinate has no dual word of weight <= 5 anywhere in the code)
     code = construction2_binary_lrc(4, 0)
     assert (code.n, code.k) == construction2_parameters(4, 0)[:2]
     # column bit-patterns for XOR checks
@@ -138,6 +137,33 @@ def test_ac05_note_r4_parameters_and_locality_only():
     for b in range(9):
         base = 5 * b
         assert cols[base] ^ cols[base + 1] ^ cols[base + 2] ^ cols[base + 4] == 0
+
+
+# The paper's binary two-level family, member by member: every j at
+# r = 2, 3 and 4, and r = 5 as far as the enumeration budget reaches.  Each
+# row is (r, j), the stated [n, k, d], the certified d and the certified
+# loose profile.  Every even-r member misses the stated distance 2(r + 1),
+# and at r = 4 some localities exceed r.
+_CONSTRUCTION2_LEDGER = [
+    ((2, 0), (9, 3, 6), 4, ((6, 1), (3, 2))),
+    ((3, 0), (20, 8, 8), 8, ((20, 3),)),
+    ((3, 1), (16, 5, 8), 8, ((16, 3),)),
+    ((4, 0), (45, 23, 10), 6, ((36, 3), (9, 8))),
+    ((4, 1), (40, 19, 10), 8, ((32, 3), (8, 7))),
+    ((4, 2), (35, 15, 10), 8, ((28, 3), (7, 6))),
+    ((4, 3), (30, 11, 10), 8, ((24, 3), (6, 5))),
+    ((4, 4), (25, 7, 10), 8, ((25, 3),)),
+    ((5, 11), (36, 9, 12), 12, ((36, 3),)),
+]
+
+
+@pytest.mark.parametrize("rj,stated,d,profile", _CONSTRUCTION2_LEDGER,
+                         ids=[f"r{r}j{j}" for (r, j), *_ in _CONSTRUCTION2_LEDGER])
+def test_construction2_ledger(rj, stated, d, profile):
+    assert construction2_parameters(*rj) == stated
+    cert = certify(construction2_binary_lrc(*rj), oracle=KOptOracle("table"))
+    assert (cert.n, cert.k, cert.d) == (*stated[:2], d)
+    assert cert.profile.shape() == profile
 
 
 def test_ac06_rank_deficient_sets_bounded_by_n_minus_d():

@@ -16,6 +16,8 @@ import pytest
 
 import mllrc.kernel as kernel
 import mllrc.linear_code as linear_code
+from mllrc.bounds import KOptOracle
+from mllrc.certify import certify
 from mllrc.constructions import construction2_binary_lrc, reed_solomon, tamo_barg
 from mllrc.errors import BudgetError, ParseError, PreconditionError
 from mllrc.galois import (
@@ -206,6 +208,25 @@ def test_budget_explicit_else_default():
     # by the bound after them, under any budget
     C = LinearCode(field_new(2), [[1, 1, 0, 0], [0, 1, 1, 1]])
     assert C.min_distance(budget=1) == 2
+
+
+def test_gcc2_r4_certify_walks_the_dual_lightest_first(monkeypatch, bz_scan_spy):
+    # [45,23]_2: the locality scan's kernel has dimension 22.  The split
+    # table would visit all 2^22 dual words; in Brouwer-Zimmermann order the
+    # scan stops once no unseen word can lower an open bound.
+    walked = []
+    real = kernel._MessageLevels.words
+
+    def words(self, w):
+        for weights, block in real(self, w):
+            walked.append(len(weights))
+            yield weights, block
+
+    monkeypatch.setattr(kernel._MessageLevels, "words", words)
+    cert = certify(construction2_binary_lrc(4, 0), oracle=KOptOracle("table"))
+    assert (cert.d, cert.profile.shape()) == (6, ((36, 3), (9, 8)))
+    assert bz_scan_spy["tables"] == 0
+    assert 0 < sum(walked) < 2**22
 
 
 def test_gcc2_r5_distance_is_refused_before_any_level(monkeypatch):
@@ -706,8 +727,8 @@ def _needs_levels(F, A):
     """Whether Brouwer-Zimmermann must enumerate beyond the rows of its
     information sets on the code of generator A."""
     sets = list(kernel._information_sets(F, np.array(A)))
-    best = min(int(np.count_nonzero(G, axis=1).min()) for _, G in sets)
-    return bool(kernel._bz_plan(len(A), F.q, [r for r, _ in sets], best)[1])
+    best = min(int(np.count_nonzero(G, axis=1).min()) for _, G, _ in sets)
+    return bool(kernel._bz_plan(len(A), F.q, [r for r, *_ in sets], best)[1])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, kernel._LOW_WORDS])
@@ -784,7 +805,7 @@ def test_distance_routes_match_reference(monkeypatch, distance_spy, field, chunk
         (MatrixGF(F, _chain_code(F, kmax, rng)).a[:, :kmax]).tolist(),  # k = n
         _chain_code(F, kmax, rng),
     ] + [_distance_code(F, rng, kmax) for _ in range(6)]
-    ranks = [r for r, _ in kernel._information_sets(F, np.array(codes[2]))]
+    ranks = [r for r, *_ in kernel._information_sets(F, np.array(codes[2]))]
     assert ranks == [kmax, kmax - 1, 1]
     # codes whose rows do not settle d (two-row codes never need a level),
     # and over GF(2) the extended Golay code, which needs levels 2 and 3
@@ -943,6 +964,127 @@ def test_dual_support_scan_matches_reference(monkeypatch, low_words):
             assert weights == {t: (w, None) for t, (w, _) in want.items()}
     assert paths == ({True, False} if _PACKS else {False})
     assert blocks > 1 or low_words == 1 << 12
+
+
+def dual_scan_reference(F, support, targets, K, want_witnesses):
+    """The split-table dual scan: every word of the row space of K, in
+    message order.  Per target, the least weight of a word through it and,
+    among the words of that weight, the least normalized (helpers,
+    coefficients)."""
+    m, pos = len(support), {c: i for i, c in enumerate(support)}
+    cols = np.array([pos[t] for t in targets], dtype=np.intp)
+    table = kernel._SplitTable(F, K) if len(K) else None
+    blocks = list(table.blocks()) if table else []
+    least = np.full(len(targets), m + 1)
+    for _, weights, block in blocks:
+        every = np.arange(len(weights))
+        least = np.minimum(least, table.lightest(block, weights, every, cols))
+    keys = {}
+    for _, weights, block in blocks if want_witnesses else ():
+        for i in np.flatnonzero(np.isin(weights, least)).tolist():
+            h = table.word(block, i)
+            for t, tp, w in zip(targets, cols.tolist(), least.tolist()):
+                if h[tp] and weights[i] == w:
+                    hn = F.mul(F.inv(int(h[tp])), h)
+                    helpers = tuple(support[j] for j in np.flatnonzero(hn) if j != tp)
+                    key = (helpers, tuple(int(F.neg(int(hn[pos[c]]))) for c in helpers))
+                    keys[t] = min(keys.get(t, key), key)
+    return {t: (int(w) if w <= m else None, RepairSet(t, *keys[t]) if t in keys else None)
+            for t, w in zip(targets, least.tolist())}
+
+
+# Field -> (n, k) shapes whose dual dimensions straddle one low codebook
+# (4096 words): the first shape's kernel fits it and takes the split table,
+# the others may walk Brouwer-Zimmermann levels.
+_BZ_SCAN_SHAPES = {
+    (2, 1): [(20, 8), (21, 8), (24, 10), (28, 12)],
+    (3, 1): [(12, 5), (13, 5), (14, 6)],
+    (2, 2): [(11, 5), (12, 5), (13, 6)],
+    (13, 1): [(6, 3), (7, 3), (8, 4)],
+}
+
+
+def _bz_scan_code(F, n, k, rng, density, coloop):
+    """A random [n, k] code with about `density` nonzero entries and no zero
+    column; with coloop, coordinate 0 is in no dual word."""
+    while True:
+        A = [[rng.randrange(1, F.q) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(k)]
+        for i in range(k):
+            A[i][i] = 1
+        if coloop:
+            A[0] = [1] + [0] * (n - 1)
+            for row in A[1:]:
+                row[0] = 0
+        if all(any(row[j] for row in A) for j in range(n)) and mat_rank(MatrixGF(F, A)) == k:
+            return LinearCode(F, A)
+
+
+@pytest.fixture
+def bz_scan_spy(monkeypatch):
+    """Counts the Brouwer-Zimmermann levels walked and the split tables built."""
+    seen = {"levels": 0, "tables": 0}
+    real_level, real_table = kernel._BZWalk.level, kernel._SplitTable
+
+    def level(self, w, steps):
+        seen["levels"] += 1
+        return real_level(self, w, steps)
+
+    def table(F, G):
+        seen["tables"] += 1
+        return real_table(F, G)
+
+    monkeypatch.setattr(kernel._BZWalk, "level", level)
+    monkeypatch.setattr(kernel, "_SplitTable", table)
+    return seen
+
+
+@pytest.mark.parametrize("field", sorted(_BZ_SCAN_SHAPES), ids=lambda f: f"{f[0]}^{f[1]}")
+def test_dual_scan_matches_split_table_reference(monkeypatch, bz_scan_spy, field):
+    # localities and witnesses of every support coordinate, on the whole
+    # support (loose), the loose classes (strict), random helper subsets and
+    # an independent support (no kernel); over GF(2) also a sparse [70, 54]
+    # code, whose 70 coordinates do not pack
+    F = field_new(*field)
+    rng = random.Random(f"bz-scan/{field}")
+    codes = [_bz_scan_code(F, n, k, rng, density, coloop=density < 0.5 and k % 2 == 0)
+             for n, k in _BZ_SCAN_SHAPES[field] for density in (0.5, 0.25)]
+    if F.q == 2:
+        codes.append(_sparse_check_code(70, 16, np.random.default_rng(70))[0])
+    dims = set()
+    for C in codes:
+        n, full = C.n, tuple(range(C.n))
+        loose = {}
+        for t, (w, _) in dual_scan_reference(F, full, full, C.H.a, False).items():
+            loose.setdefault(w, []).append(t)
+        supports = [full] + [tuple(c) for w, c in loose.items() if w and len(c) > 1]
+        supports += [tuple(sorted(rng.sample(full, n - rng.randint(1, 3)))) for _ in range(2)]
+        supports.append(tuple(int(j) for j in mat_rref(C.G)[1]))  # independent
+        for support in supports:
+            R, piv = mat_rref(MatrixGF(F, C.G.a[:, list(support)]))
+            K = linear_code._kernel_basis(F, R.a[: len(piv)], piv)
+            dims.add(K.shape[0])
+            for witnesses in (False, True):
+                want = dual_scan_reference(F, support, support, K, witnesses)
+                got = LinearCode(F, C.G.a)._dual_support_scan(support, support, K, witnesses)
+                assert repr(got) == repr(want), (C.G.tolist(), support, witnesses)
+    # profiles and their witnesses, every locality from the dual scan
+    monkeypatch.setattr(linear_code, "_WORDS_PER_UNIT", 10**30)
+    real = LinearCode._dual_support_scan
+    for C in codes:
+        answers = []
+        for scan in (real, lambda self, *args: dual_scan_reference(self.field, *args)):
+            monkeypatch.setattr(LinearCode, "_dual_support_scan", scan)
+            D, out = LinearCode(F, C.G.a), []
+            for mode in ("loose", "strict"):
+                profile = _outcome(D.locality_profile, mode, keep_witnesses=mode == "loose")
+                out.append(profile)
+                if isinstance(profile, LocalityProfile):
+                    out.append(repr(D.verify_profile(profile, mode)))
+            answers.append(out)
+        assert answers[0] == answers[1], C.G.tolist()
+    assert 0 in dims and any(F.q ** d <= kernel._LOW_WORDS < F.q ** (d + 1) for d in dims)
+    assert bz_scan_spy["levels"] and bz_scan_spy["tables"]
 
 
 def test_unpacked_fallback_matches_packed(monkeypatch):
