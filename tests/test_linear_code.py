@@ -752,8 +752,19 @@ def test_message_levels_match_reference(monkeypatch, field, chunk):
                     for c, row in zip(cs, rows[1:]):
                         mc = ref.mul[c]
                         word = [ref.add[a][mc[g]] for a, g in zip(word, row)]
-                    want.append(sum(1 for v in word if v))
+                    want.append(tuple(word))
             got = np.concatenate(list(levels.weights(w))).tolist()
+            assert sorted(got) == sorted(sum(1 for v in x if v) for x in want), (k, n, w)
+            # words(): the same words, each with its weight, read by word and
+            # lightest (here: each word alone, at every coordinate)
+            got = []
+            for weights, block in levels.words(w):
+                for i in range(len(weights)):
+                    x = levels.word(block, i)
+                    alone = levels.lightest(block, weights, np.array([i]), np.arange(n))
+                    assert alone.tolist() == np.where(x == 0, n + 1, weights[i]).tolist()
+                    assert weights[i] == np.count_nonzero(x)
+                    got.append(tuple(x.tolist()))
             assert sorted(got) == sorted(want), (k, n, w)
 
 
@@ -1083,8 +1094,9 @@ def test_dual_scan_matches_split_table_reference(monkeypatch, bz_scan_spy, field
                     out.append(repr(D.verify_profile(profile, mode)))
             answers.append(out)
         assert answers[0] == answers[1], C.G.tolist()
+    # a kernel just inside one codebook (the split table) and the walk ran
     assert 0 in dims and any(F.q ** d <= kernel._LOW_WORDS < F.q ** (d + 1) for d in dims)
-    assert bz_scan_spy["levels"] and bz_scan_spy["tables"]
+    assert bz_scan_spy["levels"]
 
 
 def test_unpacked_fallback_matches_packed(monkeypatch):
