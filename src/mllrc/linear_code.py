@@ -335,9 +335,10 @@ class LinearCode:
         open_ = through.any(axis=0)
 
         def chunks(best):
-            """(bound, reader, weights, block) over the dual words: no word
-            after bound weighs less; a reader's lightest and word read the
-            block, and a step's end is (bound, reader, None, None)."""
+            """(bound, reader, weights, block) over the dual words, where no
+            word of this chunk or a later one weighs less than bound, and
+            reader's lightest and word read the block; a walk step's end
+            is (bound, reader, None, None)."""
             if ranks:
                 words, levels = kernel._bz_plan(dim, F.q, ranks, best)
                 if words * _DUAL_WORDS_PER_WORD < F.q ** dim:
