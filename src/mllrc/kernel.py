@@ -142,28 +142,25 @@ class _SplitTable:
         self._count_dtype = np.uint8 if n < 255 else np.int64
 
     def blocks(self):
-        """Yield (first, weights, block) per block, skipping the zero word.
-
-        The block's words are messages first, first + 1, ...; weights[i] is
-        the weight of word i, and block is read by lightest and word."""
-        first = 0
+        """Yield (weights, block) per block, in message order, skipping the
+        zero word: weights[i] is the weight of word i, and block is read by
+        lightest and word."""
+        skip = 1  # message 0 is the zero word
         if self.packed:
             span = max(1, (_LOW_WORDS << 4) // len(self._low))  # high words a batch
             for top in _word_chunks(2, self._high_rows, _xor_codebook, np.bitwise_xor):
                 for at in range(0, len(top), span):
-                    words = (top[at:at + span, None] ^ self._low).ravel()
-                    skip = int(first == 0)  # message 0 is the zero word
-                    yield first + skip, np.bitwise_count(words[skip:]), words[skip:]
-                    first += len(words)
+                    words = (top[at:at + span, None] ^ self._low).ravel()[skip:]
+                    yield np.bitwise_count(words), words
+                    skip = 0
             return
         F = self.field
         for chunk in _word_chunks(F.q, self._neg_high_rows, lambda G: _codebook(F, G), F.add):
             for neg_high, nh in zip(chunk, chunk.astype(self._low_t.dtype)):
-                skip = int(first == 0)
                 ne = self._low_t[:, skip:] != nh[:, None]
                 weights = ne.view(np.uint8).sum(axis=0, dtype=self._count_dtype)
-                yield first + skip, weights, (skip, neg_high, ne)
-                first += self._low_t.shape[1]
+                yield weights, (skip, neg_high, ne)
+                skip = 0
 
     def lightest(self, block, weights, sel, cols) -> np.ndarray:
         """Per coordinate cols[j], the least weight of a word among sel
@@ -183,14 +180,13 @@ class _SplitTable:
 
 def _information_sets(F: FiniteField, G: np.ndarray):
     """Disjoint information sets of the row space of G, chosen greedily in
-    column order, yielded as (rank r, generator, column order) triples:
-    column i of the generator is column order[i] of G.
+    column order, yielded as (rank r, generator) pairs.
 
     Set j is the RREF pivots among the columns no earlier set took.  Its
     generator is the RREF of G with those columns moved first (then the
-    taken columns), so it shows [I_r; 0] on the set's columns: rows r.. vanish
-    there.  Columns are reordered, which no weight depends on.  Ranks never
-    increase from one set to the next."""
+    taken columns), put back in G's column order, so it is [I_r; 0] on the
+    set's columns: rows r.. vanish there.  Ranks never increase from one
+    set to the next."""
     rest, used = list(range(G.shape[1])), []
     while rest:
         order = rest + used
@@ -198,7 +194,7 @@ def _information_sets(F: FiniteField, G: np.ndarray):
         chosen = {rest[p] for p in piv if p < len(rest)}
         if not chosen:  # only zero columns left
             return
-        yield len(chosen), R, order
+        yield len(chosen), R[:, np.argsort(order)]  # column order[i] is R's column i
         used += sorted(chosen)
         rest = [c for c in rest if c not in chosen]
 

@@ -36,7 +36,7 @@ unique and nonzero, and its first s - 1 columns P do not span g_t.  Level s
 row-reduces [G_P | G] once per (s-1)-subset P, pivoting on P's columns only,
 and P + (j,) spans g_t iff the residuals of g_j and g_t below P's pivots
 match once scaled to a leading 1.  The first P in combinations order with a
-match, with its least j, is the dual scan's lexicographically least witness
+match, with its least j, is the lexicographically least such S
 (_span_level); level 1 is the same lookup on the empty prefix.
 LinearCode._locality_scan predicts each level's cost as (open targets) x
 C(|support| - 1, s) tests of k(s+1) units, charged against the same budget,
@@ -48,7 +48,14 @@ Brouwer-Zimmermann order over information sets of the kernel, and stops
 once no unseen word can lower an open bound (LinearCode._dual_support_scan).
 Locality is refused only when both routes are over the budget.  Every
 locality answer goes through LinearCode._repairs, which keeps the exact
-results (localities and witnesses together) on the code.
+results (localities and witnesses together) on the code.  Both routes
+take as witness the lexicographically least S.  The dual scan reads S off
+the minimum-weight dual words h through t (their nonzero positions other
+than t), with c_j = -h_j / h_t: two such words scaled to h_t = 1 with one
+S differ by a word z inside S, and z != 0 would give h - cz, zero at a
+helper and 1 at t, a lighter word.  So S fixes the coefficients, and the
+scan keeps per target the word of least support (these supports have one
+size and hold t, so that is the least S).
 """
 
 from __future__ import annotations
@@ -201,7 +208,7 @@ class LinearCode:
         k, q = self.k, self.q
         dual_words = q ** (self.n - k)
         ranks, gens, best = [], [], self.n
-        for r, G, _ in kernel._information_sets(self.field, self.G.a):
+        for r, G in kernel._information_sets(self.field, self.G.a):
             ranks.append(r)
             gens.append(G)
             best = min(best, int(np.count_nonzero(G, axis=1).min()))
@@ -230,7 +237,7 @@ class LinearCode:
         """Number of words of each weight 0..n in the row space of G."""
         counts = np.zeros(self.n + 1, dtype=np.int64)
         counts[0] = 1  # zero word
-        for _, weights, _ in kernel._SplitTable(self.field, G).blocks():
+        for weights, _ in kernel._SplitTable(self.field, G).blocks():
             counts += np.bincount(weights, minlength=self.n + 1)
         return counts.tolist()
 
@@ -312,21 +319,15 @@ class LinearCode:
         proves the largest open bound costs at least q^dim /
         _DUAL_WORDS_PER_WORD words; the walk stops once no unseen word can
         weigh less than that bound.  Otherwise the split table visits every
-        word.  Witnesses are normalized to h_target = 1 and chosen as the
-        lexicographically smallest (helper set, coefficient vector) among
-        the words whose weight is the target's minimum, found by a second
-        pass that the walk ends only once no unseen word has that weight.
+        word.  A target's witness is read from its word of least support
+        among those of its minimum weight (see the module docstring), by a
+        second pass that ends only once no unseen word has that weight.
         """
         F, m, dim = self.field, len(support), K.shape[0]
-        pos = {c: idx for idx, c in enumerate(support)}
-        t_pos = np.array([pos[t] for t in targets], dtype=np.intp)
+        t_pos = np.searchsorted(support, targets)  # support is ascending
         gens, ranks = [K], []
         if dim > kernel._low_rows(F.q, dim):
-            gens = []
-            for r, R, order in kernel._information_sets(F, K):
-                ranks.append(r)
-                gens.append(np.empty_like(R))
-                gens[-1][:, order] = R  # columns back in the support's order
+            ranks, gens = zip(*kernel._information_sets(F, K))
         basis = np.concatenate(gens)
         through = basis[:, t_pos] != 0
         # per target: the least weight of a word through it (m + 1: none)
@@ -350,7 +351,7 @@ class LinearCode:
                             yield (at_least, reader) + (chunk or (None, None))
                     return
             table = kernel._SplitTable(F, K)
-            yield from ((0, table, weights, block) for _, weights, block in table.blocks())
+            yield from ((0, table, weights, block) for weights, block in table.blocks())
 
         if open_.any():
             top = int(bound[open_].max())
@@ -361,10 +362,10 @@ class LinearCode:
                     sel = np.flatnonzero(weights < top)
                     bound = np.minimum(bound, reader.lightest(block, weights, sel, t_pos))
                     top = int(bound[open_].max())
-        weight = {t: int(w) if w <= m else None for t, w in zip(targets, bound)}
+        out = {t: (int(w) if w <= m else None, None) for t, w in zip(targets, bound)}
         if not want_witnesses:
-            return {t: (weight[t], None) for t in targets}
-        keys: dict[int, tuple] = {}  # the least (helpers, coefficients) so far
+            return out
+        least: dict[int, tuple] = {}  # per active target: (support, word) least so far
         active = np.flatnonzero(open_)
         if active.size:
             rows, want = t_pos[active], bound[active]
@@ -377,13 +378,16 @@ class LinearCode:
                     continue  # no minimum-weight word in this block
                 for i in np.flatnonzero(wanted[weights]).tolist():
                     h = reader.word(block, i)
-                    for a in np.flatnonzero((want == weights[i]) & (h[rows] != 0)):
-                        t, tp = targets[active[a]], int(rows[a])
-                        hn = F.mul(F.inv(int(h[tp])), h)  # normalize h_t = 1
-                        supp = tuple(support[j] for j in np.nonzero(hn)[0] if j != tp)
-                        coeffs = tuple(int(F.neg(int(hn[pos[c]]))) for c in supp)
-                        keys[t] = min(keys.get(t, (supp, coeffs)), (supp, coeffs))
-        return {t: (weight[t], RepairSet(t, *keys[t]) if t in keys else None) for t in targets}
+                    supp = np.flatnonzero(h).tolist()
+                    for a in np.flatnonzero((want == weights[i]) & (h[rows] != 0)).tolist():
+                        if a not in least or supp < least[a][0]:
+                            least[a] = (supp, h)
+        for a, (supp, h) in least.items():
+            t, tp = targets[active[a]], int(rows[a])
+            S = [j for j in supp if j != tp]
+            c = F.neg(F.mul(h[S], F.inv(int(h[tp]))))  # c_j = -h_j / h_t
+            out[t] = (out[t][0], RepairSet(t, tuple(support[j] for j in S), tuple(c.tolist())))
+        return out
 
     def _repairs(
         self,
@@ -396,8 +400,8 @@ class LinearCode:
         """Locality and witness of each target with helpers from `support`.
 
         (None, None) means no repair relation inside the support, or, under
-        `cap`, none of size <= cap.  Witnesses are the lexicographically least
-        (helpers, coefficients); with witnesses=False they may be None.
+        `cap`, none of size <= cap.  Witnesses have the least helper set (see
+        the module docstring); with witnesses=False they may be None.
         Exact results are kept on the code, so a profile and its witnesses
         come from one scan.
         """

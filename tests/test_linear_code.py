@@ -727,8 +727,8 @@ def _needs_levels(F, A):
     """Whether Brouwer-Zimmermann must enumerate beyond the rows of its
     information sets on the code of generator A."""
     sets = list(kernel._information_sets(F, np.array(A)))
-    best = min(int(np.count_nonzero(G, axis=1).min()) for _, G, _ in sets)
-    return bool(kernel._bz_plan(len(A), F.q, [r for r, *_ in sets], best)[1])
+    best = min(int(np.count_nonzero(G, axis=1).min()) for _, G in sets)
+    return bool(kernel._bz_plan(len(A), F.q, [r for r, _ in sets], best)[1])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, kernel._LOW_WORDS])
@@ -816,7 +816,7 @@ def test_distance_routes_match_reference(monkeypatch, distance_spy, field, chunk
         (MatrixGF(F, _chain_code(F, kmax, rng)).a[:, :kmax]).tolist(),  # k = n
         _chain_code(F, kmax, rng),
     ] + [_distance_code(F, rng, kmax) for _ in range(6)]
-    ranks = [r for r, *_ in kernel._information_sets(F, np.array(codes[2]))]
+    ranks = [r for r, _ in kernel._information_sets(F, np.array(codes[2]))]
     assert ranks == [kmax, kmax - 1, 1]
     # codes whose rows do not settle d (two-row codes never need a level),
     # and over GF(2) the extended Golay code, which needs levels 2 and 3
@@ -868,8 +868,7 @@ def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
         table = kernel._SplitTable(F, np.array(G, dtype=np.int64))
         assert table.packed == (F.q == 2 and n <= 64 and _PACKS)
         seen = [(0,) * n]  # the zero word is never yielded
-        for first, weights, block in table.blocks():
-            assert first == len(seen)  # message order, no word twice
+        for weights, block in table.blocks():
             for c in range(len(weights)):
                 w = table.word(block, c)
                 # a word's own weight where it is nonzero, n + 1 where zero
@@ -987,11 +986,11 @@ def dual_scan_reference(F, support, targets, K, want_witnesses):
     table = kernel._SplitTable(F, K) if len(K) else None
     blocks = list(table.blocks()) if table else []
     least = np.full(len(targets), m + 1)
-    for _, weights, block in blocks:
+    for weights, block in blocks:
         every = np.arange(len(weights))
         least = np.minimum(least, table.lightest(block, weights, every, cols))
     keys = {}
-    for _, weights, block in blocks if want_witnesses else ():
+    for weights, block in blocks if want_witnesses else ():
         for i in np.flatnonzero(np.isin(weights, least)).tolist():
             h = table.word(block, i)
             for t, tp, w in zip(targets, cols.tolist(), least.tolist()):
@@ -1002,6 +1001,40 @@ def dual_scan_reference(F, support, targets, K, want_witnesses):
                     keys[t] = min(keys.get(t, key), key)
     return {t: (int(w) if w <= m else None, RepairSet(t, *keys[t]) if t in keys else None)
             for t, w in zip(targets, least.tolist())}
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (13, 1)],
+                         ids=lambda f: f"{f[0]}^{f[1]}")
+def test_least_helper_set_fixes_the_witness(field):
+    # the lemma behind the dual scan's witness rule: among the minimum-weight
+    # dual words inside a support through a coordinate t, each scaled to 1 at
+    # t, no two have the same helper set, so no coefficient tie-break decides;
+    # on the loose support, the largest loose class and a random helper subset
+    F = field_new(*field)
+    ref = _Ref(F)
+    rng = random.Random(f"helper-sets/{field}")
+    n, k = {2: (12, 5), 3: (9, 4), 4: (8, 4), 13: (6, 3)}[F.q]
+    ties = 0
+    for _ in range(3):
+        C = _random_full_code(F, n, k, rng)
+        dual_words = ref.words(C.H.tolist())
+        full = tuple(range(n))
+        locs = {t: ref.repair(dual_words, t, set(full)) for t in full}
+        classes = _classes({t: v[0] for t, v in locs.items() if v}).classes
+        largest = max((c.coordinates for c in classes), key=len)
+        for support in (full, largest, tuple(sorted(rng.sample(full, n - 2)))):
+            inside = [h for h in dual_words if not any(h[j] for j in full if j not in support)]
+            for t in support:
+                through = [h for h in inside if h[t]]
+                if not through:
+                    continue
+                least = min(sum(1 for v in h if v) for h in through)
+                scaled = {tuple(ref.mul[ref.inv[h[t]]][v] for v in h)
+                          for h in through if sum(1 for v in h if v) == least}
+                helpers = {tuple(j for j, v in enumerate(h) if v and j != t) for h in scaled}
+                assert len(helpers) == len(scaled), (C.G.tolist(), support, t)
+                ties += len(scaled) > 1
+    assert ties  # some coordinate had several minimum-weight words to choose from
 
 
 # Field -> (n, k) shapes whose dual dimensions straddle one low codebook
