@@ -227,7 +227,7 @@ def _elimination_flags(F: FiniteField, A: np.ndarray, S: np.ndarray):
             continue
         K = _kernel_basis(F, R[b], np.flatnonzero(pivot[b]).tolist())
         full = K.shape[1]  # a word with no zero
-        yield any(bool((w == full).any()) for w, _ in _SplitTable(F, K).blocks())
+        yield any(bool((w == full).any()) for w in _SplitTable(F, K).weights())
 
 
 def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...]:

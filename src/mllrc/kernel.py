@@ -2,29 +2,29 @@
 levels over information sets, and prefix-shared span search, over numpy
 arrays of field elements.
 
-Passes that visit every word of a row space (the dual weight distribution
-behind the MacWilliams distance route, a locality dual scan whose kernel
-fits one low codebook or whose Brouwer-Zimmermann plan is not cheaper, and
-repair-group detection) run on the split-table kernel, `_SplitTable`.  The
-first a generator rows are encoded once into a low codebook of q^a words
-(a is the largest value with q^a <= 2^12, clamped to [1, k]); high word b
-is the combination of the remaining rows, and word (b, c) is low word c
-plus it.  Over GF(2) with n <= 64 words are uint64 bitmasks: a block is a
-batch of at most 2^16 words, high[b:b+h, None] ^ low[None, :], weighed by
-np.bitwise_count.  Otherwise a block is the codebook shifted by one high
-word, and its zero pattern is the single comparison low == -high[b] on a
-column-major uint8 table (uint16 when q > 256).  No block re-encodes
-messages; actual codewords are rebuilt only for witness candidates.  The
-budget charges the nominal q^dim words before a pass starts, and the zero
-word is never visited.
+Passes that weigh every word of a row space (the dual weight distribution
+behind the MacWilliams distance route, and repair-group detection) run on
+the split-table kernel, `_SplitTable`.  The first a generator rows are
+encoded once into a low codebook of q^a words (a is the largest value with
+q^a <= 2^12, clamped to [1, k]); high word b is the combination of the
+remaining rows, and word (b, c) is low word c plus it.  Over GF(2) with
+n <= 64 words are uint64 bitmasks: a block is a batch of at most 2^16
+words, high[b:b+h, None] ^ low[None, :], weighed by np.bitwise_count.
+Otherwise a block is the codebook shifted by one high word, and its zero
+pattern is the single comparison low == -high[b] on a column-major uint8
+table (uint16 when q > 256).  No block re-encodes messages.  The budget
+charges the nominal q^dim words before a pass starts, and the zero word is
+never visited.
 
 Brouwer-Zimmermann order visits a row space lightest-first: on each of
 disjoint information sets (_information_sets), the messages of weight 1,
 2, ... (_MessageLevels), with a lower bound on the weight of every word not
 yet visited (_bz_bound).  The minimum distance and the locality dual scan
 share one walk over the planned levels (_bz_plan, _BZWalk) and stop as
-soon as that bound proves what they need.  _MessageLevels blocks are read
-by the same lightest and word methods as _SplitTable blocks.
+soon as that bound proves what they need.  The dual scan reads word
+blocks: one uint64 per word over GF(2) with n <= 64 (_packs), else one row
+per word.  _MessageLevels.words yields them, _all_words gives a small row
+space as one such block, and _lightest and _word read them all.
 """
 
 from __future__ import annotations
@@ -95,21 +95,44 @@ def _word_chunks(q: int, rows, codebook, add):
             yield add(low, h)
 
 
-def _packed_lightest(words, w, bits, none: int) -> np.ndarray:
-    """Per bit position bits[j], the least w[i] of a packed word words[i]
-    with that bit set, else none.  The supports of each weight are ORed, so
-    memory stays linear in len(words)."""
+def _weighed(words):
+    """(weights, words) of a word block."""
+    packed = words.ndim == 1
+    return (np.bitwise_count(words) if packed else np.count_nonzero(words, axis=1)), words
+
+
+def _all_words(F: FiniteField, G: np.ndarray):
+    """Every nonzero word of the row space of G, in message order, as one
+    (weights, block) pair."""
+    words = _xor_codebook(_pack(G)) if _packs(F, G.shape[1]) else _codebook(F, G)
+    return _weighed(words[1:])
+
+
+def _lightest(block, weights, sel, cols, none: int) -> np.ndarray:
+    """Per coordinate cols[j], the least weights[i] of a word block[i], i in
+    sel (nonempty), that is nonzero there, else none.  Packed supports of
+    each weight are ORed, so memory stays linear in len(sel)."""
+    w = weights[sel]
+    if block.ndim == 2:
+        return np.where(block[np.ix_(sel, cols)] != 0, w[:, None], none).min(axis=0)
     order = np.argsort(w)
     w = w[order]
     starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
     # seen[g]: the coordinates where some word of weight <= w[starts[g]] is nonzero
-    seen = np.bitwise_or.accumulate(np.bitwise_or.reduceat(words[order], starts))
-    hit = (seen[:, None] >> bits) & 1 != 0
+    seen = np.bitwise_or.accumulate(np.bitwise_or.reduceat(block[sel][order], starts))
+    hit = (seen[:, None] >> np.asarray(cols, dtype=np.uint64)) & 1 != 0
     return np.where(hit.any(axis=0), w[starts][hit.argmax(axis=0)], none)
 
 
+def _word(block, i: int, n: int) -> np.ndarray:
+    """Word i of a block of words of length n, as an int64 vector."""
+    if block.ndim == 2:
+        return block[i].astype(np.int64)
+    return ((block[i] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
+
+
 class _SplitTable:
-    """Exhaustive enumeration of a row space by split tables.
+    """The weights of every word of a row space, by split tables.
 
     The first a generator rows (a = _low_rows) are encoded once into a low
     codebook of q^a words; the other rows give q^(k-a) high words.  Word
@@ -121,61 +144,41 @@ class _SplitTable:
     Otherwise a block is one high word: the codebook is held column-major as
     uint8 (uint16 when q > 256), and word (b, c) is nonzero at coordinate j
     exactly when low[c, j] != -high[b, j], so one comparison gives every
-    zero pattern, with no per-block field arithmetic.  Actual words are
-    rebuilt only on request (witnesses).
+    zero pattern, with no per-block field arithmetic.
     """
 
     def __init__(self, F: FiniteField, G: np.ndarray):
         k, n = G.shape
         a = _low_rows(F.q, k)
-        self.field, self.n = F, n
+        self.field = F
         self.packed = _packs(F, n)
         if self.packed:
             rows = _pack(G)
             self._low, self._high_rows = _xor_codebook(rows[:a]), rows[a:]
-            self._bits = np.arange(n, dtype=np.uint64)
             return
-        self._low = _codebook(F, G[:a])
-        self._low_t = self._low.T.astype(np.uint8 if F.q <= 256 else np.uint16, order="C")
+        low = _codebook(F, G[:a])
+        self._low_t = low.T.astype(np.uint8 if F.q <= 256 else np.uint16, order="C")
         self._neg_high_rows = F.neg(G[a:])
         # weights (and n + 1) fit in a byte for n < 255
         self._count_dtype = np.uint8 if n < 255 else np.int64
 
-    def blocks(self):
-        """Yield (weights, block) per block, in message order, skipping the
-        zero word: weights[i] is the weight of word i, and block is read by
-        lightest and word."""
+    def weights(self):
+        """Yield the weights of the words, block by block, in message order,
+        skipping the zero word."""
         skip = 1  # message 0 is the zero word
         if self.packed:
             span = max(1, (_LOW_WORDS << 4) // len(self._low))  # high words a batch
             for top in _word_chunks(2, self._high_rows, _xor_codebook, np.bitwise_xor):
                 for at in range(0, len(top), span):
-                    words = (top[at:at + span, None] ^ self._low).ravel()[skip:]
-                    yield np.bitwise_count(words), words
+                    yield np.bitwise_count((top[at:at + span, None] ^ self._low).ravel()[skip:])
                     skip = 0
             return
         F = self.field
         for chunk in _word_chunks(F.q, self._neg_high_rows, lambda G: _codebook(F, G), F.add):
-            for neg_high, nh in zip(chunk, chunk.astype(self._low_t.dtype)):
+            for nh in chunk.astype(self._low_t.dtype):
                 ne = self._low_t[:, skip:] != nh[:, None]
-                weights = ne.view(np.uint8).sum(axis=0, dtype=self._count_dtype)
-                yield weights, (skip, neg_high, ne)
+                yield ne.view(np.uint8).sum(axis=0, dtype=self._count_dtype)
                 skip = 0
-
-    def lightest(self, block, weights, sel, cols) -> np.ndarray:
-        """Per coordinate cols[j], the least weight of a word among sel
-        (nonempty) nonzero there, else n + 1."""
-        w = weights[sel]
-        if not self.packed:
-            return np.where(block[2][np.ix_(cols, sel)], w, self.n + 1).min(axis=1)
-        return _packed_lightest(block[sel], w, self._bits[cols], self.n + 1)
-
-    def word(self, block, i: int) -> np.ndarray:
-        """Word i of the block, as an int64 vector."""
-        if self.packed:
-            return ((block[i] >> self._bits) & 1).astype(np.int64)
-        skip, neg_high, _ = block
-        return self.field.sub(self._low[skip + i], neg_high)
 
 
 def _information_sets(F: FiniteField, G: np.ndarray):
@@ -276,8 +279,7 @@ class _MessageLevels:
     path).  Levels are generated depth-first, _LOW_WORDS // (q - 1) words of
     the level below at a time (at least one), so a step makes at most
     max(q - 1, _LOW_WORDS) words and no level is held whole.  words() gives
-    the words themselves, in blocks read by lightest and word as a
-    _SplitTable's are.
+    the words themselves, in blocks read by _lightest and _word.
     """
 
     def __init__(self, F: FiniteField, G: np.ndarray):
@@ -288,7 +290,6 @@ class _MessageLevels:
         self.packed = _packs(F, n)
         if self.packed:
             self.rows = _pack(G)
-            self._bits = np.arange(n, dtype=np.uint64)
             self._add = lambda P, i: P ^ self.rows[i]
             self._weigh = lambda P, i: np.bitwise_count(P ^ self.rows[i])
         else:
@@ -336,21 +337,7 @@ class _MessageLevels:
     def words(self, w: int):
         """The level-w words as (weights, block) chunks of self.piece words."""
         for P, _ in self._chunks(w):
-            yield (np.bitwise_count(P) if self.packed else np.count_nonzero(P, axis=1)), P
-
-    def lightest(self, block, weights, sel, cols) -> np.ndarray:
-        """Per coordinate cols[j], the least weight of a word among sel
-        (nonempty) nonzero there, else n + 1."""
-        w = weights[sel]
-        if not self.packed:
-            return np.where(block[np.ix_(sel, cols)] != 0, w[:, None], self.n + 1).min(axis=0)
-        return _packed_lightest(block[sel], w, self._bits[cols], self.n + 1)
-
-    def word(self, block, i: int) -> np.ndarray:
-        """Word i of the block, as an int64 vector."""
-        if self.packed:
-            return ((block[i] >> self._bits) & 1).astype(np.int64)
-        return block[i].astype(np.int64)
+            yield _weighed(P)
 
 
 class _BZWalk:
@@ -371,19 +358,18 @@ class _BZWalk:
         return self._sets[j]
 
     def level(self, w: int, steps):
-        """Yield (bound, levels, chunk) for each chunk of the level's steps,
-        and (bound, levels, None) after each step, where levels is the
-        step's set: no word yielded later, or in this chunk, weighs less
-        than bound."""
+        """Yield (bound, chunk) for each chunk of the level's steps, and
+        (bound, None) after each step: no word yielded later, or in this
+        chunk, weighs less than bound."""
         k = len(self.gens[0])
         for j, first in steps:
             levels = self.set(j)
             for v in range(first, w + 1):
                 bound = _bz_bound(k, self.ranks, self.done)
                 for chunk in self.read(levels, v):
-                    yield bound, levels, chunk
+                    yield bound, chunk
                 self.done[j] = v
-                yield _bz_bound(k, self.ranks, self.done), levels, None
+                yield _bz_bound(k, self.ranks, self.done), None
 
 
 def _first_matches(F: FiniteField, R: np.ndarray, P, targets):

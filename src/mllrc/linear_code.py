@@ -6,9 +6,9 @@ locality, repair-set witnesses.  Enumerations are bounded by a hard budget
 falling back to any approximation.  Coordinates are 0-based throughout the
 library API (the CLI layer presents them 1-based).
 
-Every enumeration runs on the kernel in mllrc.kernel: split tables visit
-every word of a row space in message order, and Brouwer-Zimmermann levels
-visit words lightest-first, one walk (kernel._BZWalk) shared by the
+Every enumeration runs on the kernel in mllrc.kernel: split tables weigh
+every word of a row space (the MacWilliams route), and Brouwer-Zimmermann
+levels visit words lightest-first, one walk (kernel._BZWalk) shared by the
 distance and the locality dual scan.
 
 Minimum distance has two routes.  Brouwer-Zimmermann takes disjoint
@@ -109,13 +109,13 @@ DEFAULT_BUDGET = 10**8
 # so that no route or refusal edge moves.
 _WORDS_PER_UNIT = 16
 # MacWilliams (split-table) dual words that cost as much as one
-# Brouwer-Zimmermann word, for the route choices in LinearCode._distance_scan
-# and LinearCode._dual_support_scan.  Timed on the same host
-# in two runs: a BZ word took 30-32 ns on [45,23]_2 (bit-packed), 50-67 ns on
-# [15,8]_16, 74-84 ns on [12,6]_13 and 200-266 ns on [102,64]_2 (too long to
-# pack); a MacWilliams dual word 8-11 ns on [15,10]_16 and [12,6]_13 and,
-# packed, 2.8-3.0 ns on [45,23]_2 (9-13 ns unpacked).  So a BZ word costs 2
-# to 11 dual words; 5 is kept on purpose so that no route or refusal edge moves.
+# Brouwer-Zimmermann word, for the route choice in LinearCode._distance_scan
+# only.  Timed on the same host in two runs: a BZ word took 30-32 ns on
+# [45,23]_2 (bit-packed), 50-67 ns on [15,8]_16, 74-84 ns on [12,6]_13 and
+# 200-266 ns on [102,64]_2 (too long to pack); a MacWilliams dual word 8-11 ns
+# on [15,10]_16 and [12,6]_13 and, packed, 2.8-3.0 ns on [45,23]_2 (9-13 ns
+# unpacked).  So a BZ word costs 2 to 11 dual words; 5 is kept on purpose so
+# that no route or refusal edge moves.
 _DUAL_WORDS_PER_WORD = 5
 
 
@@ -226,7 +226,7 @@ class LinearCode:
         for w, steps, level in levels:
             if dual_words <= b and dual_words < level * _DUAL_WORDS_PER_WORD:
                 return self._distance_via_dual()
-            for bound, _, weights in walk.level(w, steps):
+            for bound, weights in walk.level(w, steps):
                 if weights is not None:
                     best = min(best, int(weights.min()))
                 if best <= bound:  # no unseen word is lighter
@@ -237,7 +237,7 @@ class LinearCode:
         """Number of words of each weight 0..n in the row space of G."""
         counts = np.zeros(self.n + 1, dtype=np.int64)
         counts[0] = 1  # zero word
-        for weights, _ in kernel._SplitTable(self.field, G).blocks():
+        for weights in kernel._SplitTable(self.field, G).weights():
             counts += np.bincount(weights, minlength=self.n + 1)
         return counts.tolist()
 
@@ -313,13 +313,12 @@ class LinearCode:
         (exactly the dual words vanishing outside it).  Bounds start at the
         lightest basis row through each target (no row: no word), and a
         chunk lowers them only from its words lighter than the largest open
-        bound.  When K's q^dim words exceed one low codebook, the rows are
-        those of K's information sets, and the words come lightest-first in
-        Brouwer-Zimmermann order (kernel._BZWalk), unless the plan that
-        proves the largest open bound costs at least q^dim /
-        _DUAL_WORDS_PER_WORD words; the walk stops once no unseen word can
-        weigh less than that bound.  Otherwise the split table visits every
-        word.  A target's witness is read from its word of least support
+        bound.  A K whose q^dim words fit one low codebook is read as one
+        block of all its nonzero words (kernel._all_words).  Otherwise the
+        rows are those of K's information sets, and the words come
+        lightest-first in Brouwer-Zimmermann order (kernel._BZWalk); the
+        walk stops once no unseen word can weigh less than the largest open
+        bound.  A target's witness is read from its word of least support
         among those of its minimum weight (see the module docstring), by a
         second pass that ends only once no unseen word has that weight.
         """
@@ -336,31 +335,27 @@ class LinearCode:
         open_ = through.any(axis=0)
 
         def chunks(best):
-            """(bound, reader, weights, block) over the dual words, where no
-            word of this chunk or a later one weighs less than bound, and
-            reader's lightest and word read the block; a walk step's end
-            is (bound, reader, None, None)."""
-            if ranks:
-                words, levels = kernel._bz_plan(dim, F.q, ranks, best)
-                if words * _DUAL_WORDS_PER_WORD < F.q ** dim:
-                    walk = kernel._BZWalk(F, gens, ranks, kernel._MessageLevels.words)
-                    for j in range(len(gens)):
-                        yield from ((0, walk.set(j), *c) for c in walk.set(j).words(1))
-                    for w, steps, _ in levels:
-                        for at_least, reader, chunk in walk.level(w, steps):
-                            yield (at_least, reader) + (chunk or (None, None))
-                    return
-            table = kernel._SplitTable(F, K)
-            yield from ((0, table, weights, block) for weights, block in table.blocks())
+            """(bound, weights, block) over the dual words, where no word of
+            this chunk or a later one weighs less than bound; a walk step's
+            end is (bound, None, None)."""
+            if not ranks:
+                yield (0,) + kernel._all_words(F, K)
+                return
+            walk = kernel._BZWalk(F, gens, ranks, kernel._MessageLevels.words)
+            for j in range(len(gens)):
+                yield from ((0, *c) for c in walk.set(j).words(1))
+            for w, steps, _ in kernel._bz_plan(dim, F.q, ranks, best)[1]:
+                for at_least, chunk in walk.level(w, steps):
+                    yield (at_least,) + (chunk or (None, None))
 
         if open_.any():
             top = int(bound[open_].max())
-            for at_least, reader, weights, block in chunks(top):
+            for at_least, weights, block in chunks(top):
                 if at_least >= top:
                     break  # no unseen word is lighter than an open bound
                 if weights is not None and weights.min() < top:
                     sel = np.flatnonzero(weights < top)
-                    bound = np.minimum(bound, reader.lightest(block, weights, sel, t_pos))
+                    bound = np.minimum(bound, kernel._lightest(block, weights, sel, t_pos, m + 1))
                     top = int(bound[open_].max())
         out = {t: (int(w) if w <= m else None, None) for t, w in zip(targets, bound)}
         if not want_witnesses:
@@ -371,13 +366,13 @@ class LinearCode:
             rows, want = t_pos[active], bound[active]
             wanted, top = np.zeros(m + 1, dtype=bool), int(want.max())
             wanted[want] = True
-            for at_least, reader, weights, block in chunks(top + 1):
+            for at_least, weights, block in chunks(top + 1):
                 if at_least > top:
                     break  # every word of a wanted weight has been seen
                 if weights is None or weights.min() > top:
                     continue  # no minimum-weight word in this block
                 for i in np.flatnonzero(wanted[weights]).tolist():
-                    h = reader.word(block, i)
+                    h = kernel._word(block, i, m)
                     supp = np.flatnonzero(h).tolist()
                     for a in np.flatnonzero((want == weights[i]) & (h[rows] != 0)).tolist():
                         if a not in least or supp < least[a][0]:

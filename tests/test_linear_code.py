@@ -211,9 +211,9 @@ def test_budget_explicit_else_default():
 
 
 def test_gcc2_r4_certify_walks_the_dual_lightest_first(monkeypatch, bz_scan_spy):
-    # [45,23]_2: the locality scan's kernel has dimension 22.  The split
-    # table would visit all 2^22 dual words; in Brouwer-Zimmermann order the
-    # scan stops once no unseen word can lower an open bound.
+    # [45,23]_2: the locality scan's kernel has dimension 22.  Listing it
+    # would visit all 2^22 dual words; in Brouwer-Zimmermann order the scan
+    # stops once no unseen word can lower an open bound.
     walked = []
     real = kernel._MessageLevels.words
 
@@ -225,7 +225,7 @@ def test_gcc2_r4_certify_walks_the_dual_lightest_first(monkeypatch, bz_scan_spy)
     monkeypatch.setattr(kernel._MessageLevels, "words", words)
     cert = certify(construction2_binary_lrc(4, 0), oracle=KOptOracle("table"))
     assert (cert.d, cert.profile.shape()) == (6, ((36, 3), (9, 8)))
-    assert bz_scan_spy["tables"] == 0
+    assert bz_scan_spy["routes"] == {("walk", _PACKS)}
     assert 0 < sum(walked) < 2**22
 
 
@@ -755,13 +755,13 @@ def test_message_levels_match_reference(monkeypatch, field, chunk):
                     want.append(tuple(word))
             got = np.concatenate(list(levels.weights(w))).tolist()
             assert sorted(got) == sorted(sum(1 for v in x if v) for x in want), (k, n, w)
-            # words(): the same words, each with its weight, read by word and
-            # lightest (here: each word alone, at every coordinate)
+            # words(): the same words, each with its weight, read by _word and
+            # _lightest (here: each word alone, at every coordinate)
             got = []
             for weights, block in levels.words(w):
                 for i in range(len(weights)):
-                    x = levels.word(block, i)
-                    alone = levels.lightest(block, weights, np.array([i]), np.arange(n))
+                    x = kernel._word(block, i, n)
+                    alone = kernel._lightest(block, weights, np.array([i]), np.arange(n), n + 1)
                     assert alone.tolist() == np.where(x == 0, n + 1, weights[i]).tolist()
                     assert weights[i] == np.count_nonzero(x)
                     got.append(tuple(x.tolist()))
@@ -867,18 +867,13 @@ def test_split_table_visits_every_word_in_message_order(monkeypatch, low_words):
         G = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
         table = kernel._SplitTable(F, np.array(G, dtype=np.int64))
         assert table.packed == (F.q == 2 and n <= 64 and _PACKS)
-        seen = [(0,) * n]  # the zero word is never yielded
-        for weights, block in table.blocks():
-            for c in range(len(weights)):
-                w = table.word(block, c)
-                # a word's own weight where it is nonzero, n + 1 where zero
-                alone = table.lightest(block, weights, np.array([c]), np.arange(n))
-                assert alone.tolist() == np.where(w == 0, n + 1, weights[c]).tolist()
-                assert weights[c] == np.count_nonzero(w)
-                seen.append(tuple(w.tolist()))
+        got = np.concatenate(list(table.weights())).tolist()
         # message digit 0 is least significant; itertools varies the last
-        # position fastest, so the reference lists the rows reversed
-        assert seen == _Ref(F).words(G[::-1])
+        # position fastest, so the reference lists the rows reversed; the
+        # zero word is never yielded
+        words = _Ref(F).words(G[::-1])
+        assert words[0] == (0,) * n
+        assert got == [sum(1 for v in w if v) for w in words[1:]]
 
 
 def test_packed_weight_counts_span_several_batches():
@@ -893,7 +888,7 @@ def test_packed_weight_counts_span_several_batches():
     C = LinearCode(F, G)
     table = kernel._SplitTable(F, G)
     assert table.packed == _PACKS
-    assert sum(1 for _ in table.blocks()) == (2 if _PACKS else 2**5)
+    assert sum(1 for _ in table.weights()) == (2 if _PACKS else 2**5)
     msgs = (np.arange(1 << 17)[:, None] >> np.arange(17)) & 1
     weights = ((msgs @ G) % 2).sum(axis=1)
     want = np.bincount(weights, minlength=31).tolist()
@@ -940,14 +935,13 @@ def _scan_reference(C, H, support):
 
 
 @pytest.mark.parametrize("low_words", [1, 9, kernel._LOW_WORDS])
-def test_dual_support_scan_matches_reference(monkeypatch, low_words):
-    # supports of at most 64 coordinates scan packed words, longer ones the
-    # general comparison; loose (every coordinate) and strict (one
-    # locality class) supports, and an independent support (no dual word)
+def test_dual_support_scan_matches_reference(monkeypatch, bz_scan_spy, low_words):
+    # supports of at most 64 coordinates scan packed words, longer ones
+    # rows; loose (every coordinate) and strict (one locality class)
+    # supports, and an independent support (no dual word)
     monkeypatch.setattr(kernel, "_LOW_WORDS", low_words)
     rng = np.random.default_rng(20)
     F = field_new(2)
-    paths, blocks = set(), 0
     for n, r in [(12, 5), (40, 7), (64, 8), (65, 8), (70, 7)]:
         C, H = _sparse_check_code(n, r, rng)
         full = tuple(range(n))
@@ -963,44 +957,44 @@ def test_dual_support_scan_matches_reference(monkeypatch, low_words):
             K = linear_code._kernel_basis(F, R.a[: len(piv)], piv)
             if support is supports[-1]:
                 assert K.shape[0] == 0
-            else:
-                table = kernel._SplitTable(F, K)
-                paths.add(table.packed)
-                blocks = max(blocks, sum(1 for _ in table.blocks()))
             want = _scan_reference(C, H, support)
             got = LinearCode(F, C.G.a)._dual_support_scan(support, support, K, True)
             assert repr(got) == repr(want), (n, support)
             weights = LinearCode(F, C.G.a)._dual_support_scan(support, support, K, False)
             assert weights == {t: (w, None) for t, (w, _) in want.items()}
-    assert paths == ({True, False} if _PACKS else {False})
-    assert blocks > 1 or low_words == 1 << 12
+    # both routes ran, packed and unpacked; every kernel here (dimension
+    # <= 8) fits one default codebook
+    ran = bz_scan_spy["routes"]
+    routes = {"single", "walk"} if low_words < 1 << 12 else {"single"}
+    assert {route for route, _ in ran} == routes
+    assert {packed for _, packed in ran} == ({True, False} if _PACKS else {False})
 
 
 def dual_scan_reference(F, support, targets, K, want_witnesses):
-    """The split-table dual scan: every word of the row space of K, in
-    message order.  Per target, the least weight of a word through it and,
-    among the words of that weight, the least normalized (helpers,
-    coefficients)."""
-    m, pos = len(support), {c: i for i, c in enumerate(support)}
-    cols = np.array([pos[t] for t in targets], dtype=np.intp)
-    table = kernel._SplitTable(F, K) if len(K) else None
-    blocks = list(table.blocks()) if table else []
-    least = np.full(len(targets), m + 1)
-    for weights, block in blocks:
-        every = np.arange(len(weights))
-        least = np.minimum(least, table.lightest(block, weights, every, cols))
-    keys = {}
-    for weights, block in blocks if want_witnesses else ():
-        for i in np.flatnonzero(np.isin(weights, least)).tolist():
-            h = table.word(block, i)
-            for t, tp, w in zip(targets, cols.tolist(), least.tolist()):
-                if h[tp] and weights[i] == w:
-                    hn = F.mul(F.inv(int(h[tp])), h)
-                    helpers = tuple(support[j] for j in np.flatnonzero(hn) if j != tp)
-                    key = (helpers, tuple(int(F.neg(int(hn[pos[c]]))) for c in helpers))
-                    keys[t] = min(keys.get(t, key), key)
-    return {t: (int(w) if w <= m else None, RepairSet(t, *keys[t]) if t in keys else None)
-            for t, w in zip(targets, least.tolist())}
+    """Every word of the row space of K, listed by message arithmetic.  Per
+    target, the least weight of a word through it and, among the words of
+    that weight, the least normalized (helpers, coefficients)."""
+    m = len(support)
+    words = np.zeros((1, m), dtype=np.int64)
+    for row in K:  # every message, one more digit at a time
+        words = np.concatenate([F.add(words, F.mul(c, row)) for c in range(F.q)])
+    weights = np.count_nonzero(words, axis=1)
+    out = {}
+    for t in targets:
+        tp = support.index(t)
+        through = np.flatnonzero(words[:, tp])
+        if not through.size:
+            out[t] = (None, None)
+            continue
+        least = int(weights[through].min())
+        keys = []
+        for i in through[weights[through] == least] if want_witnesses else ():
+            hn = F.mul(F.inv(int(words[i, tp])), words[i])
+            helpers = [j for j in np.flatnonzero(hn).tolist() if j != tp]
+            keys.append((tuple(support[j] for j in helpers),
+                         tuple(int(F.neg(int(hn[j]))) for j in helpers)))
+        out[t] = (least, RepairSet(t, *min(keys)) if keys else None)
+    return out
 
 
 @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (13, 1)],
@@ -1038,8 +1032,8 @@ def test_least_helper_set_fixes_the_witness(field):
 
 
 # Field -> (n, k) shapes whose dual dimensions straddle one low codebook
-# (4096 words): the first shape's kernel fits it and takes the split table,
-# the others may walk Brouwer-Zimmermann levels.
+# (4096 words): the first shape's kernel fits it and is read as one block,
+# the others walk Brouwer-Zimmermann levels.
 _BZ_SCAN_SHAPES = {
     (2, 1): [(20, 8), (21, 8), (24, 10), (28, 12)],
     (3, 1): [(12, 5), (13, 5), (14, 6)],
@@ -1066,20 +1060,29 @@ def _bz_scan_code(F, n, k, rng, density, coloop):
 
 @pytest.fixture
 def bz_scan_spy(monkeypatch):
-    """Counts the Brouwer-Zimmermann levels walked and the split tables built."""
-    seen = {"levels": 0, "tables": 0}
-    real_level, real_table = kernel._BZWalk.level, kernel._SplitTable
+    """Counts the Brouwer-Zimmermann levels walked, and records the routes
+    the dual scan read words by: ("single", packed) for a kernel read as one
+    block, ("walk", packed) for the words of an information set."""
+    seen = {"levels": 0, "routes": set()}
+    real_level, real_all, real_words = (
+        kernel._BZWalk.level, kernel._all_words, kernel._MessageLevels.words)
 
     def level(self, w, steps):
         seen["levels"] += 1
         return real_level(self, w, steps)
 
-    def table(F, G):
-        seen["tables"] += 1
-        return real_table(F, G)
+    def all_words(F, G):
+        weights, block = real_all(F, G)
+        seen["routes"].add(("single", block.ndim == 1))
+        return weights, block
+
+    def words(self, w):
+        seen["routes"].add(("walk", bool(self.packed)))
+        return real_words(self, w)
 
     monkeypatch.setattr(kernel._BZWalk, "level", level)
-    monkeypatch.setattr(kernel, "_SplitTable", table)
+    monkeypatch.setattr(kernel, "_all_words", all_words)
+    monkeypatch.setattr(kernel._MessageLevels, "words", words)
     return seen
 
 
@@ -1127,9 +1130,38 @@ def test_dual_scan_matches_split_table_reference(monkeypatch, bz_scan_spy, field
                     out.append(repr(D.verify_profile(profile, mode)))
             answers.append(out)
         assert answers[0] == answers[1], C.G.tolist()
-    # a kernel just inside one codebook (the split table) and the walk ran
+    # a kernel just inside one codebook (one block) and the walk ran
     assert 0 in dims and any(F.q ** d <= kernel._LOW_WORDS < F.q ** (d + 1) for d in dims)
     assert bz_scan_spy["levels"]
+    assert {route for route, _ in bz_scan_spy["routes"]} == {"single", "walk"}
+
+
+@pytest.mark.parametrize("field", [(2, 2), (257, 1)], ids=lambda f: f"{f[0]}^{f[1]}")
+def test_dual_scan_reads_a_small_kernel_as_one_block(monkeypatch, bz_scan_spy, field):
+    # kernels of the largest dimension a with q^a <= 4096 words (6 over
+    # GF(4); 1 over GF(257), whose rows are uint16) are read as one block of
+    # all their words.  With one-word codebooks GF(4) walks them instead,
+    # with the same answers; GF(257) still reads one block, as a codebook
+    # holds at least q words.
+    F = field_new(*field)
+    low = kernel._LOW_WORDS
+    dim = kernel._low_rows(F.q, 64)
+    assert F.q ** dim <= low < F.q ** (dim + 1)
+    rng = random.Random(f"one-block/{field}")
+    n = dim + 4
+    full = tuple(range(n))
+    for _ in range(3):
+        C = _random_full_code(F, n, n - dim, rng)
+        K = C.H.a
+        for witnesses in (False, True):
+            want = repr(dual_scan_reference(F, full, full, K, witnesses))
+            for low_words, route in [(low, "single"),
+                                     (1, "walk" if dim > 1 else "single")]:
+                monkeypatch.setattr(kernel, "_LOW_WORDS", low_words)
+                bz_scan_spy["routes"].clear()
+                got = LinearCode(F, C.G.a)._dual_support_scan(full, full, K, witnesses)
+                assert repr(got) == want, (C.G.tolist(), low_words, witnesses)
+                assert bz_scan_spy["routes"] == {(route, False)}
 
 
 def test_unpacked_fallback_matches_packed(monkeypatch):
