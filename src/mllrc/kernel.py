@@ -124,11 +124,12 @@ def _lightest(block, weights, sel, cols, none: int) -> np.ndarray:
     return np.where(hit.any(axis=0), w[starts][hit.argmax(axis=0)], none)
 
 
-def _word(block, i: int, n: int) -> np.ndarray:
-    """Word i of a block of words of length n, as an int64 vector."""
+def _word(block, i, n: int) -> np.ndarray:
+    """Word i of a block of words of length n, as an int64 vector; for an
+    index array i, one such row per index."""
     if block.ndim == 2:
         return block[i].astype(np.int64)
-    return ((block[i] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
+    return ((block[i, ..., None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
 
 
 class _SplitTable:

@@ -318,9 +318,10 @@ class LinearCode:
         rows are those of K's information sets, and the words come
         lightest-first in Brouwer-Zimmermann order (kernel._BZWalk); the
         walk stops once no unseen word can weigh less than the largest open
-        bound.  A target's witness is read from its word of least support
-        among those of its minimum weight (see the module docstring), by a
-        second pass that ends only once no unseen word has that weight.
+        bound (with witnesses: as little as it).  Witnesses come from the
+        least-support word per target that weighs its current bound, kept
+        until the bound falls; a minimum-weight word sets the bound when
+        seen, so that word gives the least helper set (module docstring).
         """
         F, m, dim = self.field, len(support), K.shape[0]
         t_pos = np.searchsorted(support, targets)  # support is ascending
@@ -348,37 +349,34 @@ class LinearCode:
                 for at_least, chunk in walk.level(w, steps):
                     yield (at_least,) + (chunk or (None, None))
 
+        extra = int(want_witnesses)  # plan and walk one weight further
+        least: dict[int, tuple] = {}  # per target: (support, word) least at its bound
         if open_.any():
             top = int(bound[open_].max())
-            for at_least, weights, block in chunks(top):
-                if at_least >= top:
-                    break  # no unseen word is lighter than an open bound
-                if weights is not None and weights.min() < top:
+            for at_least, weights, block in chunks(top + extra):
+                if at_least >= top + extra:
+                    break  # every word that can lower (or witness) an open bound is seen
+                if weights is None:
+                    continue
+                if weights.min() < top:
                     sel = np.flatnonzero(weights < top)
-                    bound = np.minimum(bound, kernel._lightest(block, weights, sel, t_pos, m + 1))
-                    top = int(bound[open_].max())
-        out = {t: (int(w) if w <= m else None, None) for t, w in zip(targets, bound)}
-        if not want_witnesses:
-            return out
-        least: dict[int, tuple] = {}  # per active target: (support, word) least so far
-        active = np.flatnonzero(open_)
-        if active.size:
-            rows, want = t_pos[active], bound[active]
-            wanted, top = np.zeros(m + 1, dtype=bool), int(want.max())
-            wanted[want] = True
-            for at_least, weights, block in chunks(top + 1):
-                if at_least > top:
-                    break  # every word of a wanted weight has been seen
-                if weights is None or weights.min() > top:
-                    continue  # no minimum-weight word in this block
-                for i in np.flatnonzero(wanted[weights]).tolist():
-                    h = kernel._word(block, i, m)
-                    supp = np.flatnonzero(h).tolist()
-                    for a in np.flatnonzero((want == weights[i]) & (h[rows] != 0)).tolist():
+                    lower = np.minimum(bound, kernel._lightest(block, weights, sel, t_pos, m + 1))
+                    for a in np.flatnonzero(lower < bound).tolist():
+                        least.pop(a, None)  # its kept word is heavier than its bound now
+                    bound, top = lower, int(lower[open_].max())
+                if not extra or weights.min() > top:
+                    continue  # no word of this chunk weighs an open bound
+                cand = np.flatnonzero(np.isin(weights, bound[open_]))
+                H = kernel._word(block, cand, m)
+                hit = (H[:, t_pos] != 0) & (weights[cand, None] == bound) & open_
+                for r in np.flatnonzero(hit.any(axis=1)).tolist():
+                    supp = np.flatnonzero(H[r]).tolist()
+                    for a in np.flatnonzero(hit[r]).tolist():
                         if a not in least or supp < least[a][0]:
-                            least[a] = (supp, h)
+                            least[a] = (supp, H[r])
+        out = {t: (int(w) if w <= m else None, None) for t, w in zip(targets, bound)}
         for a, (supp, h) in least.items():
-            t, tp = targets[active[a]], int(rows[a])
+            t, tp = targets[a], int(t_pos[a])
             S = [j for j in supp if j != tp]
             c = F.neg(F.mul(h[S], F.inv(int(h[tp]))))  # c_j = -h_j / h_t
             out[t] = (out[t][0], RepairSet(t, tuple(support[j] for j in S), tuple(c.tolist())))

@@ -8,6 +8,7 @@ constructions tests.
 
 import hashlib
 import json
+import os
 import random
 import re
 import runpy
@@ -40,6 +41,8 @@ from mllrc.galois import field_new
 from mllrc.linear_code import code_from_parity_check
 
 F2 = field_new(2)
+# child interpreters import the package from src/, as the tests do
+_CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 @pytest.fixture
@@ -428,7 +431,7 @@ class TestDeterminism:
         result = subprocess.run(
             [sys.executable, "-c", "import sys, mllrc.cli; print([m for m in "
              "('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_CHILD_ENV,
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
@@ -437,7 +440,7 @@ class TestDeterminism:
         result = subprocess.run(
             [sys.executable, "-m", "mllrc.cli", "bound", "ml-singleton",
              "--profile", "(3,2),(8,3)", "--k", "5", "--n", "11"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_CHILD_ENV,
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "ml-singleton bound: 6"

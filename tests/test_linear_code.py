@@ -229,6 +229,29 @@ def test_gcc2_r4_certify_walks_the_dual_lightest_first(monkeypatch, bz_scan_spy)
     assert 0 < sum(walked) < 2**22
 
 
+def test_gcc2_r4_witnesses_extend_the_bound_walk(monkeypatch):
+    # [45,23]_2: without witnesses the dual scan stops after 18,238 words.
+    # With them the same walk goes on through the words of the open bounds'
+    # weight; a second walk from the basis rows would make 62,810 in all.
+    walked = []
+    real = kernel._MessageLevels.words
+
+    def words(self, w):
+        for weights, block in real(self, w):
+            walked.append(len(weights))
+            yield weights, block
+
+    monkeypatch.setattr(kernel._MessageLevels, "words", words)
+    counts = {}
+    for witnesses in (False, True):
+        walked.clear()
+        profile = construction2_binary_lrc(4, 0).locality_profile(keep_witnesses=witnesses)
+        assert profile.shape() == ((36, 3), (9, 8))
+        counts[witnesses] = sum(walked)
+    assert counts[False] == 18_238
+    assert counts[False] < counts[True] < 18_238 + 44_572
+
+
 def test_gcc2_r5_distance_is_refused_before_any_level(monkeypatch):
     # [102,64]_2: the information sets have ranks 64, 36 and 2, and no row
     # weighs under 12.  The second set joins the bound only at level 28, so
@@ -1162,6 +1185,24 @@ def test_dual_scan_reads_a_small_kernel_as_one_block(monkeypatch, bz_scan_spy, f
                 got = LinearCode(F, C.G.a)._dual_support_scan(full, full, K, witnesses)
                 assert repr(got) == want, (C.G.tolist(), low_words, witnesses)
                 assert bz_scan_spy["routes"] == {(route, False)}
+
+
+@pytest.mark.parametrize("field", [(2, 1), (2, 2), (257, 1)], ids=lambda f: f"{f[0]}^{f[1]}")
+def test_witness_scan_lists_a_small_kernel_once(monkeypatch, field):
+    # a kernel read as one block gives its localities and witnesses from a
+    # single listing of its words
+    F = field_new(*field)
+    listed = []
+    real = kernel._all_words
+    monkeypatch.setattr(kernel, "_all_words", lambda F, G: listed.append(len(G)) or real(F, G))
+    dim = kernel._low_rows(F.q, 64)
+    rng = random.Random(f"one-listing/{field}")
+    n = dim + 4
+    full = tuple(range(n))
+    C = _random_full_code(F, n, n - dim, rng)
+    got = LinearCode(F, C.G.a)._dual_support_scan(full, full, C.H.a, True)
+    assert repr(got) == repr(dual_scan_reference(F, full, full, C.H.a, True))
+    assert listed == [dim]
 
 
 def test_unpacked_fallback_matches_packed(monkeypatch):
