@@ -243,8 +243,7 @@ _EXHAUSTIVE_MAX_N = 14
 # that needs more aborts and the chain falls through.
 _SEARCH_BUDGET = 2_000_000
 # The most answers one oracle's query memo holds; a full memo is emptied
-# before the next answer is stored.  A 10^4-point dominance sweep needs
-# about half as many.
+# before the next answer is stored, so a long-lived oracle stays bounded.
 _QUERY_MEMO_CAP = 1 << 15
 
 
@@ -446,6 +445,26 @@ def ml_singleton(profile, k: int) -> BoundReport:
 _GRID_BUDGET = 10**6
 
 
+def _deletion_box(profile, d: int, k_hint: int | None):
+    """The checked shape, the prefix caps and ceil(n_s/(r_s+1)) of a deletion
+    box, refused in this order: shape, d >= 1, k_hint >= 1, _GRID_BUDGET."""
+    shape = _normalize_shape(profile, allow_empty_class=True)
+    if d < 1:
+        raise PreconditionError(f"distance must be >= 1, got {d}")
+    if k_hint is not None and k_hint < 1:
+        raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
+    n_last, r_last = shape[-1]
+    prefix_caps = [_ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
+    kappa_last = _ceil_div(n_last, r_last + 1)
+    cap_last_max = kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last)
+    grid_size = prod(c + 1 for c in prefix_caps) * (cap_last_max + 1)
+    if grid_size > _GRID_BUDGET:
+        raise BudgetError(
+            f"deletion grid has {grid_size} cells, above the budget {_GRID_BUDGET}"
+        )
+    return shape, prefix_caps, kappa_last
+
+
 def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
                 k_hint: int | None = None, truncate: bool = True) -> BoundReport:
     """k <= min over the deletion box of
@@ -455,7 +474,9 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     at floor((k_hint - 1 - sum_{i<s} t_i r_i)/r_s) when k_hint is given
     (clamped at 0), else at ceil(n_s/(r_s+1)).  truncate=False replaces the
     per-class truncation min(n_i, t_i(r_i+1)) by the raw t_i(r_i+1) —
-    a weaker but still valid relaxation used for dominance analysis.
+    a weaker but still valid relaxation, which cm_bound uses.  Under the
+    pure "singleton" oracle and truncate=False, _ml_alphabet_singleton
+    gives the same report in closed form.
 
     A box of more than _GRID_BUDGET cells raises BudgetError before any
     cell is evaluated.  The scan over t_s is computed once per (length left
@@ -463,24 +484,12 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     length; the result, witness and skipped order are those of the
     cell-by-cell scan in C order.
     """
-    shape = _normalize_shape(profile, allow_empty_class=True)
-    n = sum(n_i for n_i, _ in shape)
-    if d < 1:
-        raise PreconditionError(f"distance must be >= 1, got {d}")
-    if k_hint is not None and k_hint < 1:
-        raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
+    shape, prefix_caps, kappa_last = _deletion_box(profile, d, k_hint)
     if oracle is None:
         oracle = KOptOracle()
+    n = sum(n_i for n_i, _ in shape)
     head = shape[:-1]
     n_last, r_last = shape[-1]
-    prefix_caps = [_ceil_div(n_i, r_i + 1) for n_i, r_i in head]
-    kappa_last = _ceil_div(n_last, r_last + 1)
-    cap_last_max = kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last)
-    grid_size = prod(c + 1 for c in prefix_caps) * (cap_last_max + 1)
-    if grid_size > _GRID_BUDGET:
-        raise BudgetError(
-            f"deletion grid has {grid_size} cells, above the budget {_GRID_BUDGET}"
-        )
     best = None
     witness = None
     skipped: list[tuple[int, ...]] = []
@@ -541,6 +550,67 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
         exact=all_exact and not skipped,
         mode_flags=tuple(sorted(sources)),
         skipped=tuple(skipped),
+        collapse_applied=False,
+        effective_shape=shape,
+    )
+
+
+def _ml_alphabet_singleton(profile, d: int, q: int, k_hint: int | None = None) -> BoundReport:
+    """ml_alphabet(profile, d, q, KOptOracle("singleton"), k_hint,
+    truncate=False) without the grid: the same report, field for field, and
+    the same refusals in the same order.
+
+    The singleton oracle gives every cell max(0, m - d + 1), m the residual
+    length.  For a fixed prefix the last axis therefore reads
+    f(t) = t r_s + max(0, e - t(r_s+1)) with e = rest - d + 1, which falls
+    by 1 a step up to u = e div (r_s+1) and rises by r_s after it.  Its least
+    value on [0, cap] is at t = min(cap, u); when e mod (r_s+1) = r_s, t = u + 1
+    ties with u and is kept, as the grid keeps the largest t_s.  The prefixes
+    run in C order under the grid's <= rule, so the witness is the grid's
+    C-order-last minimiser.  A cell is "edge" when its residual is below d,
+    which the last axis reaches at t = cap, and "singleton" otherwise.
+    """
+    shape, prefix_caps, kappa_last = _deletion_box(profile, d, k_hint)
+    if q < 2:  # the grid's first oracle query refuses it here
+        raise PreconditionError(f"alphabet size must be >= 2, got {q}")
+    n = sum(n_i for n_i, _ in shape)
+    head = shape[:-1]
+    r_last = shape[-1][1]
+    step = r_last + 1
+    best = None
+    witness = None
+    edge = d <= 1
+    for t_prefix in itertools.product(*(range(c + 1) for c in prefix_caps)):
+        used = 0
+        rest = n
+        for t_i, (_, r_i) in zip(t_prefix, head):
+            used += t_i * r_i
+            rest -= t_i * (r_i + 1)
+        if k_hint is None:
+            cap_last = kappa_last
+        else:
+            cap_last = max(0, (k_hint - 1 - used) // r_last)
+        edge = edge or rest - cap_last * step < d
+        e = rest - d + 1
+        if e <= 0:
+            low, arg = 0, 0
+        else:
+            u, m = divmod(e, step)
+            if cap_last <= u:
+                low, arg = e - cap_last, cap_last
+            else:
+                low, arg = u * r_last + m, u + (m == r_last)
+        if best is None or used + low <= best:
+            best = used + low
+            witness = t_prefix + (arg,)
+    flags = ("edge",) * edge + ("singleton",) * (2 <= d <= n)
+    return BoundReport(
+        name="ml-alphabet",
+        bound_value=best,
+        witness=witness,
+        exact="singleton" not in flags,
+        mode_flags=flags,
+        skipped=(),
         collapse_applied=False,
         effective_shape=shape,
     )

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BoundReport, KOptOracle, ml_alphabet, ml_singleton
+from .bounds import BoundReport, KOptOracle, _ml_alphabet_singleton, ml_alphabet, ml_singleton
 from .constructions import (
     PyramidSpec,
     ml_pyramid,
@@ -224,29 +224,20 @@ def certify_pyramid(
     )
 
 
-# The oracle of every dominance check: its answers depend on (q, n, d) only,
-# so one memo serves all points.
-_DOMINANCE_ORACLE = KOptOracle("singleton")
-
-
 def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
     """Verify that a Singleton-violating point is also alphabet-rejected.
 
     The alphabet-dependent bound is evaluated untruncated with the pure
     Singleton-relaxation oracle, the combination under which rejection of
-    every Singleton-violating (profile, k, d, q) point is provable.
+    every Singleton-violating (profile, k, d, q) point is provable.  It is
+    read in closed form (bounds._ml_alphabet_singleton): the report of the
+    deletion grid, witness included, with no grid walked and no oracle
+    asked.
     """
     profile = _CheckedShape(_normalize_shape(profile))  # checked once, here
     sb = ml_singleton(profile, k)
     singleton_feasible = d <= sb.bound_value
-    ab = ml_alphabet(
-        profile,
-        d,
-        q,
-        oracle=_DOMINANCE_ORACLE,
-        k_hint=k,
-        truncate=False,
-    )
+    ab = _ml_alphabet_singleton(profile, d, q, k_hint=k)
     alphabet_rejects = ab.bound_value < k
     return DominanceReport(
         holds=singleton_feasible or alphabet_rejects,

@@ -27,6 +27,7 @@ from mllrc.bounds import (
     KOptOracle,
     KOptValue,
     _exhaustive_max_dim_q2,
+    _ml_alphabet_singleton,
     _normalize_shape,
     cm_bound,
     griesmer_max_k,
@@ -498,6 +499,88 @@ def test_singleton_relaxed_alphabet_bound_dominates_three_classes():
                 rep = ml_alphabet(shape, d=d, q=3, oracle=o, k_hint=k,
                                   truncate=False)
                 assert rep.bound_value < k, (shape, k, d)
+
+
+def _singleton_outcomes(shape, d, q, k_hint):
+    """(closed form, deletion grid) outcomes of the singleton-relaxed bound."""
+    return (
+        _outcome(_ml_alphabet_singleton, shape, d, q, k_hint=k_hint),
+        _outcome(ml_alphabet, shape, d, q, oracle=KOptOracle("singleton"),
+                 k_hint=k_hint, truncate=False),
+    )
+
+
+@pytest.mark.parametrize("seed", [108, 1])
+def test_closed_form_singleton_bound_matches_the_grid_on_sweep_draws(seed):
+    # seed 108 is the ac08 draw; seed 1 is another draw of the same kind, as
+    # the benchmark's dominance sweep makes them
+    rng = random.Random(seed)
+    for _ in range(10_000):
+        s = rng.randint(1, 3)
+        locs = sorted(rng.sample(range(1, 7), s))
+        shape = tuple((rng.randint(1, 4) * (r + 1), r) for r in locs)
+        n = sum(sz for sz, _ in shape)
+        k = rng.randint(1, n - 1) if n > 1 else 1
+        d = rng.randint(1, n)
+        q = rng.choice([2, 3, 4, 5, 8, 13])
+        got, want = _singleton_outcomes(shape, d, q, k)
+        assert got == want, (shape, k, d, q)
+
+
+def test_closed_form_singleton_bound_matches_the_grid_on_edge_cases():
+    rng = random.Random(20162)
+    seen = dict.fromkeys(("report", "error", "empty", "four", "unset", "cap0",
+                          "tie", "d<=1", "d>n", "q1", "edge"), 0)
+    for _ in range(3000):
+        s = rng.randint(1, 4)
+        locs = sorted(rng.sample(range(1, 8), s))
+        shape = [(0 if rng.random() < 0.15 else rng.randint(1, 12), r) for r in locs]
+        if rng.random() < 0.03:  # invalid profiles: same error text expected
+            i = rng.randrange(s)
+            shape[i] = rng.choice([(-1, shape[i][1]), (shape[i][0], 0),
+                                   (shape[i][0], shape[-1][1])])
+        shape = tuple(shape)
+        n = sum(n_i for n_i, _ in shape)
+        d = rng.choice([-1, 0, 1, 2, 2, n + rng.randint(1, 3)] + [rng.randint(1, max(1, n))] * 4)
+        k_hint = None if rng.random() < 0.3 else rng.randint(-1, n + 5)
+        q = rng.choice([1, 2, 2, 13, 13])
+        got, want = _singleton_outcomes(shape, d, q, k_hint)
+        assert got == want, (shape, d, q, k_hint)
+        if isinstance(got, BoundReport):
+            seen["report"] += 1
+            r_last = shape[-1][1]
+            used = sum(ceil_div(n_i, r_i + 1) * r_i for n_i, r_i in shape[:-1])
+            seen["cap0"] += k_hint is not None and k_hint - 1 - used < r_last
+            # the witness's last axis at a tie: e mod (r_s+1) = r_s, t_s = u + 1
+            e = n - d + 1 - sum(t * (r + 1) for t, (_, r) in zip(got.witness, shape[:-1]))
+            seen["tie"] += e > 0 and divmod(e, r_last + 1) == (got.witness[-1] - 1, r_last)
+            seen["edge"] += "edge" in got.mode_flags and d >= 2
+        else:
+            seen["error"] += 1
+        seen["empty"] += any(n_i == 0 for n_i, _ in shape)
+        seen["four"] += s == 4
+        seen["unset"] += k_hint is None
+        seen["d<=1"] += d <= 1
+        seen["d>n"] += d > n
+        seen["q1"] += q == 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("k_hint, cells", [(None, 64), (7, 48), (1, 16)])
+def test_closed_form_singleton_bound_keeps_the_grid_budget(monkeypatch, k_hint, cells):
+    # prefix caps 3 and 3; the last cap is 3 unhinted, floor(6/3) = 2 at
+    # k_hint 7 and 0 at k_hint 1
+    shape = ((5, 1), (7, 2), (9, 3))
+    for budget in (cells, cells - 1):
+        monkeypatch.setattr(bounds_module, "_GRID_BUDGET", budget)
+        for q in (2, 1):
+            got, want = _singleton_outcomes(shape, 4, q, k_hint)
+            assert got == want, (budget, q)
+            if budget < cells:
+                assert got == ("BudgetError",
+                               f"deletion grid has {cells} cells, above the budget {budget}")
+            elif q == 2:
+                assert isinstance(got, BoundReport)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from mllrc import (
+    DominanceReport,
     KOptOracle,
     LinearCode,
     PyramidSpec,
@@ -25,6 +26,7 @@ from mllrc import (
     check_dominance,
     construction2_binary_lrc,
     full_analysis,
+    ml_alphabet,
     ml_singleton,
     reed_solomon,
     render_analysis_kv,
@@ -304,9 +306,10 @@ class TestCheckDominance:
             rep = check_dominance(shape, k, d, q)
             assert rep.holds is True, (shape, k, d, q)
 
-    def test_shared_oracle_gives_the_reports_of_a_fresh_one(self, monkeypatch):
-        # one module-level oracle serves every point; its memo must not leak
-        # anything that a fresh oracle per point would answer differently
+    def test_shared_oracle_gives_the_reports_of_a_fresh_one(self):
+        # the dominance check reads the alphabet bound in closed form; every
+        # field must be what ml_singleton and the deletion grid under a fresh
+        # singleton oracle give at the same point
         rng = random.Random(2000)
         points = []
         for _ in range(2000):
@@ -314,20 +317,26 @@ class TestCheckDominance:
             n = sum(sz for sz, _ in shape)
             points.append((shape, rng.randint(1, n - 1), rng.randint(1, n),
                            rng.choice([2, 3, 4, 5, 8, 13])))
-        shared = [check_dominance(*point) for point in points]
-        for point, rep in zip(points, shared):
-            # mllrc.certify the module; the package exports the function too
-            monkeypatch.setattr(sys.modules["mllrc.certify"], "_DOMINANCE_ORACLE",
-                                KOptOracle("singleton"))
-            fresh = check_dominance(*point)
+        for point in points:
+            shape, k, d, q = point
+            sb = ml_singleton(shape, k)
+            ab = ml_alphabet(shape, d, q, oracle=KOptOracle("singleton"), k_hint=k,
+                             truncate=False)
+            want = DominanceReport(
+                holds=d <= sb.bound_value or ab.bound_value < k, k=k, d=d, q=q,
+                singleton_feasible=d <= sb.bound_value,
+                alphabet_rejects=ab.bound_value < k,
+                singleton_bound=sb, alphabet_bound=ab,
+            )
+            rep = check_dominance(*point)
             for field in dataclasses.fields(rep):
-                assert getattr(rep, field.name) == getattr(fresh, field.name), (
+                assert getattr(rep, field.name) == getattr(want, field.name), (
                     point, field.name)
 
     def test_memo_never_holds_more_than_its_cap(self, monkeypatch):
-        # a sweep over more distinct (q, n, d) cells than the cap empties the
-        # memo whenever it is full, and reports what an uncapped oracle does
-        certify_module = sys.modules["mllrc.certify"]
+        # a long-lived oracle swept over the grids of more distinct (q, n, d)
+        # cells than the cap empties its memo whenever it is full, and reports
+        # what an uncapped oracle does
         rng = random.Random(2001)
         points = []
         for _ in range(300):
@@ -335,21 +344,39 @@ class TestCheckDominance:
             n = sum(sz for sz, _ in shape)
             points.append((shape, rng.randint(1, n - 1), rng.randint(1, n),
                            rng.choice([2, 3, 4, 5, 8, 13])))
+
+        def sweep(oracle):
+            return [ml_alphabet(shape, d, q, oracle=oracle, k_hint=k, truncate=False)
+                    for shape, k, d, q in points]
+
         uncapped = KOptOracle("singleton")
-        monkeypatch.setattr(certify_module, "_DOMINANCE_ORACLE", uncapped)
-        expect = [check_dominance(*point) for point in points]
+        expect = sweep(uncapped)
         cap = 64
         assert len(uncapped._memo) > 4 * cap
         monkeypatch.setattr(sys.modules["mllrc.bounds"], "_QUERY_MEMO_CAP", cap)
         capped = KOptOracle("singleton")
-        monkeypatch.setattr(certify_module, "_DOMINANCE_ORACLE", capped)
         sizes = []
         resolve = capped._resolve
         monkeypatch.setattr(
             capped, "_resolve", lambda *cell: sizes.append(len(capped._memo)) or resolve(*cell)
         )
-        assert [check_dominance(*point) for point in points] == expect
+        assert sweep(capped) == expect
         assert max(sizes + [len(capped._memo)]) == cap
+
+    @pytest.mark.parametrize("shape, k, d, q, error, text", [
+        (((3, 2), (8, 3)), 5, 7, 1, PreconditionError, "alphabet size must be >= 2, got 1"),
+        (((3, 2), (8, 3)), 5, 0, 1, PreconditionError, "distance must be >= 1, got 0"),
+        (((2, 1), (2000000, 2)), 1999999, 2, 1, BudgetError,
+         "deletion grid has 2000000 cells, above the budget 1000000"),
+        (((3, 2), (8, 3)), 0, 0, 1, PreconditionError,
+         "need 1 <= k <= sum(n_i), got k=0, n=11"),
+    ])
+    def test_refusals_come_in_the_grid_order(self, shape, k, d, q, error, text):
+        # k is checked by ml_singleton, then d, the grid budget and the
+        # alphabet, the last where the grid asked its first k_opt cell
+        with pytest.raises(error) as got:
+            check_dominance(shape, k, d, q)
+        assert str(got.value) == text
 
     def test_profile_is_checked_once(self, monkeypatch):
         linear_code = sys.modules["mllrc.linear_code"]
