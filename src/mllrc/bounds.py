@@ -242,9 +242,6 @@ _EXHAUSTIVE_MAX_N = 14
 # The most primitive coset checks one exhaustive search may make; a search
 # that needs more aborts and the chain falls through.
 _SEARCH_BUDGET = 2_000_000
-# The most answers one oracle's query memo holds; a full memo is emptied
-# before the next answer is stored, so a long-lived oracle stays bounded.
-_QUERY_MEMO_CAP = 1 << 15
 
 
 class KOptOracle:
@@ -264,10 +261,11 @@ class KOptOracle:
     budget ``budget=`` does not apply) abort deterministically,
     raise nothing and produce no value, so the chain falls through.  Each
     search, completed or aborted, runs once per process and budget: the
-    memo of ``_exhaustive_max_dim_q2`` is shared by every oracle, while
-    ``query``'s own memo belongs to this instance and is emptied whenever it
-    reaches _QUERY_MEMO_CAP answers.  A user ``table`` is
-    validated entry by entry; the bundled table was validated at import.
+    memo of ``_exhaustive_max_dim_q2`` is shared by every oracle.  The
+    oracle itself keeps no memo; ``query`` resolves every call, and
+    ml_alphabet asks each residual length once per evaluation.  A user
+    ``table`` is validated entry by entry; the bundled table was validated
+    at import.
     The analytic stage returns min(Singleton, Griesmer) and is flagged
     non-exact: always a valid upper bound, unusable for optimality
     certification.  The singleton stage returns n - d + 1 and exists so
@@ -291,7 +289,6 @@ class KOptOracle:
             for (q, n, d), (k, prov) in table.items():
                 _validate_table_entry(q, n, d, k)
                 self.table[(q, n, d)] = (k, str(prov))
-        self._memo: dict[tuple[int, int, int], KOptValue | None] = {}
 
     @classmethod
     def analytic_only(cls) -> "KOptOracle":
@@ -303,14 +300,7 @@ class KOptOracle:
     def query(self, q: int, n: int, d: int) -> KOptValue | None:
         if q < 2:
             raise PreconditionError(f"alphabet size must be >= 2, got {q}")
-        key = (q, n, d)
-        if key in self._memo:
-            return self._memo[key]
-        result = self._resolve(q, n, d)
-        if len(self._memo) >= _QUERY_MEMO_CAP:
-            self._memo.clear()
-        self._memo[key] = result
-        return result
+        return self._resolve(q, n, d)
 
     def _resolve(self, q: int, n: int, d: int) -> KOptValue | None:
         if n <= 0:
@@ -466,17 +456,17 @@ def _deletion_box(profile, d: int, k_hint: int | None):
 
 
 def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
-                k_hint: int | None = None, truncate: bool = True) -> BoundReport:
+                k_hint: int | None = None) -> BoundReport:
     """k <= min over the deletion box of
     sum_i t_i r_i + k_opt(q, n - sum_i min(n_i, t_i(r_i+1)), d).
 
     Box: t_i in [0, ceil(n_i/(r_i+1))] for i < s; the last class is capped
     at floor((k_hint - 1 - sum_{i<s} t_i r_i)/r_s) when k_hint is given
-    (clamped at 0), else at ceil(n_s/(r_s+1)).  truncate=False replaces the
-    per-class truncation min(n_i, t_i(r_i+1)) by the raw t_i(r_i+1) —
-    a weaker but still valid relaxation, which cm_bound uses.  Under the
-    pure "singleton" oracle and truncate=False, _ml_alphabet_singleton
-    gives the same report in closed form.
+    (clamped at 0), else at ceil(n_s/(r_s+1)).  On one class the per-class
+    truncation min(n_i, t_i(r_i+1)) changes nothing: it only lifts residual
+    lengths below 0 to 0, and the oracle answers every length <= 0 with the
+    same edge value 0.  So cm_bound, the untruncated one-class bound, is
+    this grid on ((n, r),).
 
     A box of more than _GRID_BUDGET cells raises BudgetError before any
     cell is evaluated.  The scan over t_s is computed once per (length left
@@ -505,7 +495,7 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
         rest = n
         for t_i, (n_i, r_i) in zip(t_prefix, head):
             used += t_i * r_i
-            rest -= min(n_i, t_i * (r_i + 1)) if truncate else t_i * (r_i + 1)
+            rest -= min(n_i, t_i * (r_i + 1))
         if k_hint is None:
             cap_last = kappa_last
         else:
@@ -516,8 +506,7 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
             arg = 0
             missing = []
             for t_s in range(cap_last + 1):
-                gone = t_s * (r_last + 1)
-                resid = rest - (min(n_last, gone) if truncate else gone)
+                resid = rest - min(n_last, t_s * (r_last + 1))
                 if resid in answers:
                     kv = answers[resid]
                 else:
@@ -556,11 +545,14 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
 
 
 def _ml_alphabet_singleton(profile, d: int, q: int, k_hint: int | None = None) -> BoundReport:
-    """ml_alphabet(profile, d, q, KOptOracle("singleton"), k_hint,
-    truncate=False) without the grid: the same report, field for field, and
-    the same refusals in the same order.
+    """The alphabet bound under the pure Singleton relaxation, untruncated:
+    ml_alphabet's deletion box and refusals, with the per-class truncation
+    min(n_i, t_i(r_i+1)) replaced by the raw t_i(r_i+1) (a weaker but still
+    valid relaxation) and k_opt by the singleton stage.  It walks no grid
+    and asks no oracle, and gives the report that grid gives, field for
+    field, and the same refusals in the same order.
 
-    The singleton oracle gives every cell max(0, m - d + 1), m the residual
+    The singleton stage gives every cell max(0, m - d + 1), m the residual
     length.  For a fixed prefix the last axis therefore reads
     f(t) = t r_s + max(0, e - t(r_s+1)) with e = rest - d + 1, which falls
     by 1 a step up to u = e div (r_s+1) and rises by r_s after it.  Its least
@@ -618,12 +610,13 @@ def _ml_alphabet_singleton(profile, d: int, q: int, k_hint: int | None = None) -
 
 def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None) -> BoundReport:
     """k <= min_t [t*r + k_opt(q, n - t(r+1), d)] over t in [0, ceil(n/(r+1))]:
-    ml_alphabet on the one class (n, r), without the per-class truncation.
+    ml_alphabet on the one class (n, r), where the per-class truncation
+    changes no cell (see ml_alphabet).
 
     Reports the largest minimizing t.  More than _GRID_BUDGET values of t
     raise BudgetError before any is evaluated.
     """
     if n < 1 or d < 1 or r < 1:
         raise PreconditionError(f"need n, d, r >= 1, got n={n}, d={d}, r={r}")
-    report = ml_alphabet(((n, r),), d, q, oracle, truncate=False)
+    report = ml_alphabet(((n, r),), d, q, oracle)
     return replace(report, name="cm")

@@ -16,9 +16,8 @@ when it falls short of an inexact one.
 Pyramid-construction certificates use information-symbol accounting: the
 class sizes count information plus block-parity coordinates and the d-2
 shared parities are charged to the total length only.  Such certificates
-carry
-accounting="information-symbol", certify only the Singleton side, and mark
-the alphabet side as not applicable.
+carry accounting="information-symbol", certify only the Singleton side, and
+mark the alphabet side as not applicable.
 
 Report renderers emit a human-readable text block and a line-oriented
 ``key=value`` machine format with stable keys (documented on the renderers).
@@ -227,12 +226,12 @@ def certify_pyramid(
 def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
     """Verify that a Singleton-violating point is also alphabet-rejected.
 
-    The alphabet-dependent bound is evaluated untruncated with the pure
-    Singleton-relaxation oracle, the combination under which rejection of
-    every Singleton-violating (profile, k, d, q) point is provable.  It is
-    read in closed form (bounds._ml_alphabet_singleton): the report of the
-    deletion grid, witness included, with no grid walked and no oracle
-    asked.
+    The alphabet-dependent bound is evaluated untruncated under the pure
+    Singleton relaxation, the combination under which rejection of every
+    Singleton-violating (profile, k, d, q) point is provable.  Its one
+    implementation is the closed form bounds._ml_alphabet_singleton, which
+    gives the untruncated deletion grid's report, witness included, with no
+    grid walked and no oracle asked.
     """
     profile = _CheckedShape(_normalize_shape(profile))  # checked once, here
     sb = ml_singleton(profile, k)

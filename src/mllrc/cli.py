@@ -148,7 +148,7 @@ def _cmd_construct(args) -> int:
         code = gcc_generator(load_gcc_spec(args.spec))
     else:  # alg1, alg3
         base = load_code(args.input)
-        groups = _parse_groups(args.groups, base.n) if args.groups else None
+        groups = None if args.groups is None else _parse_groups(args.groups, base.n)
         if args.what == "alg1":
             code = algorithm1_ml_lrc(base, args.r1, args.n1, repair_groups=groups)
         else:

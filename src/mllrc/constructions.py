@@ -178,56 +178,47 @@ def _xor_route(F: FiniteField, size: int) -> bool:
     return F.q == 2 and 2**size <= _SUPPORT_SEARCH_CAP
 
 
-def _full_support_flags(F: FiniteField, A: np.ndarray, subsets):
-    """For each column subset S of A, in order: is some dual word's support
-    exactly S, i.e. does the kernel of A[:, S] hold a vector with no zero?
+def _full_support_flags(F: FiniteField, A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """For each column subset of A, one per row of the (N, size) array S: is
+    some dual word's support exactly that subset, i.e. does the kernel of
+    A[:, subset] hold a vector with no zero?  Returns N bools.
 
-    Subsets are read _SUBSET_CHUNK at a time.  Over GF(2) the only vector
-    with no zero is all-ones, so S qualifies iff its columns XOR to zero.  A
-    binary chunk whose kernels cannot exceed _SUPPORT_SEARCH_CAP words
-    (2^|S| <= cap) is answered that way, on bit-packed columns; every other
-    chunk goes to _elimination_flags, which gives the same flags there.
+    Over GF(2) the only vector with no zero is all-ones, so a subset
+    qualifies iff its columns XOR to zero.  Binary subsets whose kernels
+    cannot exceed _SUPPORT_SEARCH_CAP words (2^size <= cap) are answered
+    that way, on bit-packed columns; all others go to _elimination_flags,
+    which gives the same flags there.
     """
-    packed = np.packbits(A.T != 0, axis=1) if F.q == 2 else None
-    it = iter(subsets)
-    while chunk := list(itertools.islice(it, _SUBSET_CHUNK)):
-        S = np.array(chunk, dtype=np.int64)
-        if packed is not None and _xor_route(F, S.shape[1]):
-            yield from (~np.bitwise_xor.reduce(packed[S], axis=1).any(axis=1)).tolist()
-        else:
-            yield from _elimination_flags(F, A, S)
+    if _xor_route(F, S.shape[1]):
+        packed = np.packbits(A.T != 0, axis=1)
+        return ~np.bitwise_xor.reduce(packed[S], axis=1).any(axis=1)
+    return _elimination_flags(F, A, S)
 
 
-def _elimination_flags(F: FiniteField, A: np.ndarray, S: np.ndarray):
-    """_full_support_flags for the equal-size subsets S (one per row), all
-    row-reduced in lockstep.  Kernel dimension 0 means no.  Dimension 1 means
-    yes iff the free column of the RREF is nonzero in every pivot row.  A
-    larger kernel is scanned word by word from its RREF basis with the
-    split-table kernel.  A kernel of more than _SUPPORT_SEARCH_CAP words
-    raises BudgetError when its subset's turn comes, after the flags of all
-    earlier subsets.
+def _elimination_flags(F: FiniteField, A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """_full_support_flags by elimination, all subsets row-reduced in
+    lockstep.  Kernel dimension 0 means no.  Dimension 1 means yes iff the
+    free column of the RREF is nonzero in every pivot row.  A larger kernel
+    is scanned word by word from its RREF basis with the split-table kernel.
+    The first subset, in row order, whose kernel has more than
+    _SUPPORT_SEARCH_CAP words raises BudgetError.
     """
     R, pivot, rank = _rref_stack(F, A[:, S].transpose(1, 0, 2))
     dims = S.shape[1] - rank
-    R_free = R[np.arange(len(S)), :, pivot.argmin(axis=1)]
-    in_rank = np.arange(R.shape[1]) < rank[:, None]
-    one_free_full = np.all((R_free != 0) | ~in_rank, axis=1)
-    for b, dim in enumerate(dims.tolist()):
-        if dim == 0:
-            yield False
-            continue
-        total = F.q**dim
-        if total > _SUPPORT_SEARCH_CAP:
+    for dim in dims.tolist():
+        if F.q**dim > _SUPPORT_SEARCH_CAP:
             raise BudgetError(
-                f"kernel enumeration needs {total} combinations "
+                f"kernel enumeration needs {F.q**dim} combinations "
                 f"(cap {_SUPPORT_SEARCH_CAP})"
             )
-        if dim == 1:
-            yield bool(one_free_full[b])
-            continue
+    R_free = R[np.arange(len(S)), :, pivot.argmin(axis=1)]
+    in_rank = np.arange(R.shape[1]) < rank[:, None]
+    flags = (dims == 1) & np.all((R_free != 0) | ~in_rank, axis=1)
+    for b in np.flatnonzero(dims > 1).tolist():
         K = _kernel_basis(F, R[b], np.flatnonzero(pivot[b]).tolist())
         full = K.shape[1]  # a word with no zero
-        yield any(bool((w == full).any()) for w in _SplitTable(F, K).weights())
+        flags[b] = any(bool((w == full).any()) for w in _SplitTable(F, K).weights())
+    return flags
 
 
 def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...]:
@@ -238,14 +229,14 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
     smallest element; raises if none exists.  A depth-first walk places the
     least uncovered coordinate x at each step, trying the candidates with
     least element x in lexicographic order.  The first visit of x tests all
-    (r+1)-subsets with least element x in one _full_support_flags batch and
-    keeps the candidates for later visits, so no subset is tested twice, and
-    a subset whose least element the walk never reaches is never tested (nor
-    can its kernel raise the 2^20-word BudgetError).  Before the walk, the
-    worst case of testing all C(n, r+1) subsets is charged against the
-    enumeration budget: a unit per subset on the binary XOR route, else
-    k(r+1) units per subset (a span-search rank test); BudgetError when that
-    is over the budget.
+    (r+1)-subsets with least element x, as _full_support_flags arrays of
+    _SUBSET_CHUNK rows, and keeps only the candidates for later visits, so no
+    subset is tested twice, and a subset whose least element the walk never
+    reaches is never tested (nor can its kernel raise the 2^20-word
+    BudgetError).  Before the walk, the worst case of testing all C(n, r+1)
+    subsets is charged against the enumeration budget: a unit per subset on
+    the binary XOR route, else k(r+1) units per subset (a span-search rank
+    test); BudgetError when that is over the budget.
     """
     n = code.n
     if not 1 <= r < n:
@@ -267,11 +258,12 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
 
     def candidates(x: int) -> list[tuple[int, ...]]:
         if x not in by_least:
-            subsets, tested = itertools.tee(
-                (x, *c) for c in itertools.combinations(range(x + 1, n), r)
-            )
-            flags = _full_support_flags(code.field, code.G.a, tested)
-            by_least[x] = list(itertools.compress(subsets, flags))
+            rest = itertools.combinations(range(x + 1, n), r)
+            found = []
+            while chunk := [(x, *c) for c in itertools.islice(rest, _SUBSET_CHUNK)]:
+                flags = _full_support_flags(code.field, code.G.a, np.array(chunk))
+                found += [chunk[i] for i in np.flatnonzero(flags).tolist()]
+            by_least[x] = found
         return by_least[x]
 
     def walk(covered: set, acc: list):
@@ -323,8 +315,8 @@ def _normalize_groups(code: LinearCode, repair_groups) -> tuple[tuple[int, ...],
             f"repair groups must partition all {code.n} coordinates "
             f"(got {len(flat)})"
         )
-    for i, ok in enumerate(_full_support_flags(code.field, code.G.a, groups), 1):
-        if not ok:
+    for i, g in enumerate(groups, 1):  # one at a time: errors come in group order
+        if not _full_support_flags(code.field, code.G.a, np.array([g]))[0]:
             raise PreconditionError(
                 f"repair group {i} of {len(groups)} carries no dual word with "
                 "full support"

@@ -15,6 +15,7 @@ Oracles used here, all implemented inside this file with no shared code:
   with the library, so profile errors carry the same text.
 """
 
+import dataclasses
 import itertools
 import random
 from math import prod
@@ -471,7 +472,6 @@ def test_bound_report_validation():
 
 
 def test_singleton_relaxed_alphabet_bound_dominates_two_classes():
-    o = KOptOracle("singleton")
     for n1 in range(1, 5):
         for n2 in range(1, 6):
             for r1 in range(1, 3):
@@ -480,15 +480,13 @@ def test_singleton_relaxed_alphabet_bound_dominates_two_classes():
                     for k in range(1, n + 1):
                         dmax = ml_singleton(((n1, r1), (n2, r2)), k).bound_value
                         for d in range(dmax + 1, n + 1):
-                            rep = ml_alphabet(
-                                ((n1, r1), (n2, r2)), d=d, q=2, oracle=o,
-                                k_hint=k, truncate=False,
+                            rep = _ml_alphabet_singleton(
+                                ((n1, r1), (n2, r2)), d=d, q=2, k_hint=k
                             )
                             assert rep.bound_value < k, (n1, r1, n2, r2, k, d)
 
 
 def test_singleton_relaxed_alphabet_bound_dominates_three_classes():
-    o = KOptOracle("singleton")
     shapes = [((2, 1), (3, 2), (4, 3)), ((1, 1), (4, 2), (5, 4)),
               ((3, 1), (4, 2), (4, 4)), ((2, 2), (3, 3), (5, 5))]
     for shape in shapes:
@@ -496,17 +494,17 @@ def test_singleton_relaxed_alphabet_bound_dominates_three_classes():
         for k in range(1, n + 1):
             dmax = ml_singleton(shape, k).bound_value
             for d in range(dmax + 1, n + 1):
-                rep = ml_alphabet(shape, d=d, q=3, oracle=o, k_hint=k,
-                                  truncate=False)
+                rep = _ml_alphabet_singleton(shape, d=d, q=3, k_hint=k)
                 assert rep.bound_value < k, (shape, k, d)
 
 
 def _singleton_outcomes(shape, d, q, k_hint):
-    """(closed form, deletion grid) outcomes of the singleton-relaxed bound."""
+    """(closed form, untruncated reference grid) outcomes of the
+    singleton-relaxed bound, both under the library's grid budget."""
     return (
         _outcome(_ml_alphabet_singleton, shape, d, q, k_hint=k_hint),
-        _outcome(ml_alphabet, shape, d, q, oracle=KOptOracle("singleton"),
-                 k_hint=k_hint, truncate=False),
+        _outcome(ref_ml_alphabet, shape, d, q, KOptOracle("singleton"), k_hint=k_hint,
+                 truncate=False, grid_budget=bounds_module._GRID_BUDGET),
     )
 
 
@@ -789,7 +787,6 @@ def _random_grid_call(rng, tables):
     kwargs = {
         "k_hint": None if rng.random() < 0.4 else rng.randint(0 if rng.random() < 0.03 else 1,
                                                               max(1, n + 2)),
-        "truncate": rng.random() < 0.5,
     }
     d = rng.randint(0 if rng.random() < 0.03 else 1, n + 2)
     q = rng.choice([2, 2, 2, 3, 4, 13])
@@ -814,24 +811,17 @@ def _outcome(fn, *args, **kwargs):
 def test_ml_alphabet_matches_reference_grid(monkeypatch):
     rng = random.Random(20161)
     tables = [None, _random_table(rng), _random_table(rng)]
-    pools = ({}, {})
-
-    def oracle(pool, key):
-        # each oracle's memo holds answers under its own search budget
-        if key not in pool:
-            mode, table, _ = key
-            pool[key] = KOptOracle(mode, table=tables[table])
-        return pool[key]
-
     seen = {"skipped": 0, "error": 0, "budget": 0, "empty": 0, "four": 0, "at_budget": 0}
     for _ in range(2000):
         shape, d, q, kwargs, key = _random_grid_call(rng, tables)
         at_budget = "grid_budget" in kwargs
         grid_budget = kwargs.pop("grid_budget", 10**6)
+        mode, table, search_budget = key
+        oracle = KOptOracle(mode, table=tables[table])
         monkeypatch.setattr(bounds_module, "_GRID_BUDGET", grid_budget)
-        monkeypatch.setattr(bounds_module, "_SEARCH_BUDGET", key[2])
-        got = _outcome(ml_alphabet, shape, d, q, oracle=oracle(pools[0], key), **kwargs)
-        want = _outcome(ref_ml_alphabet, shape, d, q, oracle=oracle(pools[1], key),
+        monkeypatch.setattr(bounds_module, "_SEARCH_BUDGET", search_budget)
+        got = _outcome(ml_alphabet, shape, d, q, oracle=oracle, **kwargs)
+        want = _outcome(ref_ml_alphabet, shape, d, q, oracle=oracle,
                         grid_budget=grid_budget, **kwargs)
         assert got == want, (shape, d, q, kwargs, grid_budget, key)
         if isinstance(got, BoundReport):
@@ -842,6 +832,35 @@ def test_ml_alphabet_matches_reference_grid(monkeypatch):
             seen["budget"] += got[0] == "BudgetError"
         seen["empty"] += any(n_i == 0 for n_i, _ in shape)
         seen["four"] += len(shape) == 4
+    assert min(seen.values()) > 0, seen
+
+
+def test_cm_bound_is_the_one_class_grid_truncated_or_not():
+    # on one class the truncation min(n, t(r+1)) only lifts residuals below 0
+    # to 0, which the oracle answers alike, so cm_bound (the untruncated
+    # bound) is the truncated grid; a seeded sample of n <= 30, r <= 7,
+    # d in [0, n+2], q in {1, 2, 3, 16} under five oracle chains
+    rng = random.Random(20163)
+    oracles = [KOptOracle(mode) for mode in _ORACLE_MODES[:5]]
+    seen = {"report": 0, "error": 0, "edge": 0, "d<1": 0}
+    for _ in range(2500):
+        n, r = rng.randint(1, 30), rng.randint(1, 7)
+        d, q = rng.randint(0, n + 2), rng.choice([1, 2, 3, 16])
+        oracle = rng.choice(oracles)
+        truncated = _outcome(ref_ml_alphabet, ((n, r),), d, q, oracle)
+        assert _outcome(ref_ml_alphabet, ((n, r),), d, q, oracle, truncate=False) == (
+            truncated), (n, r, d, q, oracle)
+        if d < 1:
+            want = ("PreconditionError", f"need n, d, r >= 1, got n={n}, d={d}, r={r}")
+        elif isinstance(truncated, BoundReport):
+            want = dataclasses.replace(truncated, name="cm")
+        else:
+            want = truncated
+        assert _outcome(cm_bound, n, d, r, q, oracle) == want, (n, r, d, q, oracle)
+        seen["report"] += isinstance(want, BoundReport)
+        seen["error"] += not isinstance(want, BoundReport)
+        seen["edge"] += isinstance(want, BoundReport) and "edge" in want.mode_flags
+        seen["d<1"] += d < 1
     assert min(seen.values()) > 0, seen
 
 

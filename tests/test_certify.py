@@ -26,7 +26,6 @@ from mllrc import (
     check_dominance,
     construction2_binary_lrc,
     full_analysis,
-    ml_alphabet,
     ml_singleton,
     reed_solomon,
     render_analysis_kv,
@@ -40,6 +39,7 @@ from mllrc import (
 )
 from mllrc.errors import BudgetError, PreconditionError
 from mllrc.galois import field_new
+from test_bounds import ref_ml_alphabet
 
 F2 = field_new(2)
 F13 = field_new(13)
@@ -308,8 +308,8 @@ class TestCheckDominance:
 
     def test_shared_oracle_gives_the_reports_of_a_fresh_one(self):
         # the dominance check reads the alphabet bound in closed form; every
-        # field must be what ml_singleton and the deletion grid under a fresh
-        # singleton oracle give at the same point
+        # field must be what ml_singleton and the untruncated reference grid
+        # under a fresh singleton oracle give at the same point
         rng = random.Random(2000)
         points = []
         for _ in range(2000):
@@ -320,8 +320,8 @@ class TestCheckDominance:
         for point in points:
             shape, k, d, q = point
             sb = ml_singleton(shape, k)
-            ab = ml_alphabet(shape, d, q, oracle=KOptOracle("singleton"), k_hint=k,
-                             truncate=False)
+            ab = ref_ml_alphabet(shape, d, q, oracle=KOptOracle("singleton"), k_hint=k,
+                                 truncate=False)
             want = DominanceReport(
                 holds=d <= sb.bound_value or ab.bound_value < k, k=k, d=d, q=q,
                 singleton_feasible=d <= sb.bound_value,
@@ -332,36 +332,6 @@ class TestCheckDominance:
             for field in dataclasses.fields(rep):
                 assert getattr(rep, field.name) == getattr(want, field.name), (
                     point, field.name)
-
-    def test_memo_never_holds_more_than_its_cap(self, monkeypatch):
-        # a long-lived oracle swept over the grids of more distinct (q, n, d)
-        # cells than the cap empties its memo whenever it is full, and reports
-        # what an uncapped oracle does
-        rng = random.Random(2001)
-        points = []
-        for _ in range(300):
-            shape = _random_shape(rng)
-            n = sum(sz for sz, _ in shape)
-            points.append((shape, rng.randint(1, n - 1), rng.randint(1, n),
-                           rng.choice([2, 3, 4, 5, 8, 13])))
-
-        def sweep(oracle):
-            return [ml_alphabet(shape, d, q, oracle=oracle, k_hint=k, truncate=False)
-                    for shape, k, d, q in points]
-
-        uncapped = KOptOracle("singleton")
-        expect = sweep(uncapped)
-        cap = 64
-        assert len(uncapped._memo) > 4 * cap
-        monkeypatch.setattr(sys.modules["mllrc.bounds"], "_QUERY_MEMO_CAP", cap)
-        capped = KOptOracle("singleton")
-        sizes = []
-        resolve = capped._resolve
-        monkeypatch.setattr(
-            capped, "_resolve", lambda *cell: sizes.append(len(capped._memo)) or resolve(*cell)
-        )
-        assert sweep(capped) == expect
-        assert max(sizes + [len(capped._memo)]) == cap
 
     @pytest.mark.parametrize("shape, k, d, q, error, text", [
         (((3, 2), (8, 3)), 5, 7, 1, PreconditionError, "alphabet size must be >= 2, got 1"),

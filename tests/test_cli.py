@@ -414,6 +414,16 @@ class TestErrorHandling:
         assert rc == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("what, args", [("alg1", ("--n1", "3")), ("alg3", ("--alpha", "1"))])
+    def test_empty_groups_is_a_usage_error(self, cli, tmp_path, what, args):
+        # an empty --groups is malformed, as an empty shorten --at is, and
+        # never falls back to auto-detection
+        tb_file = tmp_path / "tb.code"
+        save_code(tamo_barg(13, 12, 6, 3), tb_file)
+        assert cli("construct", what, "--in", str(tb_file), "--r1", "2", *args,
+                   "--groups", "") == (
+            2, "", "usage error: positions must be comma-separated integers: ''\n")
+
 
 class TestDeterminism:
     def test_repeated_reports_identical(self, cli, tmp_path):

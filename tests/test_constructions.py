@@ -431,11 +431,21 @@ def grouped_code(rng, F, n, size):
 REFERENCE_SIZES = {2: 7, 3: 6, 4: 5, 9: 4, 13: 3, 16: 3}
 
 
+def batched_flags(F, A, subsets, chunk) -> list[bool]:
+    """_full_support_flags over the subsets, asked `chunk` rows at a time."""
+    return [
+        flag
+        for i in range(0, len(subsets), chunk)
+        for flag in constructions._full_support_flags(
+            F, A, np.array(subsets[i : i + chunk])
+        ).tolist()
+    ]
+
+
 class TestFullSupportFlags:
     @pytest.mark.parametrize("chunk", [1, 3, constructions._SUBSET_CHUNK])
     @pytest.mark.parametrize("q", sorted(REFERENCE_SIZES))
-    def test_matches_brute_force(self, monkeypatch, q, chunk):
-        monkeypatch.setattr(constructions, "_SUBSET_CHUNK", chunk)
+    def test_matches_brute_force(self, q, chunk):
         F = field_from_order(q)
         rng = random.Random(1000 * q + chunk)
         dims = set()
@@ -445,7 +455,7 @@ class TestFullSupportFlags:
             size = rng.randint(2, min(n, REFERENCE_SIZES[q]))
             subsets = list(itertools.combinations(range(n), size))
             expect = [full_support_reference(F, A, S) for S in subsets]
-            got = list(constructions._full_support_flags(F, A, subsets))
+            got = batched_flags(F, A, subsets, chunk)
             assert got == expect, (q, A.tolist(), size)
             dims |= {
                 min(size - mat_rank(MatrixGF(F, A[:, list(S)])), 2)
@@ -454,9 +464,8 @@ class TestFullSupportFlags:
         assert dims == {0, 1, 2}
 
     @pytest.mark.parametrize("chunk", [1, 3, constructions._SUBSET_CHUNK])
-    def test_binary_xor_route_matches_elimination(self, monkeypatch, chunk):
+    def test_binary_xor_route_matches_elimination(self, chunk):
         # k = 1..70 rows: partial bytes and more than 8 bytes per packed column
-        monkeypatch.setattr(constructions, "_SUBSET_CHUNK", chunk)
         rng = random.Random(2000 + chunk)
         seen, zero_or_repeated = set(), 0
         for k in range(1, 71):
@@ -471,8 +480,8 @@ class TestFullSupportFlags:
                 A[:, S[-1]] = A[:, list(S[:-1])].sum(axis=1) % 2
             cols = {tuple(c) for c in A.T.tolist()}
             zero_or_repeated += len(cols) < n or (0,) * k in cols
-            expect = list(constructions._elimination_flags(F2, A, np.array(subsets)))
-            got = list(constructions._full_support_flags(F2, A, subsets))
+            expect = constructions._elimination_flags(F2, A, np.array(subsets)).tolist()
+            got = batched_flags(F2, A, subsets, chunk)
             assert got == expect, (k, size, A.tolist(), subsets)
             seen |= set(got)
         assert seen == {False, True} and zero_or_repeated > 10
@@ -486,11 +495,11 @@ class TestFullSupportFlags:
             lambda F, A, S: calls.append(S.shape) or elimination(F, A, S),
         )
         A = np.zeros((1, 21), dtype=np.int64)
-        assert list(constructions._full_support_flags(F2, A, [tuple(range(20))]))
+        assert constructions._full_support_flags(F2, A, np.array([range(20)])).tolist() == [True]
         assert detect_repair_groups(construction2_binary_lrc(3, 0), 3)
         assert calls == []
         with pytest.raises(BudgetError):
-            list(constructions._full_support_flags(F2, A, [tuple(range(21))]))
+            constructions._full_support_flags(F2, A, np.array([range(21)]))
         assert calls == [(1, 21)]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -533,27 +542,25 @@ class TestFullSupportFlags:
         F = field_from_order(q)
         A = np.zeros((1, dim + 1), dtype=np.int64)
         at_cap = tuple(range(dim))  # q^dim = 2^20 words: scanned
-        assert list(constructions._full_support_flags(F, A, [at_cap])) == [True]
+        assert constructions._full_support_flags(F, A, np.array([at_cap])).tolist() == [True]
         with pytest.raises(BudgetError) as exc:
-            list(constructions._full_support_flags(F, A, [tuple(range(dim + 1))]))
+            constructions._full_support_flags(F, A, np.array([range(dim + 1)]))
         assert str(exc.value) == (
             f"kernel enumeration needs {q ** (dim + 1)} combinations "
             f"(cap {1 << 20})"
         )
 
     @pytest.mark.parametrize("chunk", [1, 3, constructions._SUBSET_CHUNK])
-    def test_budget_error_after_earlier_flags(self, monkeypatch, chunk):
+    def test_budget_error_after_earlier_flags(self, chunk):
         # GF(16), one row, columns 0 and 1 equal, 2..7 zero: the last 6-subset
         # has a 16^6-word kernel, every earlier one a 16^5 = 2^20-word kernel
-        monkeypatch.setattr(constructions, "_SUBSET_CHUNK", chunk)
         F = field_from_order(16)
         A = np.zeros((1, 8), dtype=np.int64)
         A[0, :2] = 3
         subsets = list(itertools.combinations(range(8), 6))
-        got = []
         with pytest.raises(BudgetError, match="needs 16777216 combinations"):
-            for flag in constructions._full_support_flags(F, A, subsets):
-                got.append(flag)
+            constructions._full_support_flags(F, A, np.array(subsets))
+        got = batched_flags(F, A, subsets[:-1], chunk)
         assert got == [{0, 1} <= set(S) for S in subsets[:-1]]
 
     def test_detect_and_normalize_raise_in_order(self):
@@ -626,10 +633,9 @@ def record_tested_subsets(monkeypatch) -> list:
     seen = []
     flags = constructions._full_support_flags
 
-    def record(F, A, subsets):
-        subsets = list(subsets)
-        seen.extend(subsets)
-        return flags(F, A, subsets)
+    def record(F, A, S):
+        seen.extend(map(tuple, S.tolist()))
+        return flags(F, A, S)
 
     monkeypatch.setattr(constructions, "_full_support_flags", record)
     return seen
@@ -688,9 +694,9 @@ class TestLazyDetection:
         code = LinearCode(F, np.array([v, u, 2 * u, 3 * u, 4 * u, v + u, w, w + u]).T)
         over_cap = "kernel enumeration needs 16974593 combinations (cap 1048576)"
         with pytest.raises(BudgetError) as exc:  # testing every subset
-            list(constructions._full_support_flags(
-                F, code.G.a, itertools.combinations(range(8), 4)
-            ))
+            constructions._full_support_flags(
+                F, code.G.a, np.array(list(itertools.combinations(range(8), 4)))
+            )
         assert str(exc.value) == over_cap
         groups = detect_repair_groups(code, 3)
         assert groups == ((0, 1, 2, 5), (3, 4, 6, 7))
