@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from math import prod
 
 import numpy as np
 
@@ -382,42 +381,34 @@ def singleton_r_local(n: int, k: int, r: int) -> int:
 
 
 def ml_singleton(profile, k: int) -> BoundReport:
-    """Distance bound for a multi-locality profile, with degenerate collapse.
-
-    While some prefix of classes j satisfies
-    sum_{i<=j} r_i * ceil(n_i/(r_i+1)) >= k - 1, classes j..s merge into a
-    single class at locality r_j; the direct formula is evaluated on the
-    stable shape.  The report records whether a collapse fired and the
-    shape actually used.
-    """
+    """Distance bound for a multi-locality profile, with degenerate collapse:
+    at the first prefix j < s with sum_{i<=j} r_i * ceil(n_i/(r_i+1)) >= k - 1,
+    classes j..s merge into one class at locality r_j, and the direct formula
+    is evaluated on that shape.  One pass suffices, as the prefixes before j
+    stay below k - 1.  The report records whether a collapse fired and the
+    shape actually used."""
     shape = _normalize_shape(profile)
-    n = sum(n_i for n_i, _ in shape)
+    n = sum([n_i for n_i, _ in shape])
     if not 1 <= k <= n:
         raise PreconditionError(f"need 1 <= k <= sum(n_i), got k={k}, n={n}")
     collapsed = False
-    while True:
-        s = len(shape)
-        j = None
-        prefix = 0
-        for idx in range(s - 1):
-            n_i, r_i = shape[idx]
-            prefix += r_i * _ceil_div(n_i, r_i + 1)
-            if prefix >= k - 1:
-                j = idx
-                break
-        if j is None:
+    terms = []  # ceil(n_i/(r_i+1)) of the classes before the last one
+    used = before = 0  # the sums of r_i times those terms and of their n_i
+    for j in range(len(shape) - 1):
+        n_j, r_j = shape[j]
+        kappa = -(-n_j // (r_j + 1))
+        if used + r_j * kappa >= k - 1:
+            shape = shape[:j] + ((n - before, r_j),)
+            collapsed = True
             break
-        merged_n = sum(n_i for n_i, _ in shape[j:])
-        shape = shape[:j] + ((merged_n, shape[j][1]),)
-        collapsed = True
-    kappas = [_ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
-    used = sum(r_i * kap for (_, r_i), kap in zip(shape[:-1], kappas))
-    last = _ceil_div(k - used, shape[-1][1])
-    value = n - k + 2 - sum(kappas) - last
+        terms.append(kappa)
+        used += r_j * kappa
+        before += n_j
+    terms.append(-(-(k - used) // shape[-1][1]))
     return BoundReport(
         name="ml-singleton",
-        bound_value=max(0, value),
-        witness=tuple(kappas) + (last,),
+        bound_value=max(0, n - k + 2 - sum(terms)),
+        witness=tuple(terms),
         exact=True,
         mode_flags=(),
         skipped=(),
@@ -436,7 +427,7 @@ _GRID_BUDGET = 10**6
 
 
 def _deletion_box(profile, d: int, k_hint: int | None):
-    """The checked shape, the prefix caps and ceil(n_s/(r_s+1)) of a deletion
+    """The checked shape, n, the prefix caps and ceil(n_s/(r_s+1)) of a deletion
     box, refused in this order: shape, d >= 1, k_hint >= 1, _GRID_BUDGET."""
     shape = _normalize_shape(profile, allow_empty_class=True)
     if d < 1:
@@ -444,15 +435,18 @@ def _deletion_box(profile, d: int, k_hint: int | None):
     if k_hint is not None and k_hint < 1:
         raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
     n_last, r_last = shape[-1]
-    prefix_caps = [_ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
-    kappa_last = _ceil_div(n_last, r_last + 1)
-    cap_last_max = kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last)
-    grid_size = prod(c + 1 for c in prefix_caps) * (cap_last_max + 1)
+    n, prefix_caps, grid_size = n_last, [], 1
+    for n_i, r_i in shape[:-1]:
+        n += n_i
+        prefix_caps.append(-(-n_i // (r_i + 1)))
+        grid_size *= prefix_caps[-1] + 1
+    kappa_last = -(-n_last // (r_last + 1))
+    grid_size *= 1 + (kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last))
     if grid_size > _GRID_BUDGET:
         raise BudgetError(
             f"deletion grid has {grid_size} cells, above the budget {_GRID_BUDGET}"
         )
-    return shape, prefix_caps, kappa_last
+    return shape, n, prefix_caps, kappa_last
 
 
 def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
@@ -474,10 +468,9 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     length; the result, witness and skipped order are those of the
     cell-by-cell scan in C order.
     """
-    shape, prefix_caps, kappa_last = _deletion_box(profile, d, k_hint)
+    shape, n, prefix_caps, kappa_last = _deletion_box(profile, d, k_hint)
     if oracle is None:
         oracle = KOptOracle()
-    n = sum(n_i for n_i, _ in shape)
     head = shape[:-1]
     n_last, r_last = shape[-1]
     best = None
@@ -496,10 +489,7 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
         for t_i, (n_i, r_i) in zip(t_prefix, head):
             used += t_i * r_i
             rest -= min(n_i, t_i * (r_i + 1))
-        if k_hint is None:
-            cap_last = kappa_last
-        else:
-            cap_last = max(0, (k_hint - 1 - used) // r_last)
+        cap_last = kappa_last if k_hint is None else max(0, (k_hint - 1 - used) // r_last)
         scan = memo.get((rest, cap_last))
         if scan is None:
             low = None
@@ -552,54 +542,63 @@ def _ml_alphabet_singleton(profile, d: int, q: int, k_hint: int | None = None) -
     and asks no oracle, and gives the report that grid gives, field for
     field, and the same refusals in the same order.
 
-    The singleton stage gives every cell max(0, m - d + 1), m the residual
-    length.  For a fixed prefix the last axis therefore reads
-    f(t) = t r_s + max(0, e - t(r_s+1)) with e = rest - d + 1, which falls
-    by 1 a step up to u = e div (r_s+1) and rises by r_s after it.  Its least
-    value on [0, cap] is at t = min(cap, u); when e mod (r_s+1) = r_s, t = u + 1
-    ties with u and is kept, as the grid keeps the largest t_s.  The prefixes
-    run in C order under the grid's <= rule, so the witness is the grid's
-    C-order-last minimiser.  A cell is "edge" when its residual is below d,
-    which the last axis reaches at t = cap, and "singleton" otherwise.
+    A cell t leaves m = n - U - T, with U = sum_i t_i r_i and T = sum_i t_i,
+    and the singleton stage gives it max(0, m - d + 1).  With E = n - d + 1
+    every cell is therefore worth max(U, E - T), and the bound is the least
+    V with V + maxT(V) >= E, maxT(V) the most items of a cell with U <= V.
+    Filling the classes in increasing locality,
+    t_i = min(cap_i, (V - U_{<i}) div r_i), reaches maxT(V): localities
+    strictly increase, so one more item of a cheaper class costs the later
+    classes (the coupled cap on t_s included) at most one item, and the
+    best count reachable after it never falls.  The minimisers are the
+    cells with U <= V and T >= E - V, so by the same argument the fill at V
+    is their C-order-last, the grid's witness.  V + maxT(V) grows by r_i + 1
+    per item of class i and by 1 per unit of V left over, so the fill at V
+    packs max(E, 0) with blocks of r_i + 1, class by class, taking one block
+    more where exactly r_i is left, and V is that cell's own worth.
+
+    The cell t = 0 is "singleton" when 2 <= d <= n; a cell with U + T >= E,
+    i.e. m < d, is "edge".  Unhinted, the all-caps cell reaches n >= E.
+    With K = k_hint - 1, the all-caps cell may hit, and K + maxT(K) bounds
+    every cell with t_s > 0 from above; when neither decides, a prefix scan
+    runs to its first edge cell.
     """
-    shape, prefix_caps, kappa_last = _deletion_box(profile, d, k_hint)
+    shape, n, prefix_caps, kappa_last = _deletion_box(profile, d, k_hint)
     if q < 2:  # the grid's first oracle query refuses it here
         raise PreconditionError(f"alphabet size must be >= 2, got {q}")
-    n = sum(n_i for n_i, _ in shape)
-    head = shape[:-1]
     r_last = shape[-1][1]
-    step = r_last + 1
-    best = None
-    witness = None
-    edge = d <= 1
-    for t_prefix in itertools.product(*(range(c + 1) for c in prefix_caps)):
-        used = 0
-        rest = n
-        for t_i, (_, r_i) in zip(t_prefix, head):
+    e = n - d + 1
+    fill = max(e, 0) + 1  # the + 1: one block more where exactly r_i is left
+    witness = []
+    used = total = full = 0  # full: U of the all-caps prefix
+    for (_, r_i), cap in zip(shape, prefix_caps):
+        witness.append(min(cap, (fill - used - total) // (r_i + 1)))
+        used += witness[-1] * r_i
+        total += witness[-1]
+        full += cap * r_i
+    cap = kappa_last if k_hint is None else max(0, (k_hint - 1 - used) // r_last)
+    witness.append(min(cap, (fill - used - total) // (r_last + 1)))
+    value = max(used + witness[-1] * r_last, e - total - witness[-1])
+    t_s = 0 if k_hint is None else max(0, (k_hint - 1 - full) // r_last)  # of the all-caps cell
+    edge = k_hint is None or d <= 1 or full + sum(prefix_caps) + t_s * (r_last + 1) >= e
+    if not edge:
+        used = total = 0  # the fill at budget K
+        for (_, r_i), cap in zip(shape, prefix_caps):
+            t_i = min(cap, (k_hint - 1 - used) // r_i)
             used += t_i * r_i
-            rest -= t_i * (r_i + 1)
-        if k_hint is None:
-            cap_last = kappa_last
-        else:
-            cap_last = max(0, (k_hint - 1 - used) // r_last)
-        edge = edge or rest - cap_last * step < d
-        e = rest - d + 1
-        if e <= 0:
-            low, arg = 0, 0
-        else:
-            u, m = divmod(e, step)
-            if cap_last <= u:
-                low, arg = e - cap_last, cap_last
-            else:
-                low, arg = u * r_last + m, u + (m == r_last)
-        if best is None or used + low <= best:
-            best = used + low
-            witness = t_prefix + (arg,)
+            total += t_i
+        if k_hint - 1 + total + (k_hint - 1 - used) // r_last >= e:  # K + maxT(K)
+            for t_prefix in itertools.product(*(range(c + 1) for c in prefix_caps)):
+                used = sum(t_i * r_i for t_i, (_, r_i) in zip(t_prefix, shape))
+                t_s = max(0, (k_hint - 1 - used) // r_last)
+                if used + sum(t_prefix) + t_s * (r_last + 1) >= e:
+                    edge = True
+                    break
     flags = ("edge",) * edge + ("singleton",) * (2 <= d <= n)
     return BoundReport(
         name="ml-alphabet",
-        bound_value=best,
-        witness=witness,
+        bound_value=value,
+        witness=tuple(witness),
         exact="singleton" not in flags,
         mode_flags=flags,
         skipped=(),

@@ -228,10 +228,12 @@ def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
 
     The alphabet-dependent bound is evaluated untruncated under the pure
     Singleton relaxation, the combination under which rejection of every
-    Singleton-violating (profile, k, d, q) point is provable.  Its one
-    implementation is the closed form bounds._ml_alphabet_singleton, which
-    gives the untruncated deletion grid's report, witness included, with no
-    grid walked and no oracle asked.
+    Singleton-violating (profile, k, d, q) point is provable.  There every
+    deletion cell is worth max(U, E - T), U = sum_i t_i r_i, T = sum_i t_i
+    and E = n - d + 1, so bounds._ml_alphabet_singleton reads the least
+    value and the grid's witness off one greedy fill in increasing locality,
+    in O(s), with no grid walked and no oracle asked.  The profile is
+    checked once, here; ml_singleton collapses it in one pass.
     """
     profile = _CheckedShape(_normalize_shape(profile))  # checked once, here
     sb = ml_singleton(profile, k)

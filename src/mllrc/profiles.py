@@ -103,16 +103,20 @@ def _normalize_shape(profile, allow_empty_class: bool = False):
     if isinstance(profile, LocalityProfile):
         shape = profile.shape()
     else:
-        shape = tuple((int(n_i), int(r_i)) for n_i, r_i in profile)
+        shape = tuple([(int(n_i), int(r_i)) for n_i, r_i in profile])
     if not shape:
         raise PreconditionError("profile must have at least one class")
+    increasing = True
+    prev = 0
     for n_i, r_i in shape:
         if r_i < 1:
             raise PreconditionError(f"locality must be >= 1, got {r_i}")
         if n_i < 0 or (n_i == 0 and not allow_empty_class):
             raise PreconditionError(f"class size must be >= 1, got {n_i}")
-    locs = [r_i for _, r_i in shape]
-    if any(a >= b for a, b in zip(locs, locs[1:])):
+        increasing = increasing and prev < r_i
+        prev = r_i
+    if not increasing:
+        locs = [r_i for _, r_i in shape]
         raise PreconditionError(f"localities must be strictly increasing, got {locs}")
     return shape
 

@@ -337,6 +337,60 @@ def test_ml_singleton_single_class_is_thm1():
                 assert rep.bound_value == max(0, singleton_r_local(n, k, r))
 
 
+def ref_ml_singleton_loop(profile, k):
+    """ml_singleton as it was with its collapse loop: merge at the first prefix
+    reaching k - 1, then look again, until no prefix does."""
+    shape = _normalize_shape(profile)
+    n = sum(n_i for n_i, _ in shape)
+    if not 1 <= k <= n:
+        raise PreconditionError(f"need 1 <= k <= sum(n_i), got k={k}, n={n}")
+    collapsed = False
+    while True:
+        j = None
+        prefix = 0
+        for idx in range(len(shape) - 1):
+            n_i, r_i = shape[idx]
+            prefix += r_i * ceil_div(n_i, r_i + 1)
+            if prefix >= k - 1:
+                j = idx
+                break
+        if j is None:
+            break
+        shape = shape[:j] + ((sum(n_i for n_i, _ in shape[j:]), shape[j][1]),)
+        collapsed = True
+    kappas = [ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
+    used = sum(r_i * kap for (_, r_i), kap in zip(shape[:-1], kappas))
+    last = ceil_div(k - used, shape[-1][1])
+    return BoundReport(
+        name="ml-singleton",
+        bound_value=max(0, n - k + 2 - sum(kappas) - last),
+        witness=tuple(kappas) + (last,),
+        exact=True,
+        collapse_applied=collapsed,
+        effective_shape=shape,
+    )
+
+
+def test_ml_singleton_collapses_in_one_pass_as_the_loop_did():
+    # the first merge leaves every earlier prefix below k - 1, so the loop's
+    # second look never merges again; report or refusal text must agree
+    rng = random.Random(24)
+    draws = 100_000
+    seen = dict.fromkeys(("collapsed", "direct", "error"), 0)
+    for _ in range(draws):
+        s = rng.randint(1, 6)
+        locs = sorted(rng.sample(range(1, 10), s))
+        shape = tuple((0 if rng.random() < 0.01 else rng.randint(1, 20), r) for r in locs)
+        k = rng.randint(0, sum(n_i for n_i, _ in shape) + 1)
+        got = _outcome(ml_singleton, shape, k)
+        assert got == _outcome(ref_ml_singleton_loop, shape, k), (shape, k)
+        if not isinstance(got, BoundReport):
+            seen["error"] += 1
+        else:
+            seen["collapsed" if got.collapse_applied else "direct"] += 1
+    assert seen["collapsed"] > draws // 3 and min(seen.values()) > 0, seen
+
+
 # ---------------------------------------------------------------------------
 # multi-locality alphabet bound
 # ---------------------------------------------------------------------------
@@ -561,6 +615,68 @@ def test_closed_form_singleton_bound_matches_the_grid_on_edge_cases():
         seen["d<=1"] += d <= 1
         seen["d>n"] += d > n
         seen["q1"] += q == 1
+    assert min(seen.values()) > 0, seen
+
+
+def _edge_route(shape, d, k_hint):
+    """Which test settles the closed form's "edge" flag (a cell with residual
+    below d, i.e. U + T >= E), re-derived from the cells: d <= 1; no k_hint,
+    where the all-caps cell reaches n >= E; the all-caps cell; K + maxT(K),
+    K = k_hint - 1, which bounds every cell with t_s > 0 from above; else
+    the prefix scan."""
+    if d <= 1:
+        return "d<=1"
+    e = sum(n_i for n_i, _ in shape) - d + 1
+    caps = [ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
+    r_last = shape[-1][1]
+    if k_hint is None:  # the all-caps cell removes sum_i c_i (r_i + 1) >= n >= E
+        return "unhinted"
+    used = sum(c * r for c, (_, r) in zip(caps, shape))
+    if used + sum(caps) + max(0, (k_hint - 1 - used) // r_last) * (r_last + 1) >= e:
+        return "all-caps"
+    budget = k_hint - 1
+    t = []
+    for c, (_, r) in zip(caps, shape):
+        t.append(min(c, (budget - sum(a * b for a, (_, b) in zip(t, shape))) // r))
+    used = sum(a * r for a, (_, r) in zip(t, shape))
+    t.append((budget - used) // r_last)
+    # the fill at K is a lower bound no better than the all-caps cell: it is
+    # that cell when the caps fit K, else it takes no t_s and fewer items
+    assert used + t[-1] * r_last + sum(t) < e
+    if budget + sum(t) < e:
+        return "upper"
+    return "scan"
+
+
+def test_closed_form_singleton_bound_matches_the_grid_on_wide_draws(monkeypatch):
+    # up to five classes of up to 40 coordinates at localities up to 9; the
+    # grid budget is 5,000 cells on both sides, which keeps the reference
+    # grid fast: a larger box compares the refusal text
+    monkeypatch.setattr(bounds_module, "_GRID_BUDGET", 5000)
+    rng = random.Random(20163)
+    seen = dict.fromkeys(("d<=1", "unhinted", "all-caps", "upper", "scan hit",
+                          "scan miss", "E<=0", "t_i<c_i", "budget"), 0)
+    for _ in range(2500):
+        s = rng.randint(1, 5)
+        locs = sorted(rng.sample(range(1, 10), s))
+        shape = tuple((0 if rng.random() < 0.1 else rng.randint(1, 40), r) for r in locs)
+        n = sum(n_i for n_i, _ in shape)
+        d = rng.randint(1, n + 2)
+        k_hint = None if rng.random() < 0.2 else rng.randint(1, n + 3)
+        got, want = _singleton_outcomes(shape, d, 2, k_hint)
+        assert got == want, (shape, d, k_hint)
+        if not isinstance(got, BoundReport):
+            seen["budget"] += got[0] == "BudgetError"
+            continue
+        route = _edge_route(shape, d, k_hint)
+        if route == "scan":
+            route += " hit" if "edge" in got.mode_flags else " miss"
+        else:  # every other route decides the flag, the same as the grid's
+            assert ("edge" in got.mode_flags) == (route != "upper"), (shape, d, k_hint)
+        seen[route] += 1
+        seen["E<=0"] += n - d + 1 <= 0
+        seen["t_i<c_i"] += any(t < ceil_div(n_i, r_i + 1)
+                               for t, (n_i, r_i) in zip(got.witness[:-1], shape))
     assert min(seen.values()) > 0, seen
 
 
