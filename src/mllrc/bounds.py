@@ -335,7 +335,7 @@ class KOptOracle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """Outcome of one bound evaluation.
 
@@ -350,6 +350,7 @@ class BoundReport:
     skipped: grid cells left out because the oracle had no value.
     collapse_applied / effective_shape: whether the degenerate-profile
       collapse fired, and the (n_i, r_i) shape actually evaluated.
+    The hot producers pass the fields by position, in this order.
     """
 
     name: str
@@ -387,8 +388,14 @@ def ml_singleton(profile, k: int) -> BoundReport:
     is evaluated on that shape.  One pass suffices, as the prefixes before j
     stay below k - 1.  The report records whether a collapse fired and the
     shape actually used."""
-    shape = _normalize_shape(profile)
-    n = sum([n_i for n_i, _ in shape])
+    return _ml_singleton(_normalize_shape(profile), k)
+
+
+def _ml_singleton(shape, k: int) -> BoundReport:
+    """ml_singleton on a shape _normalize_shape has already checked."""
+    n = 0
+    for n_i, _ in shape:
+        n += n_i
     if not 1 <= k <= n:
         raise PreconditionError(f"need 1 <= k <= sum(n_i), got k={k}, n={n}")
     collapsed = False
@@ -405,16 +412,8 @@ def ml_singleton(profile, k: int) -> BoundReport:
         used += r_j * kappa
         before += n_j
     terms.append(-(-(k - used) // shape[-1][1]))
-    return BoundReport(
-        name="ml-singleton",
-        bound_value=max(0, n - k + 2 - sum(terms)),
-        witness=tuple(terms),
-        exact=True,
-        mode_flags=(),
-        skipped=(),
-        collapse_applied=collapsed,
-        effective_shape=shape,
-    )
+    return BoundReport("ml-singleton", max(0, n - k + 2 - sum(terms)), tuple(terms),
+                       True, (), (), collapsed, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +425,10 @@ def ml_singleton(profile, k: int) -> BoundReport:
 _GRID_BUDGET = 10**6
 
 
-def _deletion_box(profile, d: int, k_hint: int | None):
-    """The checked shape, n, the prefix caps and ceil(n_s/(r_s+1)) of a deletion
-    box, refused in this order: shape, d >= 1, k_hint >= 1, _GRID_BUDGET."""
-    shape = _normalize_shape(profile, allow_empty_class=True)
+def _deletion_box(shape, d: int, k_hint: int | None):
+    """n, the prefix caps and ceil(n_s/(r_s+1)) of the deletion box of a shape
+    _normalize_shape has already checked, refused in this order: d >= 1,
+    k_hint >= 1, _GRID_BUDGET."""
     if d < 1:
         raise PreconditionError(f"distance must be >= 1, got {d}")
     if k_hint is not None and k_hint < 1:
@@ -438,15 +437,16 @@ def _deletion_box(profile, d: int, k_hint: int | None):
     n, prefix_caps, grid_size = n_last, [], 1
     for n_i, r_i in shape[:-1]:
         n += n_i
-        prefix_caps.append(-(-n_i // (r_i + 1)))
-        grid_size *= prefix_caps[-1] + 1
+        cap = -(-n_i // (r_i + 1))
+        prefix_caps.append(cap)
+        grid_size *= cap + 1
     kappa_last = -(-n_last // (r_last + 1))
     grid_size *= 1 + (kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last))
     if grid_size > _GRID_BUDGET:
         raise BudgetError(
             f"deletion grid has {grid_size} cells, above the budget {_GRID_BUDGET}"
         )
-    return shape, n, prefix_caps, kappa_last
+    return n, prefix_caps, kappa_last
 
 
 def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
@@ -468,7 +468,8 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     length; the result, witness and skipped order are those of the
     cell-by-cell scan in C order.
     """
-    shape, n, prefix_caps, kappa_last = _deletion_box(profile, d, k_hint)
+    shape = _normalize_shape(profile, allow_empty_class=True)
+    n, prefix_caps, kappa_last = _deletion_box(shape, d, k_hint)
     if oracle is None:
         oracle = KOptOracle()
     head = shape[:-1]
@@ -563,31 +564,40 @@ def _ml_alphabet_singleton(profile, d: int, q: int, k_hint: int | None = None) -
     every cell with t_s > 0 from above; when neither decides, a prefix scan
     runs to its first edge cell.
     """
-    shape, n, prefix_caps, kappa_last = _deletion_box(profile, d, k_hint)
+    return _singleton_relaxed(_normalize_shape(profile, allow_empty_class=True), d, q, k_hint)
+
+
+def _singleton_relaxed(shape, d: int, q: int, k_hint: int | None) -> BoundReport:
+    """_ml_alphabet_singleton on a shape _normalize_shape has already checked."""
+    n, prefix_caps, kappa_last = _deletion_box(shape, d, k_hint)
     if q < 2:  # the grid's first oracle query refuses it here
         raise PreconditionError(f"alphabet size must be >= 2, got {q}")
     r_last = shape[-1][1]
     e = n - d + 1
-    fill = max(e, 0) + 1  # the + 1: one block more where exactly r_i is left
+    left = max(e, 0) + 1  # still to pack; + 1: one block more where exactly r_i is left
     witness = []
-    used = total = full = 0  # full: U of the all-caps prefix
+    used = total = full = caps = 0  # full, caps: U and T of the all-caps prefix
     for (_, r_i), cap in zip(shape, prefix_caps):
-        witness.append(min(cap, (fill - used - total) // (r_i + 1)))
-        used += witness[-1] * r_i
-        total += witness[-1]
+        t_i = min(cap, left // (r_i + 1))
+        witness.append(t_i)
+        used += t_i * r_i
+        total += t_i
+        left -= t_i * (r_i + 1)
         full += cap * r_i
+        caps += cap
     cap = kappa_last if k_hint is None else max(0, (k_hint - 1 - used) // r_last)
-    witness.append(min(cap, (fill - used - total) // (r_last + 1)))
-    value = max(used + witness[-1] * r_last, e - total - witness[-1])
+    t_i = min(cap, left // (r_last + 1))
+    witness.append(t_i)
+    value = max(used + t_i * r_last, e - total - t_i)
     t_s = 0 if k_hint is None else max(0, (k_hint - 1 - full) // r_last)  # of the all-caps cell
-    edge = k_hint is None or d <= 1 or full + sum(prefix_caps) + t_s * (r_last + 1) >= e
+    edge = k_hint is None or d <= 1 or full + caps + t_s * (r_last + 1) >= e
     if not edge:
-        used = total = 0  # the fill at budget K
+        left, total = k_hint - 1, 0  # the fill at budget K
         for (_, r_i), cap in zip(shape, prefix_caps):
-            t_i = min(cap, (k_hint - 1 - used) // r_i)
-            used += t_i * r_i
+            t_i = min(cap, left // r_i)
+            left -= t_i * r_i
             total += t_i
-        if k_hint - 1 + total + (k_hint - 1 - used) // r_last >= e:  # K + maxT(K)
+        if k_hint - 1 + total + left // r_last >= e:  # K + maxT(K)
             for t_prefix in itertools.product(*(range(c + 1) for c in prefix_caps)):
                 used = sum(t_i * r_i for t_i, (_, r_i) in zip(t_prefix, shape))
                 t_s = max(0, (k_hint - 1 - used) // r_last)
@@ -595,16 +605,8 @@ def _ml_alphabet_singleton(profile, d: int, q: int, k_hint: int | None = None) -
                     edge = True
                     break
     flags = ("edge",) * edge + ("singleton",) * (2 <= d <= n)
-    return BoundReport(
-        name="ml-alphabet",
-        bound_value=value,
-        witness=tuple(witness),
-        exact="singleton" not in flags,
-        mode_flags=flags,
-        skipped=(),
-        collapse_applied=False,
-        effective_shape=shape,
-    )
+    return BoundReport("ml-alphabet", value, tuple(witness), "singleton" not in flags, flags,
+                       (), False, shape)
 
 
 def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None) -> BoundReport:

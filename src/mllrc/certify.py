@@ -29,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BoundReport, KOptOracle, _ml_alphabet_singleton, ml_alphabet, ml_singleton
+from .bounds import (
+    BoundReport, KOptOracle, _ml_singleton, _singleton_relaxed, ml_alphabet, ml_singleton,
+)
 from .constructions import (
     PyramidSpec,
     ml_pyramid,
@@ -42,7 +44,6 @@ from .linear_code import (
     LinearCode,
     LocalityProfile,
     RepairSet,
-    _CheckedShape,
     _normalize_shape,
     format_profile_shape,
 )
@@ -91,14 +92,15 @@ class Certificate:
     alphabet_exact: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DominanceReport:
     """Outcome of the bound-consistency check at one (profile, k, d, q) point.
 
     holds is True when the point is either Singleton-feasible (d does not
     exceed the Singleton-type bound) or rejected by the alphabet-dependent
     bound evaluated in pure Singleton relaxation (bound < k): every
-    Singleton-violating point must be alphabet-rejected.
+    Singleton-violating point must be alphabet-rejected.  check_dominance
+    passes the fields by position, in this order.
     """
 
     holds: bool
@@ -233,23 +235,15 @@ def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
     and E = n - d + 1, so bounds._ml_alphabet_singleton reads the least
     value and the grid's witness off one greedy fill in increasing locality,
     in O(s), with no grid walked and no oracle asked.  The profile is
-    checked once, here; ml_singleton collapses it in one pass.
+    checked once, here, and both bounds run on the checked shape through
+    the cores that ml_singleton and _ml_alphabet_singleton share.
     """
-    profile = _CheckedShape(_normalize_shape(profile))  # checked once, here
-    sb = ml_singleton(profile, k)
-    singleton_feasible = d <= sb.bound_value
-    ab = _ml_alphabet_singleton(profile, d, q, k_hint=k)
-    alphabet_rejects = ab.bound_value < k
-    return DominanceReport(
-        holds=singleton_feasible or alphabet_rejects,
-        k=k,
-        d=d,
-        q=q,
-        singleton_feasible=singleton_feasible,
-        alphabet_rejects=alphabet_rejects,
-        singleton_bound=sb,
-        alphabet_bound=ab,
-    )
+    shape = _normalize_shape(profile)
+    sb = _ml_singleton(shape, k)
+    feasible = d <= sb.bound_value
+    ab = _singleton_relaxed(shape, d, q, k)
+    rejects = ab.bound_value < k
+    return DominanceReport(feasible or rejects, k, d, q, feasible, rejects, sb, ab)
 
 
 def full_analysis(

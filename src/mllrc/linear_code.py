@@ -79,7 +79,7 @@ from .galois import (
     mat_rank,
 )
 from .profiles import (  # re-exported: part of this module's API
-    LocalityClass, LocalityProfile, RepairSet, _CheckedShape, _normalize_shape,
+    LocalityClass, LocalityProfile, RepairSet, _normalize_shape,
     _profile_from_localities, format_profile_shape, parse_profile_shape,
 )
 

@@ -89,17 +89,10 @@ class LocalityProfile:
         return format_profile_shape(self.shape())
 
 
-class _CheckedShape(tuple):
-    """A shape _normalize_shape has already accepted with every n_i >= 1."""
-
-
 def _normalize_shape(profile, allow_empty_class: bool = False):
     """The ((n_1, r_1), ..., (n_s, r_s)) shape of a LocalityProfile or of a
     sequence of pairs, checked: at least one class, every r_i >= 1 and
-    n_i >= 1 (n_i = 0 too with allow_empty_class), r_i strictly increasing.
-    A _CheckedShape passes without a second check."""
-    if type(profile) is _CheckedShape:
-        return tuple(profile)
+    n_i >= 1 (n_i = 0 too with allow_empty_class), r_i strictly increasing."""
     if isinstance(profile, LocalityProfile):
         shape = profile.shape()
     else:

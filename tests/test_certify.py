@@ -8,6 +8,7 @@ constants already pinned in the bounds tests.
 import dataclasses
 import functools
 import itertools
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from mllrc import (
+    BoundReport,
     DominanceReport,
     KOptOracle,
     LinearCode,
@@ -24,8 +26,10 @@ from mllrc import (
     certify,
     certify_pyramid,
     check_dominance,
+    cm_bound,
     construction2_binary_lrc,
     full_analysis,
+    ml_alphabet,
     ml_singleton,
     reed_solomon,
     render_analysis_kv,
@@ -37,9 +41,10 @@ from mllrc import (
     render_dominance_text,
     tamo_barg,
 )
+import mllrc.bounds as bounds_module
 from mllrc.errors import BudgetError, PreconditionError
 from mllrc.galois import field_new
-from test_bounds import ref_ml_alphabet
+from test_bounds import _outcome, ref_ml_alphabet
 
 F2 = field_new(2)
 F13 = field_new(13)
@@ -349,18 +354,17 @@ class TestCheckDominance:
         assert str(got.value) == text
 
     def test_profile_is_checked_once(self, monkeypatch):
-        linear_code = sys.modules["mllrc.linear_code"]
-        normalize = linear_code._normalize_shape
+        normalize = sys.modules["mllrc.linear_code"]._normalize_shape
         checks = []
 
         def counted(profile, *args, **kwargs):
-            checks.append(type(profile) is not linear_code._CheckedShape)
+            checks.append(profile)
             return normalize(profile, *args, **kwargs)
 
         for name in ("mllrc.certify", "mllrc.bounds"):
             monkeypatch.setattr(sys.modules[name], "_normalize_shape", counted)
         rep = check_dominance(((3, 2), (8, 3)), 5, 7, 13)
-        assert sum(checks) == 1
+        assert len(checks) == 1
         assert type(rep.singleton_bound.effective_shape) is tuple
         assert type(rep.alphabet_bound.effective_shape) is tuple
 
@@ -373,6 +377,133 @@ class TestCheckDominance:
         with pytest.raises(PreconditionError) as got:
             check_dominance(shape, 1, 2, 2)
         assert str(got.value) == str(want.value)
+
+    def test_matches_the_public_bounds_on_wide_draws(self, monkeypatch):
+        # every report, or refusal type and text, is what public ml_singleton
+        # and the untruncated reference grid give, bad profiles, k, d and q,
+        # and both sides of the grid budget included
+        rng = random.Random(25)
+        seen = dict.fromkeys(("shape", "order", "k", "d", "q", "budget", "at budget",
+                              "feasible", "rejects", "fails"), 0)
+        for _ in range(20_000):
+            shape, k, d, q = point = _wide_point(rng)
+            cells = _grid_cells(shape, k)
+            with monkeypatch.context() as patch:
+                if cells and rng.random() < 0.1:
+                    budget = cells - rng.randint(0, 1)
+                    patch.setattr(bounds_module, "_GRID_BUDGET", budget)
+                    seen["at budget"] += budget == cells
+                want = _outcome(_ref_check_dominance, *point)
+                got = _outcome(check_dominance, *point)
+            assert repr(got) == repr(want) and got == want, point
+            if isinstance(want, DominanceReport):
+                seen["feasible"] += want.singleton_feasible
+                seen["rejects"] += want.alphabet_rejects
+                seen["fails"] += not want.holds
+            else:
+                seen[_refusal_kind(want[1])] += 1
+        assert seen["fails"] == 0
+        del seen["fails"]
+        assert all(seen.values()), seen
+
+
+def _wide_point(rng: random.Random):
+    """A (shape, k, d, q) point with class sizes <= 12, some of it invalid:
+    empty profiles, n_i = 0, r_i = 0 and localities that do not increase."""
+    s = rng.randint(0, 3) if rng.random() < 0.05 else rng.randint(1, 3)
+    locs = sorted(rng.sample(range(1, 7), s))
+    if s > 1 and rng.random() < 0.02:  # decreasing or equal localities
+        locs = locs[::-1] if rng.random() < 0.5 else locs[:1] * s
+    if s and rng.random() < 0.01:
+        locs[0] = 0
+    sizes = [0 if rng.random() < 0.01 else rng.randint(1, 12) for _ in locs]
+    n = sum(sizes)
+    return (tuple(zip(sizes, locs)), rng.randint(-1, n + 2), rng.randint(-1, n + 2),
+            rng.choice([1, 2, 13]))
+
+
+def _grid_cells(shape, k):
+    """Cells of the deletion grid at a point that reaches the budget check, else 0."""
+    if not shape or any(n_i < 1 or r_i < 1 for n_i, r_i in shape):
+        return 0
+    if any(a[1] >= b[1] for a, b in zip(shape, shape[1:])) or not 1 <= k <= sum(
+            n_i for n_i, _ in shape):
+        return 0
+    cells = 1 + max(0, (k - 1) // shape[-1][1])
+    for n_i, r_i in shape[:-1]:
+        cells *= -(-n_i // (r_i + 1)) + 1
+    return cells
+
+
+def _ref_check_dominance(shape, k, d, q):
+    sb = ml_singleton(shape, k)
+    ab = ref_ml_alphabet(shape, d, q, KOptOracle("singleton"), k_hint=k, truncate=False,
+                         grid_budget=bounds_module._GRID_BUDGET)
+    return DominanceReport(
+        holds=d <= sb.bound_value or ab.bound_value < k, k=k, d=d, q=q,
+        singleton_feasible=d <= sb.bound_value, alphabet_rejects=ab.bound_value < k,
+        singleton_bound=sb, alphabet_bound=ab,
+    )
+
+
+def _refusal_kind(text):
+    for prefix, kind in (("need 1 <= k", "k"), ("distance", "d"), ("deletion grid", "budget"),
+                         ("alphabet size", "q"), ("localities must be", "order")):
+        if text.startswith(prefix):
+            return kind
+    return "shape"
+
+
+class TestSlottedReports:
+    """BoundReport and DominanceReport are frozen, slotted dataclasses that
+    the dominance check builds positionally; their public contract holds."""
+
+    FIELDS = {
+        BoundReport: ("name", "bound_value", "witness", "exact", "mode_flags", "skipped",
+                      "collapse_applied", "effective_shape"),
+        DominanceReport: ("holds", "k", "d", "q", "singleton_feasible", "alphabet_rejects",
+                          "singleton_bound", "alphabet_bound"),
+    }
+
+    @staticmethod
+    def reports():
+        rep = check_dominance(((3, 2), (8, 3)), 5, 7, 13)
+        return [rep, rep.singleton_bound, rep.alphabet_bound, cm_bound(10, 4, 2, 2)]
+
+    def test_field_order_is_pinned(self):
+        # the hot producers pass the fields by position
+        for cls, names in self.FIELDS.items():
+            assert tuple(f.name for f in dataclasses.fields(cls)) == names
+            assert cls.__slots__ == names
+
+    def test_pickle_round_trip_gives_an_equal_report(self):
+        for rep in self.reports():
+            copy = pickle.loads(pickle.dumps(rep))
+            assert copy == rep and repr(copy) == repr(rep)
+
+    def test_equal_reports_hash_equal(self):
+        for rep, again in zip(self.reports(), self.reports()):
+            assert rep is not again
+            assert rep == again and hash(rep) == hash(again)
+
+    def test_fields_are_frozen(self):
+        for rep in self.reports():
+            for name in self.FIELDS[type(rep)]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(rep, name, getattr(rep, name))
+
+    def test_replace_still_works(self):
+        oracle = KOptOracle("analytic")
+        rep = ml_alphabet(((10, 2),), 4, 2, oracle)
+        assert dataclasses.replace(rep, name="cm") == cm_bound(10, 4, 2, 2, oracle)
+        dom = self.reports()[0]
+        assert dataclasses.replace(dom, holds=False).holds is False
+
+    def test_negative_bound_value_is_refused(self):
+        with pytest.raises(PreconditionError, match="bound_value must be >= 0"):
+            BoundReport("x", -1, (0,), True)
+        with pytest.raises(PreconditionError, match="bound_value must be >= 0"):
+            dataclasses.replace(self.reports()[1], bound_value=-1)
 
 
 class TestFullAnalysis:

@@ -455,6 +455,14 @@ class TestDeterminism:
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "ml-singleton bound: 6"
 
+    def test_package_runs_as_a_module(self, cli):
+        # python -m mllrc runs the same command-line interface as cli.run
+        argv = ("bound", "singleton", "--n", "5", "--k", "3", "--r", "2")
+        result = subprocess.run([sys.executable, "-m", "mllrc", *argv],
+                                capture_output=True, text=True, env=_CHILD_ENV)
+        assert (result.returncode, result.stdout, result.stderr) == cli(*argv)
+        assert result.returncode == 0
+
 
 # ---------------------------------------------------------------------------
 # seeded fuzzing of the bound readers: every failure is a documented prefix
