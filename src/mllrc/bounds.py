@@ -535,13 +535,14 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     )
 
 
-def _ml_alphabet_singleton(profile, d: int, q: int, k_hint: int | None = None) -> BoundReport:
-    """The alphabet bound under the pure Singleton relaxation, untruncated:
+def _singleton_relaxed(shape, d: int, q: int, k_hint: int | None) -> BoundReport:
+    """The alphabet bound under the pure Singleton relaxation, untruncated,
+    on a shape _normalize_shape(profile, allow_empty_class=True) has checked:
     ml_alphabet's deletion box and refusals, with the per-class truncation
     min(n_i, t_i(r_i+1)) replaced by the raw t_i(r_i+1) (a weaker but still
     valid relaxation) and k_opt by the singleton stage.  It walks no grid
     and asks no oracle, and gives the report that grid gives, field for
-    field, and the same refusals in the same order.
+    field, and (after that check) the same refusals in the same order.
 
     A cell t leaves m = n - U - T, with U = sum_i t_i r_i and T = sum_i t_i,
     and the singleton stage gives it max(0, m - d + 1).  With E = n - d + 1
@@ -564,11 +565,6 @@ def _ml_alphabet_singleton(profile, d: int, q: int, k_hint: int | None = None) -
     every cell with t_s > 0 from above; when neither decides, a prefix scan
     runs to its first edge cell.
     """
-    return _singleton_relaxed(_normalize_shape(profile, allow_empty_class=True), d, q, k_hint)
-
-
-def _singleton_relaxed(shape, d: int, q: int, k_hint: int | None) -> BoundReport:
-    """_ml_alphabet_singleton on a shape _normalize_shape has already checked."""
     n, prefix_caps, kappa_last = _deletion_box(shape, d, k_hint)
     if q < 2:  # the grid's first oracle query refuses it here
         raise PreconditionError(f"alphabet size must be >= 2, got {q}")

@@ -232,11 +232,11 @@ def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
     Singleton relaxation, the combination under which rejection of every
     Singleton-violating (profile, k, d, q) point is provable.  There every
     deletion cell is worth max(U, E - T), U = sum_i t_i r_i, T = sum_i t_i
-    and E = n - d + 1, so bounds._ml_alphabet_singleton reads the least
-    value and the grid's witness off one greedy fill in increasing locality,
-    in O(s), with no grid walked and no oracle asked.  The profile is
-    checked once, here, and both bounds run on the checked shape through
-    the cores that ml_singleton and _ml_alphabet_singleton share.
+    and E = n - d + 1, so _singleton_relaxed (on its own, it takes
+    _normalize_shape(profile, allow_empty_class=True)) reads the least value
+    and the grid's witness off one greedy fill in increasing locality, in
+    O(s), with no grid walked and no oracle asked.  The profile is checked
+    once, here, and _ml_singleton and _singleton_relaxed run on that shape.
     """
     shape = _normalize_shape(profile)
     sb = _ml_singleton(shape, k)

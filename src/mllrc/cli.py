@@ -159,11 +159,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_shorten(args) -> int:
     code = load_code(args.input)
-    for pos in reversed(_parse_positions(args.at, code.n)):
-        try:
-            code = code.shorten(pos)
-        except PreconditionError as exc:
-            raise PreconditionError(f"cannot shorten at position {pos + 1}: {exc}") from exc
+    try:
+        code = code.shorten(*_parse_positions(args.at, code.n))
+    except PreconditionError as exc:
+        raise PreconditionError(f"cannot shorten at position {exc.at + 1}: {exc}") from exc
     _emit_code(code, args.out)
     return 0
 

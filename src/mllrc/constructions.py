@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -228,15 +229,16 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
     The lexicographically smallest such partition is returned, ordered by
     smallest element; raises if none exists.  A depth-first walk places the
     least uncovered coordinate x at each step, trying the candidates with
-    least element x in lexicographic order.  The first visit of x tests all
-    (r+1)-subsets with least element x, as _full_support_flags arrays of
-    _SUBSET_CHUNK rows, and keeps only the candidates for later visits, so no
-    subset is tested twice, and a subset whose least element the walk never
+    least element x in lexicographic order.  Those are tested only as far as
+    the walk reads them, in chunks of 1, 2, 4, ... up to _SUBSET_CHUNK
+    subsets, one _full_support_flags array each, and kept for later visits,
+    so no subset is tested twice, and a subset past the chunks the walk
     reaches is never tested (nor can its kernel raise the 2^20-word
-    BudgetError).  Before the walk, the worst case of testing all C(n, r+1)
-    subsets is charged against the enumeration budget: a unit per subset on
-    the binary XOR route, else k(r+1) units per subset (a span-search rank
-    test); BudgetError when that is over the budget.
+    BudgetError).
+    Before the walk, the worst case of testing all C(n, r+1) subsets is
+    charged against the enumeration budget: a unit per subset on the binary
+    XOR route, else k(r+1) units per subset (a span-search rank test);
+    BudgetError when that is over the budget.
     """
     n = code.n
     if not 1 <= r < n:
@@ -254,30 +256,29 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
             f"repair-group detection at r = {r} needs {units} units for "
             f"{count} subsets; budget is {budget}"
         )
-    by_least: dict[int, list[tuple[int, ...]]] = {}
+    by_least: dict = {}  # x -> (candidates found so far, x's untested chunks)
 
-    def candidates(x: int) -> list[tuple[int, ...]]:
-        if x not in by_least:
-            rest = itertools.combinations(range(x + 1, n), r)
-            found = []
-            while chunk := [(x, *c) for c in itertools.islice(rest, _SUBSET_CHUNK)]:
-                flags = _full_support_flags(code.field, code.G.a, np.array(chunk))
-                found += [chunk[i] for i in np.flatnonzero(flags).tolist()]
-            by_least[x] = found
-        return by_least[x]
+    def chunks(x: int) -> Iterator[list[tuple[int, ...]]]:
+        rest, size = itertools.combinations(range(x + 1, n), r), 1
+        while chunk := [(x, *c) for c in itertools.islice(rest, size)]:
+            flags = _full_support_flags(code.field, code.G.a, np.array(chunk))
+            yield [chunk[j] for j in np.flatnonzero(flags).tolist()]
+            size = min(2 * size, _SUBSET_CHUNK)
+
+    def candidates(x: int) -> Iterator[tuple[int, ...]]:
+        found, untested = by_least.setdefault(x, ([], chunks(x)))
+        yield from found  # x stays covered below this visit: no other visit interleaves
+        for hits in untested:
+            found += hits
+            yield from hits
 
     def walk(covered: set, acc: list):
         if len(covered) == n:
             return tuple(acc)
         x = min(set(range(n)) - covered)
         for g in candidates(x):
-            if covered & set(g):
-                continue
-            acc.append(g)
-            res = walk(covered | set(g), acc)
-            if res is not None:
+            if not covered & set(g) and (res := walk(covered | set(g), acc + [g])):
                 return res
-            acc.pop()
         return None
 
     part = walk(set(), [])
@@ -393,11 +394,7 @@ def algorithm3_ml_lrc(
         raise PreconditionError(
             f"target locality r1 = {r1} exceeds the group locality r2 = {r2}"
         )
-    to_delete = sorted(c for g in groups[:alpha] for c in g[: r2 - r1])
-    code = base
-    for c in reversed(to_delete):  # delete highest-first so indices stay valid
-        code = code.shorten(c)
-    return code
+    return base.shorten(*(c for g in groups[:alpha] for c in g[: r2 - r1]))
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +742,7 @@ def construction2_gcc_spec(r: int, j: int) -> GccSpec:
     q1 = 2 ** (r - 1)
     F2 = field_new(2)
     Fo = field_new(2, r - 1) if r >= 3 else F2
-    A1 = extended_rs(Fo, q1 - r + 1)
-    for _ in range(j):
-        A1 = A1.shorten(A1.n - 1)
+    A1 = extended_rs(Fo, q1 - r + 1).shorten(*range(q1 + 1 - j, q1 + 1))
     m2 = q1 - j
     GA2 = np.hstack(
         [np.eye(m2, dtype=np.int64), np.ones((m2, 1), dtype=np.int64)]

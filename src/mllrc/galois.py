@@ -11,20 +11,20 @@ All array operations take and return numpy int64 arrays (plain Python ints in,
 plain ints out for scalar/scalar calls).  Arithmetic is exact; nothing here is
 floating point.
 
-Row reduction (mat_rref, mat_rank, _rref_stack, and LinearCode.shorten) runs
-its pivot steps in the integer domain, in one helper, _pivot_step: the pivot
-row is scaled by the inverse from the field's table, and the pivot column is
-cleared in one whole-array update A - f (x) row, where f is that column with
-a 0 at the pivot row.  The arithmetic is fixed once per field
-(FiniteField._elim_ops) and skips the conversions, range checks and scalar
-wrapping of the public field methods.  Prime fields use integer products,
-reduced by the clearing update (XOR on GF(2), mod p otherwise; no
-intermediate exceeds (p-1)^3 < 2^48, so none overflows int64).  Extension
-fields with q <= 2^8 gather from a q x q uint8 product table and, in odd
-characteristic, a difference table (XOR in characteristic 2), 64 KiB each at
-q = 2^8, built on first use.  Larger extension fields use the field's own
-mul and sub.  The table routes return uint8 arrays, which _pivot_step writes
-into the int64 matrix in place.
+Row reduction (mat_rref, mat_rank, _rref_stack, and LinearCode.shorten, one
+step per shortened position in one array) runs its pivot steps in the integer
+domain, in one helper, _pivot_step: the pivot row is scaled by the inverse
+from the field's table, and the pivot column is cleared in one whole-array
+update A - f (x) row, f being that column with a 0 at the pivot row.  The
+arithmetic is fixed once per field (FiniteField._elim_ops) and skips the
+conversions, range checks and scalar wrapping of the public field methods.
+Prime fields use integer products, reduced by the clearing update (XOR on
+GF(2), mod p otherwise; no intermediate exceeds (p-1)^3 < 2^48, so none
+overflows int64).  Extension fields with q <= 2^8 gather from a q x q uint8
+product table and, in odd characteristic, a difference table (XOR in
+characteristic 2), 64 KiB each at q = 2^8, built on first use.  Larger
+extension fields use the field's own mul and sub.  The table routes return
+uint8 arrays, which _pivot_step writes into the int64 matrix in place.
 """
 
 from __future__ import annotations

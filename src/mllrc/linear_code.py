@@ -266,26 +266,36 @@ class LinearCode:
 
     # -- shortening ---------------------------------------------------------------
 
-    def shorten(self, i: int) -> "LinearCode":
-        """Codewords with c_i = 0, coordinate i deleted ([n-1, k-1, >= d]).
-
-        Row-reduces so column i has a single nonzero entry, then deletes that
-        row and the column.  Remaining coordinates keep their relative order.
-        A zero column cannot be shortened (k would not drop).
+    def shorten(self, *at: int) -> "LinearCode":
+        """Codewords with c_i = 0 for each i in at, those coordinates deleted
+        ([n-t, k-t, >= d] for t positions; self for none).  One elimination,
+        highest position first: each step clears column i outside its first
+        nonzero row not yet a pivot; pivot rows and columns are deleted at the
+        end, so the generator is that of single-position calls, highest first.
+        A column zero outside the pivot rows (a repeated position's, too)
+        cannot be shortened, as k would not drop; that error, like the one for
+        emptying the code, names the position as .at.
         """
-        if not 0 <= i < self.n:
-            raise PreconditionError(f"coordinate {i} out of range [0, {self.n})")
-        A = self.G.a.copy()
-        nz = np.flatnonzero(A[:, i])
-        if nz.size == 0:
-            raise PreconditionError(
-                "the generator column is identically zero; shortening would not "
-                "reduce the dimension"
-            )
-        if self.k == 1:
-            raise PreconditionError("shortening a dimension-1 code would empty it")
-        _pivot_step(self.field, A, (nz[0],), i)
-        return LinearCode(self.field, np.delete(np.delete(A, nz[0], axis=0), i, axis=1))
+        order = sorted(at, reverse=True)
+        for i in order:
+            if not 0 <= i < self.n:
+                raise PreconditionError(f"coordinate {i} out of range [0, {self.n})")
+        if not at:
+            return self
+        A, free = self.G.a.copy(), np.ones(self.k, dtype=bool)
+        for t, i in enumerate(order):
+            nz = np.flatnonzero((A[:, i] != 0) & free)
+            if nz.size == 0 or t == self.k - 1:
+                err = PreconditionError(
+                    "shortening a dimension-1 code would empty it" if nz.size else
+                    "the generator column is identically zero; shortening would "
+                    "not reduce the dimension"
+                )
+                err.at = i
+                raise err
+            _pivot_step(self.field, A, (nz[0],), i)
+            free[nz[0]] = False
+        return LinearCode(self.field, np.delete(A[free], order, axis=1))
 
     # -- coordinate-set entropy ---------------------------------------------------
 

@@ -28,8 +28,8 @@ from mllrc.bounds import (
     KOptOracle,
     KOptValue,
     _exhaustive_max_dim_q2,
-    _ml_alphabet_singleton,
     _normalize_shape,
+    _singleton_relaxed,
     cm_bound,
     griesmer_max_k,
     load_kopt_table,
@@ -534,9 +534,9 @@ def test_singleton_relaxed_alphabet_bound_dominates_two_classes():
                     for k in range(1, n + 1):
                         dmax = ml_singleton(((n1, r1), (n2, r2)), k).bound_value
                         for d in range(dmax + 1, n + 1):
-                            rep = _ml_alphabet_singleton(
-                                ((n1, r1), (n2, r2)), d=d, q=2, k_hint=k
-                            )
+                            shape = _normalize_shape(((n1, r1), (n2, r2)),
+                                                     allow_empty_class=True)
+                            rep = _singleton_relaxed(shape, d, 2, k)
                             assert rep.bound_value < k, (n1, r1, n2, r2, k, d)
 
 
@@ -548,7 +548,9 @@ def test_singleton_relaxed_alphabet_bound_dominates_three_classes():
         for k in range(1, n + 1):
             dmax = ml_singleton(shape, k).bound_value
             for d in range(dmax + 1, n + 1):
-                rep = _ml_alphabet_singleton(shape, d=d, q=3, k_hint=k)
+                rep = _singleton_relaxed(
+                    _normalize_shape(shape, allow_empty_class=True), d, 3, k
+                )
                 assert rep.bound_value < k, (shape, k, d)
 
 
@@ -556,7 +558,8 @@ def _singleton_outcomes(shape, d, q, k_hint):
     """(closed form, untruncated reference grid) outcomes of the
     singleton-relaxed bound, both under the library's grid budget."""
     return (
-        _outcome(_ml_alphabet_singleton, shape, d, q, k_hint=k_hint),
+        _outcome(lambda: _singleton_relaxed(
+            _normalize_shape(shape, allow_empty_class=True), d, q, k_hint)),
         _outcome(ref_ml_alphabet, shape, d, q, KOptOracle("singleton"), k_hint=k_hint,
                  truncate=False, grid_budget=bounds_module._GRID_BUDGET),
     )

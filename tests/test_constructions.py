@@ -15,7 +15,7 @@ import functools
 import itertools
 import random
 import time
-from math import comb
+from math import comb, inf
 
 import numpy as np
 import pytest
@@ -585,7 +585,7 @@ class TestFullSupportFlags:
             over_cap
         )
 
-    @pytest.mark.parametrize("chunk", [1, 3, constructions._SUBSET_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, constructions._SUBSET_CHUNK])
     @pytest.mark.parametrize("q", sorted(REFERENCE_SIZES))
     def test_detect_and_normalize_match_reference(self, monkeypatch, q, chunk):
         monkeypatch.setattr(constructions, "_SUBSET_CHUNK", chunk)
@@ -608,24 +608,46 @@ class TestFullSupportFlags:
         assert found
 
 
-def walk_visits(n, cands) -> collections.Counter:
-    """How often the cover search of _exact_cover branches on each coordinate."""
+def walk_reads(n, cands) -> tuple[collections.Counter, dict]:
+    """How often the cover search of _exact_cover branches on each
+    coordinate, and how many of its candidates it reads at most (inf: it
+    reads past the last one, so every subset must have been tested)."""
     by_coord: dict[int, list[tuple[int, ...]]] = {}
     for g in sorted(cands):
         by_coord.setdefault(g[0], []).append(g)
-    visits = collections.Counter()
+    visits, reads = collections.Counter(), {}
 
     def dfs(covered: set) -> bool:
         if len(covered) == n:
             return True
         x = min(set(range(n)) - covered)
         visits[x] += 1
-        return any(
-            not covered & set(g) and dfs(covered | set(g)) for g in by_coord.get(x, ())
-        )
+        for j, g in enumerate(by_coord.get(x, ()), 1):
+            reads[x] = max(reads.get(x, 0), j)
+            if not covered & set(g) and dfs(covered | set(g)):
+                return True
+        reads[x] = inf
+        return False
 
     dfs(set())
-    return visits
+    return visits, reads
+
+
+def reached_subsets(n, size, cands, reads) -> set:
+    """The subsets a walk that reads `reads` tests: for each coordinate x it
+    branches on, x's subsets in lexicographic chunks of 1, 2, 4, ... up to
+    _SUBSET_CHUNK, through the chunk that holds the last candidate read."""
+    reached = set()
+    for x, m in reads.items():
+        subsets = [(x, *c) for c in itertools.combinations(range(x + 1, n), size - 1)]
+        need = len(subsets)
+        if m != inf:
+            need = subsets.index([g for g in sorted(cands) if g[0] == x][m - 1]) + 1
+        end, chunk = 0, 1
+        while end < need:
+            end, chunk = end + chunk, min(2 * chunk, constructions._SUBSET_CHUNK)
+        reached.update(subsets[:end])
+    return reached
 
 
 def record_tested_subsets(monkeypatch) -> list:
@@ -658,22 +680,26 @@ class TestLazyDetection:
         self, monkeypatch, q, n, size, seed, partition
     ):
         code = grouped_code(random.Random(seed), field_from_order(q), n, size)
-        subsets = list(itertools.combinations(range(n), size))
+        subsets = itertools.combinations(range(n), size)
         cands = [S for S in subsets if full_support_reference(code.field, code.G.a, S)]
-        visits = walk_visits(n, cands)
+        visits, reads = walk_reads(n, cands)
         assert max(visits.values()) > 1
         expect = outcome(detect_reference, code, size - 1)
         assert isinstance(expect[0], tuple) == partition
-        seen = record_tested_subsets(monkeypatch)
-        assert outcome(detect_repair_groups, code, size - 1) == expect
-        # one batch per coordinate branched on, each subset tested once
-        assert len(seen) == len(set(seen))
-        assert set(seen) == {S for S in subsets if S[0] in visits}
+        for chunk in (1, 2, 3, 256):
+            with monkeypatch.context() as mp:
+                mp.setattr(constructions, "_SUBSET_CHUNK", chunk)
+                seen = record_tested_subsets(mp)
+                assert outcome(detect_repair_groups, code, size - 1) == expect
+                # each subset tested once, and exactly the chunks the walk reached
+                assert len(seen) == len(set(seen))
+                assert set(seen) == reached_subsets(n, size, cands, reads)
 
-    @pytest.mark.parametrize("r,tested", [(3, 455 + 165 + 35 + 1), (1, 15)])
+    @pytest.mark.parametrize("r,tested", [(3, 4), (1, 15)])
     def test_only_the_reached_subsets_are_tested(self, monkeypatch, r, tested):
-        # [16,9]_17: groups (0..3), (4..7), ... at r = 3, so the walk branches
-        # on 0, 4, 8, 12; at r = 1 no subset with least element 0 qualifies
+        # [16,9]_17: groups (0..3), (4..7), ... at r = 3, each the first subset
+        # of its least element, so one 1-row chunk each; at r = 1 no subset
+        # with least element 0 qualifies, so its chunks of 1, 2, 4, 8 all run
         code = tamo_barg(17, 16, 9, 3)
         seen = record_tested_subsets(monkeypatch)
         if r == 3:
@@ -684,6 +710,27 @@ class TestLazyDetection:
             with pytest.raises(PreconditionError, match="no partition"):
                 detect_repair_groups(code, r)
         assert len(seen) == len(set(seen)) == tested < comb(16, r + 1)
+
+    def test_over_cap_subset_in_an_unreached_chunk_is_never_tested(self):
+        # GF(257), unit columns u, v, w: columns 0, 1, 4, 5 are u, 2u, 3u, 4u,
+        # so (0, 1, 4, 5) has a 257^3-word kernel, over the 2^20 cap.  It has
+        # least element 0, but (0, 1, 2, 3), the first subset of 0, is a
+        # group, so the walk never tests past 0's first chunk.  Testing every
+        # subset of 0 (as detection did when it first reached 0) refuses.
+        F = field_from_order(257)
+        u, v, w = np.eye(3, dtype=np.int64)
+        cols = [u, 2 * u, v, -v - 3 * u, 3 * u, 4 * u, w, -w - 7 * u]
+        code = LinearCode(F, np.array(cols).T % 257)
+        over_cap = "kernel enumeration needs 16974593 combinations (cap 1048576)"
+        subsets = [(0, *c) for c in itertools.combinations(range(1, 8), 3)]
+        assert subsets.index((0, 1, 4, 5)) > 0
+        with pytest.raises(BudgetError) as exc:
+            constructions._full_support_flags(F, code.G.a, np.array(subsets))
+        assert str(exc.value) == over_cap
+        groups = detect_repair_groups(code, 3)
+        assert groups == ((0, 1, 2, 3), (4, 5, 6, 7))
+        for g in groups:  # dual words with all four entries 1
+            assert not (code.G.a[:, list(g)].sum(axis=1) % 257).any()
 
     def test_unreached_subset_over_the_cap_is_never_tested(self):
         # GF(257), unit columns u, v, w: columns 1..4 are u, 2u, 3u, 4u, so

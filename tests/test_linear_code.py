@@ -6,6 +6,8 @@ code path from the library's block enumeration.  Frozen expectations for the
 trivial cases (repetition, SPC) are asserted directly.
 """
 
+import collections
+import hashlib
 import itertools
 import random
 import time
@@ -1350,12 +1352,77 @@ def test_shorten_matches_field_method_reference(q):
 def test_shorten_zero_column_handling():
     F = field_new(2)
     C = LinearCode(F, [[1, 0, 1], [0, 0, 1]])
-    with pytest.raises(PreconditionError):
-        C.shorten(1)
-    with pytest.raises(PreconditionError):
-        LinearCode(F, [[1, 1]]).shorten(0)  # would empty the code
-    with pytest.raises(PreconditionError):
+    zero = ("the generator column is identically zero; shortening would not "
+            "reduce the dimension")
+    empty = "shortening a dimension-1 code would empty it"
+    for code, at, message, failing in [
+        (C, (1,), zero, 1),
+        (LinearCode(F, [[1, 1]]), (0,), empty, 0),
+        (C, (0, 2), empty, 0),  # 2 goes first, then 0 would empty the code
+        (LinearCode(F, [[1, 1, 0], [0, 0, 1]]), (0, 1), zero, 0),  # zero once 1 is gone
+        (C, (2, 2), zero, 2),  # a repeated position
+    ]:
+        with pytest.raises(PreconditionError) as exc:
+            code.shorten(*at)
+        assert (str(exc.value), exc.value.at) == (message, failing)
+    with pytest.raises(PreconditionError, match=r"^coordinate 5 out of range \[0, 3\)$"):
         C.shorten(5)
+    with pytest.raises(PreconditionError, match=r"^coordinate -1 out of range \[0, 3\)$"):
+        C.shorten(0, -1)
+
+
+def shorten_outcome(C, at):
+    """C.shorten(*at) as generator bytes, or the error's text and position."""
+    try:
+        G = C.shorten(*at).G.a
+    except PreconditionError as exc:
+        return str(exc), exc.at
+    return G.dtype, G.tobytes()
+
+
+def shorten_one_at_a_time(C, at):
+    """shorten_outcome from single-position calls, highest position first."""
+    for i in sorted(at, reverse=True):
+        try:
+            C = C.shorten(i)
+        except PreconditionError as exc:
+            return str(exc), i
+    return C.G.a.dtype, C.G.a.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 13, 16])
+def test_shorten_many_is_one_position_at_a_time(q):
+    rng = np.random.default_rng(100 + q)
+    pyrng = random.Random(q)
+    F = field_from_order(q)
+    C = random_code(F, 6, 3, rng)
+    assert C.shorten() is C
+    kinds = collections.Counter()
+    for n, k in [(6, 3), (9, 5), (8, 8), (12, 6)]:
+        C = random_code(F, n, k, rng)
+        for _ in range(10):
+            at = pyrng.sample(range(n), pyrng.randint(1, k))
+            expect = shorten_one_at_a_time(C, at)
+            assert shorten_outcome(C, at) == expect
+            assert shorten_outcome(C, sorted(at)) == expect
+            kinds[expect[0] if isinstance(expect[0], str) else "code"] += 1
+    assert kinds["code"] >= 10 and len(kinds) == 3  # both refusals, too
+
+
+# sha256 (first 16 hex digits) of construction2_binary_lrc(r, j).G.a.tobytes(),
+# recorded when the outer code was shortened one position at a time
+CONSTRUCTION2_GENERATORS = {
+    (2, 0): "edbeb0aba596daea", (3, 0): "5a021b5cd0d272bf", (3, 1): "af4ed83ee2372e82",
+    (4, 0): "1d349adb4b9e6656", (4, 1): "01f42bdec01a56cf", (4, 2): "d2d0aae14047967d",
+    (4, 3): "3dcef79c26d66b83", (4, 4): "ed3659110a31b7dc",
+}
+
+
+@pytest.mark.parametrize("r,j", sorted(CONSTRUCTION2_GENERATORS))
+def test_construction2_keeps_its_generator(r, j):
+    G = construction2_binary_lrc(r, j).G.a
+    assert G.dtype == np.int64
+    assert hashlib.sha256(G.tobytes()).hexdigest()[:16] == CONSTRUCTION2_GENERATORS[r, j]
 
 
 def test_shorten_dual_is_punctured_dual():
