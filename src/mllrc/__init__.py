@@ -24,7 +24,6 @@ from .certify import (
     render_bound_text,
     render_certificate_kv,
     render_certificate_text,
-    render_dominance_kv,
     render_dominance_text,
 )
 from .constructions import (

@@ -350,7 +350,8 @@ class BoundReport:
     skipped: grid cells left out because the oracle had no value.
     collapse_applied / effective_shape: whether the degenerate-profile
       collapse fired, and the (n_i, r_i) shape actually evaluated.
-    The hot producers pass the fields by position, in this order.
+    _ml_singleton, on the dominance check's hot path, passes the fields by
+    position, in this order.
     """
 
     name: str
@@ -428,25 +429,16 @@ _GRID_BUDGET = 10**6
 def _deletion_box(shape, d: int, k_hint: int | None):
     """n, the prefix caps and ceil(n_s/(r_s+1)) of the deletion box of a shape
     _normalize_shape has already checked, refused in this order: d >= 1,
-    k_hint >= 1, _GRID_BUDGET."""
+    k_hint >= 1.  ml_alphabet checks the box's size itself."""
     if d < 1:
         raise PreconditionError(f"distance must be >= 1, got {d}")
     if k_hint is not None and k_hint < 1:
         raise PreconditionError(f"k_hint must be >= 1, got {k_hint}")
-    n_last, r_last = shape[-1]
-    n, prefix_caps, grid_size = n_last, [], 1
+    n, prefix_caps = shape[-1][0], []
     for n_i, r_i in shape[:-1]:
         n += n_i
-        cap = -(-n_i // (r_i + 1))
-        prefix_caps.append(cap)
-        grid_size *= cap + 1
-    kappa_last = -(-n_last // (r_last + 1))
-    grid_size *= 1 + (kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last))
-    if grid_size > _GRID_BUDGET:
-        raise BudgetError(
-            f"deletion grid has {grid_size} cells, above the budget {_GRID_BUDGET}"
-        )
-    return n, prefix_caps, kappa_last
+        prefix_caps.append(-(-n_i // (r_i + 1)))
+    return n, prefix_caps, -(-shape[-1][0] // (shape[-1][1] + 1))
 
 
 def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
@@ -470,10 +462,17 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     """
     shape = _normalize_shape(profile, allow_empty_class=True)
     n, prefix_caps, kappa_last = _deletion_box(shape, d, k_hint)
+    n_last, r_last = shape[-1]
+    grid_size = 1 + (kappa_last if k_hint is None else max(0, (k_hint - 1) // r_last))
+    for cap in prefix_caps:
+        grid_size *= cap + 1
+    if grid_size > _GRID_BUDGET:
+        raise BudgetError(
+            f"deletion grid has {grid_size} cells, above the budget {_GRID_BUDGET}"
+        )
     if oracle is None:
         oracle = KOptOracle()
     head = shape[:-1]
-    n_last, r_last = shape[-1]
     best = None
     witness = None
     skipped: list[tuple[int, ...]] = []
@@ -535,14 +534,14 @@ def ml_alphabet(profile, d: int, q: int, oracle: KOptOracle | None = None,
     )
 
 
-def _singleton_relaxed(shape, d: int, q: int, k_hint: int | None) -> BoundReport:
-    """The alphabet bound under the pure Singleton relaxation, untruncated,
-    on a shape _normalize_shape(profile, allow_empty_class=True) has checked:
-    ml_alphabet's deletion box and refusals, with the per-class truncation
-    min(n_i, t_i(r_i+1)) replaced by the raw t_i(r_i+1) (a weaker but still
-    valid relaxation) and k_opt by the singleton stage.  It walks no grid
-    and asks no oracle, and gives the report that grid gives, field for
-    field, and (after that check) the same refusals in the same order.
+def _singleton_relaxed(shape, d: int, q: int, k: int) -> int:
+    """The value of the alphabet bound under the pure Singleton relaxation,
+    untruncated, at dimension k >= 1, on a shape _normalize_shape has
+    checked: ml_alphabet's deletion box with last-class cap k_hint = k, the
+    per-class truncation min(n_i, t_i(r_i+1)) replaced by the raw
+    t_i(r_i+1) (a weaker but still valid relaxation) and k_opt by the
+    singleton stage.  It walks no grid and asks no oracle, so no grid size
+    refuses it; the refusals are d >= 1, then q >= 2.
 
     A cell t leaves m = n - U - T, with U = sum_i t_i r_i and T = sum_i t_i,
     and the singleton stage gives it max(0, m - d + 1).  With E = n - d + 1
@@ -552,57 +551,26 @@ def _singleton_relaxed(shape, d: int, q: int, k_hint: int | None) -> BoundReport
     t_i = min(cap_i, (V - U_{<i}) div r_i), reaches maxT(V): localities
     strictly increase, so one more item of a cheaper class costs the later
     classes (the coupled cap on t_s included) at most one item, and the
-    best count reachable after it never falls.  The minimisers are the
-    cells with U <= V and T >= E - V, so by the same argument the fill at V
-    is their C-order-last, the grid's witness.  V + maxT(V) grows by r_i + 1
-    per item of class i and by 1 per unit of V left over, so the fill at V
-    packs max(E, 0) with blocks of r_i + 1, class by class, taking one block
-    more where exactly r_i is left, and V is that cell's own worth.
-
-    The cell t = 0 is "singleton" when 2 <= d <= n; a cell with U + T >= E,
-    i.e. m < d, is "edge".  Unhinted, the all-caps cell reaches n >= E.
-    With K = k_hint - 1, the all-caps cell may hit, and K + maxT(K) bounds
-    every cell with t_s > 0 from above; when neither decides, a prefix scan
-    runs to its first edge cell.
+    best count reachable after it never falls.  V + maxT(V) grows by r_i + 1
+    per item of class i and by 1 per unit of V left over, so a least cell
+    packs max(E, 0) with blocks of r_i + 1, class by class, and V is that
+    cell's own worth.  Where exactly r_i is left, one block more gives a
+    cell of the same worth, so the fill need not take it.
     """
-    n, prefix_caps, kappa_last = _deletion_box(shape, d, k_hint)
-    if q < 2:  # the grid's first oracle query refuses it here
+    n, prefix_caps, _ = _deletion_box(shape, d, k)
+    if q < 2:  # after d, where ml_alphabet's first oracle query refuses it
         raise PreconditionError(f"alphabet size must be >= 2, got {q}")
-    r_last = shape[-1][1]
     e = n - d + 1
-    left = max(e, 0) + 1  # still to pack; + 1: one block more where exactly r_i is left
-    witness = []
-    used = total = full = caps = 0  # full, caps: U and T of the all-caps prefix
+    left = max(e, 0)  # still to pack
+    used = total = 0
     for (_, r_i), cap in zip(shape, prefix_caps):
         t_i = min(cap, left // (r_i + 1))
-        witness.append(t_i)
         used += t_i * r_i
         total += t_i
         left -= t_i * (r_i + 1)
-        full += cap * r_i
-        caps += cap
-    cap = kappa_last if k_hint is None else max(0, (k_hint - 1 - used) // r_last)
-    t_i = min(cap, left // (r_last + 1))
-    witness.append(t_i)
-    value = max(used + t_i * r_last, e - total - t_i)
-    t_s = 0 if k_hint is None else max(0, (k_hint - 1 - full) // r_last)  # of the all-caps cell
-    edge = k_hint is None or d <= 1 or full + caps + t_s * (r_last + 1) >= e
-    if not edge:
-        left, total = k_hint - 1, 0  # the fill at budget K
-        for (_, r_i), cap in zip(shape, prefix_caps):
-            t_i = min(cap, left // r_i)
-            left -= t_i * r_i
-            total += t_i
-        if k_hint - 1 + total + left // r_last >= e:  # K + maxT(K)
-            for t_prefix in itertools.product(*(range(c + 1) for c in prefix_caps)):
-                used = sum(t_i * r_i for t_i, (_, r_i) in zip(t_prefix, shape))
-                t_s = max(0, (k_hint - 1 - used) // r_last)
-                if used + sum(t_prefix) + t_s * (r_last + 1) >= e:
-                    edge = True
-                    break
-    flags = ("edge",) * edge + ("singleton",) * (2 <= d <= n)
-    return BoundReport("ml-alphabet", value, tuple(witness), "singleton" not in flags, flags,
-                       (), False, shape)
+    r_last = shape[-1][1]
+    t_s = min(max(0, (k - 1 - used) // r_last), left // (r_last + 1))
+    return max(used + t_s * r_last, e - total - t_s)
 
 
 def cm_bound(n: int, d: int, r: int, q: int, oracle: KOptOracle | None = None) -> BoundReport:

@@ -62,7 +62,6 @@ __all__ = [
     "render_bound_text",
     "render_certificate_kv",
     "render_certificate_text",
-    "render_dominance_kv",
     "render_dominance_text",
 ]
 
@@ -99,8 +98,10 @@ class DominanceReport:
     holds is True when the point is either Singleton-feasible (d does not
     exceed the Singleton-type bound) or rejected by the alphabet-dependent
     bound evaluated in pure Singleton relaxation (bound < k): every
-    Singleton-violating point must be alphabet-rejected.  check_dominance
-    passes the fields by position, in this order.
+    Singleton-violating point must be alphabet-rejected.  singleton_bound
+    is the ml_singleton report; alphabet_bound is the relaxed bound's value
+    alone, with no witness or flags.  check_dominance passes the fields by
+    position, in this order.
     """
 
     holds: bool
@@ -110,7 +111,7 @@ class DominanceReport:
     singleton_feasible: bool
     alphabet_rejects: bool
     singleton_bound: BoundReport
-    alphabet_bound: BoundReport
+    alphabet_bound: int
 
 
 @dataclass(frozen=True)
@@ -232,17 +233,17 @@ def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:
     Singleton relaxation, the combination under which rejection of every
     Singleton-violating (profile, k, d, q) point is provable.  There every
     deletion cell is worth max(U, E - T), U = sum_i t_i r_i, T = sum_i t_i
-    and E = n - d + 1, so _singleton_relaxed (on its own, it takes
-    _normalize_shape(profile, allow_empty_class=True)) reads the least value
-    and the grid's witness off one greedy fill in increasing locality, in
-    O(s), with no grid walked and no oracle asked.  The profile is checked
-    once, here, and _ml_singleton and _singleton_relaxed run on that shape.
+    and E = n - d + 1, so _singleton_relaxed reads the least value off one
+    greedy fill in increasing locality, in O(s), with no grid walked, no
+    oracle asked and no grid size refused.  The profile is checked once,
+    here, and _ml_singleton and _singleton_relaxed run on that shape; the
+    Singleton side is the one BoundReport built, the alphabet side an int.
     """
     shape = _normalize_shape(profile)
     sb = _ml_singleton(shape, k)
     feasible = d <= sb.bound_value
     ab = _singleton_relaxed(shape, d, q, k)
-    rejects = ab.bound_value < k
+    rejects = ab < k
     return DominanceReport(feasible or rejects, k, d, q, feasible, rejects, sb, ab)
 
 
@@ -395,32 +396,13 @@ def render_certificate_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-def render_dominance_kv(rep: DominanceReport) -> str:
-    """Machine format.  Keys: k, d, q, profile, singleton.bound,
-    singleton.feasible, alphabet.bound, alphabet.rejects, holds."""
-    return "\n".join(
-        [
-            f"k={rep.k}",
-            f"d={rep.d}",
-            f"q={rep.q}",
-            f"profile={format_profile_shape(rep.singleton_bound.effective_shape)}",
-            f"singleton.bound={rep.singleton_bound.bound_value}",
-            f"singleton.feasible={'true' if rep.singleton_feasible else 'false'}",
-            f"alphabet.bound={rep.alphabet_bound.bound_value}",
-            f"alphabet.rejects={'true' if rep.alphabet_rejects else 'false'}",
-            f"holds={'true' if rep.holds else 'false'}",
-        ]
-    )
-
-
 def render_dominance_text(rep: DominanceReport) -> str:
     lines = [
         f"point: k={rep.k}, d={rep.d}, q={rep.q}, profile "
         f"{format_profile_shape(rep.singleton_bound.effective_shape)}",
         f"Singleton-type bound {rep.singleton_bound.bound_value}: "
         + ("feasible" if rep.singleton_feasible else "violated"),
-        f"alphabet-dependent bound (Singleton relaxation) "
-        f"{rep.alphabet_bound.bound_value}: "
+        f"alphabet-dependent bound (Singleton relaxation) {rep.alphabet_bound}: "
         + ("rejects k" if rep.alphabet_rejects else "admits k"),
         "consistency holds" if rep.holds else "CONSISTENCY VIOLATED",
     ]

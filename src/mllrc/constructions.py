@@ -34,6 +34,7 @@ from .galois import (
     _rref_stack,
     field_from_order,
     field_new,
+    mat_rank,
     mat_rref,
 )
 from .kernel import _SplitTable
@@ -168,15 +169,11 @@ def tamo_barg(q: int, n: int, k: int, r: int) -> LinearCode:
 # repair groups
 # ---------------------------------------------------------------------------
 
+# The most kernel words a non-binary subset test may enumerate.
 _SUPPORT_SEARCH_CAP = 1 << 20
 # Column subsets tested together: enough to amortise the numpy calls, few
 # enough that a chunk's (subsets x k x size) stack stays small.
 _SUBSET_CHUNK = 256
-
-
-def _xor_route(F: FiniteField, size: int) -> bool:
-    """Whether _full_support_flags answers subsets of this size by XOR."""
-    return F.q == 2 and 2**size <= _SUPPORT_SEARCH_CAP
 
 
 def _full_support_flags(F: FiniteField, A: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -185,12 +182,11 @@ def _full_support_flags(F: FiniteField, A: np.ndarray, S: np.ndarray) -> np.ndar
     A[:, subset] hold a vector with no zero?  Returns N bools.
 
     Over GF(2) the only vector with no zero is all-ones, so a subset
-    qualifies iff its columns XOR to zero.  Binary subsets whose kernels
-    cannot exceed _SUPPORT_SEARCH_CAP words (2^size <= cap) are answered
-    that way, on bit-packed columns; all others go to _elimination_flags,
-    which gives the same flags there.
+    qualifies iff its columns XOR to zero, which is exact at every size.
+    Binary subsets are answered that way, on bit-packed columns; the others
+    go to _elimination_flags.
     """
-    if _xor_route(F, S.shape[1]):
+    if F.q == 2:
         packed = np.packbits(A.T != 0, axis=1)
         return ~np.bitwise_xor.reduce(packed[S], axis=1).any(axis=1)
     return _elimination_flags(F, A, S)
@@ -249,7 +245,7 @@ def detect_repair_groups(code: LinearCode, r: int) -> tuple[tuple[int, ...], ...
             "repair groups exists"
         )
     count = comb(n, r + 1)
-    units = count if _xor_route(code.field, r + 1) else count * code.k * (r + 1)
+    units = count if code.field.q == 2 else count * code.k * (r + 1)
     budget = resolve_budget()
     if units > budget:
         raise BudgetError(
@@ -627,8 +623,7 @@ class GccSpec:
                 )
         stacked = np.vstack([lvl.band.a for lvl in self.levels])
         M = MatrixGF(self.base_field, stacked)
-        R, piv = mat_rref(M)
-        if len(piv) != stacked.shape[0]:
+        if mat_rank(M) != stacked.shape[0]:
             raise PreconditionError(
                 "stacked bands are rank-deficient; the inner chain does not "
                 "have exact dimension drops"

@@ -366,13 +366,10 @@ class FiniteField:
         if e < 0:
             return self.pow(self.inv(a), -e)
         ra = np.asarray(a, dtype=np.int64)
-        if self.q == 2:
-            out = np.where(ra == 0, 1 if e == 0 else 0, 1).astype(np.int64)
-        else:
-            self._ensure_tables()
-            idx = (self._log[ra] * (e % (self.q - 1) if e else 0)) % (self.q - 1)
-            nz = self._exp[idx] if e else np.ones_like(ra)
-            out = np.where(ra == 0, 1 if e == 0 else 0, nz)
+        self._ensure_tables()
+        idx = (self._log[ra] * (e % (self.q - 1) if e else 0)) % (self.q - 1)
+        nz = self._exp[idx] if e else np.ones_like(ra)
+        out = np.where(ra == 0, 1 if e == 0 else 0, nz)
         if out.ndim == 0:
             out = out[()]
         return self._wrap(a, None, out)

@@ -513,6 +513,29 @@ def test_ml_alphabet_grid_budget(monkeypatch):
                     oracle=KOptOracle("analytic"))
 
 
+def _table_with_conflict(tmp_path):
+    path = tmp_path / "conflict.table"
+    path.write_text("2 6 6 1 repetition\n2 6 6 0 a second value\n")
+    return path
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda tmp: griesmer_max_k(1, 5, 2), PreconditionError,
+     "alphabet size must be >= 2, got 1"),
+    (lambda tmp: load_kopt_table(_table_with_conflict(tmp)), ParseError,
+     "{tmp}/conflict.table:2: conflicting duplicate entry (2, 6, 6)"),
+    (lambda tmp: KOptOracle("table,analytic,table"), PreconditionError,
+     "duplicate stage in oracle mode 'table,analytic,table'"),
+    (lambda tmp: singleton_r_local(5, 3, 0), PreconditionError,
+     "locality must be >= 1, got 0"),
+], ids=["griesmer-q", "table-conflict", "oracle-duplicate-stage", "singleton-r"])
+def test_refusals_keep_their_type_and_text(tmp_path, call, error, text):
+    with pytest.raises(error) as refused:
+        call(tmp_path)
+    assert type(refused.value) is error
+    assert str(refused.value) == text.format(tmp=tmp_path)
+
+
 def test_bound_report_validation():
     with pytest.raises(PreconditionError):
         BoundReport(name="x", bound_value=-1, witness=(0,), exact=True)
@@ -536,8 +559,7 @@ def test_singleton_relaxed_alphabet_bound_dominates_two_classes():
                         for d in range(dmax + 1, n + 1):
                             shape = _normalize_shape(((n1, r1), (n2, r2)),
                                                      allow_empty_class=True)
-                            rep = _singleton_relaxed(shape, d, 2, k)
-                            assert rep.bound_value < k, (n1, r1, n2, r2, k, d)
+                            assert _singleton_relaxed(shape, d, 2, k) < k, (n1, r1, n2, r2, k, d)
 
 
 def test_singleton_relaxed_alphabet_bound_dominates_three_classes():
@@ -548,20 +570,22 @@ def test_singleton_relaxed_alphabet_bound_dominates_three_classes():
         for k in range(1, n + 1):
             dmax = ml_singleton(shape, k).bound_value
             for d in range(dmax + 1, n + 1):
-                rep = _singleton_relaxed(
+                value = _singleton_relaxed(
                     _normalize_shape(shape, allow_empty_class=True), d, 3, k
                 )
-                assert rep.bound_value < k, (shape, k, d)
+                assert value < k, (shape, k, d)
 
 
-def _singleton_outcomes(shape, d, q, k_hint):
+def _singleton_outcomes(shape, d, q, k):
     """(closed form, untruncated reference grid) outcomes of the
-    singleton-relaxed bound, both under the library's grid budget."""
+    singleton-relaxed bound's value.  The closed form walks no grid, so the
+    reference grid runs with no grid budget."""
+    want = _outcome(ref_ml_alphabet, shape, d, q, KOptOracle("singleton"), k_hint=k,
+                    truncate=False, grid_budget=float("inf"))
     return (
         _outcome(lambda: _singleton_relaxed(
-            _normalize_shape(shape, allow_empty_class=True), d, q, k_hint)),
-        _outcome(ref_ml_alphabet, shape, d, q, KOptOracle("singleton"), k_hint=k_hint,
-                 truncate=False, grid_budget=bounds_module._GRID_BUDGET),
+            _normalize_shape(shape, allow_empty_class=True), d, q, k)),
+        want.bound_value if isinstance(want, BoundReport) else want,
     )
 
 
@@ -584,8 +608,8 @@ def test_closed_form_singleton_bound_matches_the_grid_on_sweep_draws(seed):
 
 def test_closed_form_singleton_bound_matches_the_grid_on_edge_cases():
     rng = random.Random(20162)
-    seen = dict.fromkeys(("report", "error", "empty", "four", "unset", "cap0",
-                          "tie", "d<=1", "d>n", "q1", "edge"), 0)
+    seen = dict.fromkeys(("value", "error", "empty", "four", "k<1", "cap0", "d<=1",
+                          "d>n", "E<=0", "q1"), 0)
     for _ in range(3000):
         s = rng.randint(1, 4)
         locs = sorted(rng.sample(range(1, 8), s))
@@ -597,107 +621,80 @@ def test_closed_form_singleton_bound_matches_the_grid_on_edge_cases():
         shape = tuple(shape)
         n = sum(n_i for n_i, _ in shape)
         d = rng.choice([-1, 0, 1, 2, 2, n + rng.randint(1, 3)] + [rng.randint(1, max(1, n))] * 4)
-        k_hint = None if rng.random() < 0.3 else rng.randint(-1, n + 5)
+        k = rng.randint(-1, n + 5)
         q = rng.choice([1, 2, 2, 13, 13])
-        got, want = _singleton_outcomes(shape, d, q, k_hint)
-        assert got == want, (shape, d, q, k_hint)
-        if isinstance(got, BoundReport):
-            seen["report"] += 1
-            r_last = shape[-1][1]
+        got, want = _singleton_outcomes(shape, d, q, k)
+        assert got == want, (shape, d, q, k)
+        if isinstance(got, int):
+            seen["value"] += 1
             used = sum(ceil_div(n_i, r_i + 1) * r_i for n_i, r_i in shape[:-1])
-            seen["cap0"] += k_hint is not None and k_hint - 1 - used < r_last
-            # the witness's last axis at a tie: e mod (r_s+1) = r_s, t_s = u + 1
-            e = n - d + 1 - sum(t * (r + 1) for t, (_, r) in zip(got.witness, shape[:-1]))
-            seen["tie"] += e > 0 and divmod(e, r_last + 1) == (got.witness[-1] - 1, r_last)
-            seen["edge"] += "edge" in got.mode_flags and d >= 2
+            seen["cap0"] += k - 1 - used < shape[-1][1]
+            seen["E<=0"] += n - d + 1 <= 0
         else:
             seen["error"] += 1
         seen["empty"] += any(n_i == 0 for n_i, _ in shape)
         seen["four"] += s == 4
-        seen["unset"] += k_hint is None
+        seen["k<1"] += k < 1
         seen["d<=1"] += d <= 1
         seen["d>n"] += d > n
         seen["q1"] += q == 1
     assert min(seen.values()) > 0, seen
 
 
-def _edge_route(shape, d, k_hint):
-    """Which test settles the closed form's "edge" flag (a cell with residual
-    below d, i.e. U + T >= E), re-derived from the cells: d <= 1; no k_hint,
-    where the all-caps cell reaches n >= E; the all-caps cell; K + maxT(K),
-    K = k_hint - 1, which bounds every cell with t_s > 0 from above; else
-    the prefix scan."""
-    if d <= 1:
-        return "d<=1"
-    e = sum(n_i for n_i, _ in shape) - d + 1
-    caps = [ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
-    r_last = shape[-1][1]
-    if k_hint is None:  # the all-caps cell removes sum_i c_i (r_i + 1) >= n >= E
-        return "unhinted"
-    used = sum(c * r for c, (_, r) in zip(caps, shape))
-    if used + sum(caps) + max(0, (k_hint - 1 - used) // r_last) * (r_last + 1) >= e:
-        return "all-caps"
-    budget = k_hint - 1
-    t = []
-    for c, (_, r) in zip(caps, shape):
-        t.append(min(c, (budget - sum(a * b for a, (_, b) in zip(t, shape))) // r))
-    used = sum(a * r for a, (_, r) in zip(t, shape))
-    t.append((budget - used) // r_last)
-    # the fill at K is a lower bound no better than the all-caps cell: it is
-    # that cell when the caps fit K, else it takes no t_s and fewer items
-    assert used + t[-1] * r_last + sum(t) < e
-    if budget + sum(t) < e:
-        return "upper"
-    return "scan"
-
-
-def test_closed_form_singleton_bound_matches_the_grid_on_wide_draws(monkeypatch):
+def test_closed_form_singleton_bound_matches_the_grid_on_wide_draws():
     # up to five classes of up to 40 coordinates at localities up to 9; the
-    # grid budget is 5,000 cells on both sides, which keeps the reference
-    # grid fast: a larger box compares the refusal text
-    monkeypatch.setattr(bounds_module, "_GRID_BUDGET", 5000)
+    # reference grid runs where the box has at most 5,000 cells, which keeps
+    # it fast, and every draw must answer and reject each point that the
+    # multi-locality Singleton bound rejects
     rng = random.Random(20163)
-    seen = dict.fromkeys(("d<=1", "unhinted", "all-caps", "upper", "scan hit",
-                          "scan miss", "E<=0", "t_i<c_i", "budget"), 0)
+    seen = dict.fromkeys(("grid", "beyond the grid", "violating", "E<=0", "t_i<c_i"), 0)
     for _ in range(2500):
         s = rng.randint(1, 5)
         locs = sorted(rng.sample(range(1, 10), s))
         shape = tuple((0 if rng.random() < 0.1 else rng.randint(1, 40), r) for r in locs)
         n = sum(n_i for n_i, _ in shape)
         d = rng.randint(1, n + 2)
-        k_hint = None if rng.random() < 0.2 else rng.randint(1, n + 3)
-        got, want = _singleton_outcomes(shape, d, 2, k_hint)
-        assert got == want, (shape, d, k_hint)
-        if not isinstance(got, BoundReport):
-            seen["budget"] += got[0] == "BudgetError"
-            continue
-        route = _edge_route(shape, d, k_hint)
-        if route == "scan":
-            route += " hit" if "edge" in got.mode_flags else " miss"
-        else:  # every other route decides the flag, the same as the grid's
-            assert ("edge" in got.mode_flags) == (route != "upper"), (shape, d, k_hint)
-        seen[route] += 1
+        k = rng.randint(1, n + 3)
+        caps = [ceil_div(n_i, r_i + 1) for n_i, r_i in shape[:-1]]
+        cells = prod(c + 1 for c in caps) * (1 + (k - 1) // shape[-1][1])
+        if cells <= 5000:
+            got, want = _singleton_outcomes(shape, d, 2, k)
+            assert got == want, (shape, d, k)
+            seen["grid"] += 1
+        else:
+            got = _singleton_relaxed(shape, d, 2, k)
+            seen["beyond the grid"] += 1
+        if all(n_i for n_i, _ in shape) and k <= n and ml_singleton(shape, k).bound_value < d:
+            assert got < k, (shape, d, k)
+            seen["violating"] += 1
         seen["E<=0"] += n - d + 1 <= 0
-        seen["t_i<c_i"] += any(t < ceil_div(n_i, r_i + 1)
-                               for t, (n_i, r_i) in zip(got.witness[:-1], shape))
+        # a least cell that stops short of a prefix cap (the greedy fill's
+        # last packed class is not the first one)
+        e, t_short = n - d + 1, False
+        for c, (_, r) in zip(caps, shape):
+            t = min(c, max(e, 0) // (r + 1))
+            t_short |= t < c
+            e -= t * (r + 1)
+        seen["t_i<c_i"] += t_short
     assert min(seen.values()) > 0, seen
 
 
-@pytest.mark.parametrize("k_hint, cells", [(None, 64), (7, 48), (1, 16)])
-def test_closed_form_singleton_bound_keeps_the_grid_budget(monkeypatch, k_hint, cells):
-    # prefix caps 3 and 3; the last cap is 3 unhinted, floor(6/3) = 2 at
-    # k_hint 7 and 0 at k_hint 1
+@pytest.mark.parametrize("k, cells", [(7, 48), (1, 16)])
+def test_closed_form_singleton_bound_answers_past_the_grid_budget(monkeypatch, k, cells):
+    # prefix caps 3 and 3; the last cap is floor(6/3) = 2 at k 7 and 0 at
+    # k 1.  The closed form walks no grid, so a budget one cell under the
+    # box refuses ml_alphabet but not the closed form
     shape = ((5, 1), (7, 2), (9, 3))
-    for budget in (cells, cells - 1):
-        monkeypatch.setattr(bounds_module, "_GRID_BUDGET", budget)
-        for q in (2, 1):
-            got, want = _singleton_outcomes(shape, 4, q, k_hint)
-            assert got == want, (budget, q)
-            if budget < cells:
-                assert got == ("BudgetError",
-                               f"deletion grid has {cells} cells, above the budget {budget}")
-            elif q == 2:
-                assert isinstance(got, BoundReport)
+    want = ref_ml_alphabet(shape, 4, 2, KOptOracle("singleton"), k_hint=k, truncate=False,
+                           grid_budget=cells).bound_value
+    monkeypatch.setattr(bounds_module, "_GRID_BUDGET", cells - 1)
+    assert _singleton_relaxed(shape, 4, 2, k) == want
+    with pytest.raises(PreconditionError) as refused:
+        _singleton_relaxed(shape, 4, 1, k)
+    assert str(refused.value) == "alphabet size must be >= 2, got 1"
+    with pytest.raises(BudgetError) as refused:
+        ml_alphabet(shape, 4, 2, KOptOracle("singleton"), k_hint=k)
+    assert str(refused.value) == f"deletion grid has {cells} cells, above the budget {cells - 1}"
 
 
 # ---------------------------------------------------------------------------

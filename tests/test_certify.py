@@ -37,11 +37,9 @@ from mllrc import (
     render_bound_kv,
     render_certificate_kv,
     render_certificate_text,
-    render_dominance_kv,
     render_dominance_text,
     tamo_barg,
 )
-import mllrc.bounds as bounds_module
 from mllrc.errors import BudgetError, PreconditionError
 from mllrc.galois import field_new
 from test_bounds import _outcome, ref_ml_alphabet
@@ -290,7 +288,7 @@ class TestCheckDominance:
         rep = check_dominance(((3, 2), (8, 3)), 5, 7, 13)
         assert rep.singleton_bound.bound_value == 6
         assert rep.singleton_feasible is False
-        assert rep.alphabet_bound.bound_value == 4
+        assert rep.alphabet_bound == 4
         assert rep.alphabet_rejects is True
         assert rep.holds is True
 
@@ -331,7 +329,7 @@ class TestCheckDominance:
                 holds=d <= sb.bound_value or ab.bound_value < k, k=k, d=d, q=q,
                 singleton_feasible=d <= sb.bound_value,
                 alphabet_rejects=ab.bound_value < k,
-                singleton_bound=sb, alphabet_bound=ab,
+                singleton_bound=sb, alphabet_bound=ab.bound_value,
             )
             rep = check_dominance(*point)
             for field in dataclasses.fields(rep):
@@ -341,14 +339,14 @@ class TestCheckDominance:
     @pytest.mark.parametrize("shape, k, d, q, error, text", [
         (((3, 2), (8, 3)), 5, 7, 1, PreconditionError, "alphabet size must be >= 2, got 1"),
         (((3, 2), (8, 3)), 5, 0, 1, PreconditionError, "distance must be >= 1, got 0"),
-        (((2, 1), (2000000, 2)), 1999999, 2, 1, BudgetError,
-         "deletion grid has 2000000 cells, above the budget 1000000"),
+        (((2, 1), (2000000, 2)), 1999999, 2, 1, PreconditionError,
+         "alphabet size must be >= 2, got 1"),
         (((3, 2), (8, 3)), 0, 0, 1, PreconditionError,
          "need 1 <= k <= sum(n_i), got k=0, n=11"),
     ])
     def test_refusals_come_in_the_grid_order(self, shape, k, d, q, error, text):
-        # k is checked by ml_singleton, then d, the grid budget and the
-        # alphabet, the last where the grid asked its first k_opt cell
+        # k is checked by ml_singleton, then d and the alphabet; no grid
+        # size refuses, not even a 2,000,000-cell box
         with pytest.raises(error) as got:
             check_dominance(shape, k, d, q)
         assert str(got.value) == text
@@ -366,7 +364,6 @@ class TestCheckDominance:
         rep = check_dominance(((3, 2), (8, 3)), 5, 7, 13)
         assert len(checks) == 1
         assert type(rep.singleton_bound.effective_shape) is tuple
-        assert type(rep.alphabet_bound.effective_shape) is tuple
 
     @pytest.mark.parametrize("shape", [
         (), ((0, 1),), ((3, 0),), ((3, 2), (4, 2)), ((3, 3), (4, 2)),
@@ -378,23 +375,25 @@ class TestCheckDominance:
             check_dominance(shape, 1, 2, 2)
         assert str(got.value) == str(want.value)
 
-    def test_matches_the_public_bounds_on_wide_draws(self, monkeypatch):
+    def test_answers_past_the_grid_budget(self):
+        # a 2,000,000-cell box: E = 2,000,001 packs one block of 2, then
+        # 666,666 blocks of 3 under the cap (1,999,999 - 1 - 1) div 2, so the
+        # bound is max(1 + 1,333,332, 2,000,001 - 666,667) = 1,333,334
+        rep = check_dominance(((2, 1), (2000000, 2)), 1999999, 2, 2)
+        assert (rep.alphabet_bound, rep.singleton_bound.bound_value) == (1333334, 0)
+        assert (rep.holds, rep.singleton_feasible, rep.alphabet_rejects) == (True, False, True)
+
+    def test_matches_the_public_bounds_on_wide_draws(self):
         # every report, or refusal type and text, is what public ml_singleton
-        # and the untruncated reference grid give, bad profiles, k, d and q,
-        # and both sides of the grid budget included
+        # and the untruncated reference grid give, bad profiles, k, d and q
+        # included
         rng = random.Random(25)
-        seen = dict.fromkeys(("shape", "order", "k", "d", "q", "budget", "at budget",
-                              "feasible", "rejects", "fails"), 0)
+        seen = dict.fromkeys(("shape", "order", "k", "d", "q", "feasible", "rejects",
+                              "fails"), 0)
         for _ in range(20_000):
-            shape, k, d, q = point = _wide_point(rng)
-            cells = _grid_cells(shape, k)
-            with monkeypatch.context() as patch:
-                if cells and rng.random() < 0.1:
-                    budget = cells - rng.randint(0, 1)
-                    patch.setattr(bounds_module, "_GRID_BUDGET", budget)
-                    seen["at budget"] += budget == cells
-                want = _outcome(_ref_check_dominance, *point)
-                got = _outcome(check_dominance, *point)
+            point = _wide_point(rng)
+            want = _outcome(_ref_check_dominance, *point)
+            got = _outcome(check_dominance, *point)
             assert repr(got) == repr(want) and got == want, point
             if isinstance(want, DominanceReport):
                 seen["feasible"] += want.singleton_feasible
@@ -422,33 +421,20 @@ def _wide_point(rng: random.Random):
             rng.choice([1, 2, 13]))
 
 
-def _grid_cells(shape, k):
-    """Cells of the deletion grid at a point that reaches the budget check, else 0."""
-    if not shape or any(n_i < 1 or r_i < 1 for n_i, r_i in shape):
-        return 0
-    if any(a[1] >= b[1] for a, b in zip(shape, shape[1:])) or not 1 <= k <= sum(
-            n_i for n_i, _ in shape):
-        return 0
-    cells = 1 + max(0, (k - 1) // shape[-1][1])
-    for n_i, r_i in shape[:-1]:
-        cells *= -(-n_i // (r_i + 1)) + 1
-    return cells
-
-
 def _ref_check_dominance(shape, k, d, q):
     sb = ml_singleton(shape, k)
     ab = ref_ml_alphabet(shape, d, q, KOptOracle("singleton"), k_hint=k, truncate=False,
-                         grid_budget=bounds_module._GRID_BUDGET)
+                         grid_budget=float("inf"))
     return DominanceReport(
         holds=d <= sb.bound_value or ab.bound_value < k, k=k, d=d, q=q,
         singleton_feasible=d <= sb.bound_value, alphabet_rejects=ab.bound_value < k,
-        singleton_bound=sb, alphabet_bound=ab,
+        singleton_bound=sb, alphabet_bound=ab.bound_value,
     )
 
 
 def _refusal_kind(text):
-    for prefix, kind in (("need 1 <= k", "k"), ("distance", "d"), ("deletion grid", "budget"),
-                         ("alphabet size", "q"), ("localities must be", "order")):
+    for prefix, kind in (("need 1 <= k", "k"), ("distance", "d"), ("alphabet size", "q"),
+                         ("localities must be", "order")):
         if text.startswith(prefix):
             return kind
     return "shape"
@@ -456,7 +442,8 @@ def _refusal_kind(text):
 
 class TestSlottedReports:
     """BoundReport and DominanceReport are frozen, slotted dataclasses that
-    the dominance check builds positionally; their public contract holds."""
+    the dominance check builds positionally; their public contract holds.
+    A DominanceReport's alphabet_bound is a plain int."""
 
     FIELDS = {
         BoundReport: ("name", "bound_value", "witness", "exact", "mode_flags", "skipped",
@@ -468,7 +455,7 @@ class TestSlottedReports:
     @staticmethod
     def reports():
         rep = check_dominance(((3, 2), (8, 3)), 5, 7, 13)
-        return [rep, rep.singleton_bound, rep.alphabet_bound, cm_bound(10, 4, 2, 2)]
+        return [rep, rep.singleton_bound, cm_bound(10, 4, 2, 2)]
 
     def test_field_order_is_pinned(self):
         # the hot producers pass the fields by position
@@ -665,12 +652,8 @@ class TestRenderers:
         rep = check_dominance(((3, 2), (8, 3)), 5, 7, 13)
         text = render_dominance_text(rep)
         assert "Singleton-type bound 6: violated" in text
-        assert "rejects k" in text
+        assert "alphabet-dependent bound (Singleton relaxation) 4: rejects k" in text
         assert text.endswith("consistency holds")
-        kv = render_dominance_kv(rep)
-        assert "singleton.feasible=false" in kv.splitlines()
-        assert "alphabet.rejects=true" in kv.splitlines()
-        assert "holds=true" in kv.splitlines()
 
     def test_analysis_kv_structure(self):
         rep = full_analysis(tamo_barg(5, 4, 2, 1))

@@ -239,6 +239,14 @@ class TestBound:
         assert rc == 0
         assert out == "singleton bound: 6\n"
 
+    @pytest.mark.parametrize("r, rc, out, err", [
+        ("3", 0, "name=singleton\nbound=6\n", ""),
+        ("0", 2, "", "precondition error: locality must be >= 1, got 0\n"),
+    ], ids=["answer", "refusal"])
+    def test_singleton_kv(self, cli, r, rc, out, err):
+        got = cli("bound", "singleton", "--n", "12", "--k", "6", "--r", r, "--format", "kv")
+        assert got == (rc, out, err)
+
     def test_cm_with_table(self, cli):
         rc, out, _ = cli("bound", "cm", "--n", "20", "--d", "8", "--r", "3",
                          "--q", "2", "--oracle", "table", "--format", "kv")

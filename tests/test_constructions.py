@@ -494,13 +494,13 @@ class TestFullSupportFlags:
             "_elimination_flags",
             lambda F, A, S: calls.append(S.shape) or elimination(F, A, S),
         )
+        # the XOR test is exact at every size, so no binary subset, not even
+        # one of 21 zero columns (a 2^21-word kernel), goes to elimination
         A = np.zeros((1, 21), dtype=np.int64)
         assert constructions._full_support_flags(F2, A, np.array([range(20)])).tolist() == [True]
         assert detect_repair_groups(construction2_binary_lrc(3, 0), 3)
+        assert constructions._full_support_flags(F2, A, np.array([range(21)])).tolist() == [True]
         assert calls == []
-        with pytest.raises(BudgetError):
-            constructions._full_support_flags(F2, A, np.array([range(21)]))
-        assert calls == [(1, 21)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_binary_detect_and_normalize_match_reference(self, seed):
@@ -543,8 +543,12 @@ class TestFullSupportFlags:
         A = np.zeros((1, dim + 1), dtype=np.int64)
         at_cap = tuple(range(dim))  # q^dim = 2^20 words: scanned
         assert constructions._full_support_flags(F, A, np.array([at_cap])).tolist() == [True]
+        over = np.array([range(dim + 1)])
+        if q == 2:  # the XOR test has no cap: 21 zero columns XOR to zero
+            assert constructions._full_support_flags(F, A, over).tolist() == [True]
+            return
         with pytest.raises(BudgetError) as exc:
-            constructions._full_support_flags(F, A, np.array([range(dim + 1)]))
+            constructions._full_support_flags(F, A, over)
         assert str(exc.value) == (
             f"kernel enumeration needs {q ** (dim + 1)} combinations "
             f"(cap {1 << 20})"
@@ -1282,6 +1286,24 @@ class TestConstruction2:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda: algorithm3_ml_lrc(tamo_barg(13, 12, 6, 3), 1, 0, repair_groups=[]),
+     "at least one repair group is required"),
+    (lambda: algorithm3_ml_lrc(LinearCode(F2, [[1] * 7]), 1, 1),  # 7 prime: only r2 = 6
+     "could not auto-detect disjoint repair groups; pass repair_groups explicitly"),
+    (lambda: algorithm1_ml_lrc(tamo_barg(13, 12, 6, 3), 2, -3), "n1 must be >= 0, got -3"),
+    (lambda: algorithm3_ml_lrc(tamo_barg(13, 12, 6, 3), 0, 1), "r1 must be >= 1, got 0"),
+    (lambda: algorithm3_ml_lrc(tamo_barg(13, 12, 6, 3), 4, 1,
+                               repair_groups=[(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]),
+     "target locality r1 = 4 exceeds the group locality r2 = 3"),
+], ids=["no-groups", "no-auto-groups", "n1", "r1", "r1-above-r2"])
+def test_refusals_keep_their_type_and_text(call, text):
+    with pytest.raises(PreconditionError) as refused:
+        call()
+    assert type(refused.value) is PreconditionError
+    assert str(refused.value) == text
+
+
 class TestEntropySet:
     def test_single_group_level(self):
         code, prof, wit = strict_witnesses("subgroup")
@@ -1319,6 +1341,19 @@ class TestEntropySet:
                     assert e <= len(I) - t
                     if t == t_max:
                         assert e <= -(-r * n_i // (r + 1))
+
+    @pytest.mark.parametrize("t, want", [(1, (0, 1, 2, 3)), (2, tuple(range(8)))])
+    def test_pads_where_a_repair_set_has_fewer_than_r_helpers(self, t, want):
+        # coordinates pair up (x_2i = x_2i+1): each repair set has one helper
+        # in a class declared at locality 3, so every level pads with the
+        # least unused coordinates up to (m+1)(r+1)
+        code = LinearCode(F2, np.kron(np.eye(4, dtype=np.int64), [1, 1]))
+        cls = LocalityClass(3, tuple(range(8)))
+        wit = {c: RepairSet(target=c, helpers=(c ^ 1,), coefficients=(1,)) for c in range(8)}
+        assert all(rs.holds_for(code) for rs in wit.values())
+        I = entropy_set(cls, wit, t)
+        assert I == want
+        assert code.entropy(I) <= len(I) - t
 
     def test_accepts_repair_set_iterables(self):
         code, prof, wit = strict_witnesses("subgroup")
@@ -1378,6 +1413,20 @@ class TestSpecFiles:
         path = tmp_path / "single.gcc"
         save_gcc_spec(spec, path)
         loaded = load_gcc_spec(path)
+        assert np.array_equal(gcc_generator(loaded).G.a, gcc_generator(spec).G.a)
+
+    def test_gcc_round_trip_extension_base_field(self, tmp_path):
+        # a GF(4) base writes p, m and the modulus in its header, and the
+        # reloaded spec keeps the field and gives the same generator
+        spec = GccSpec(F4, (
+            GccLevel(LinearCode(F4, [[1, 2, 3, 1]]), 1, MatrixGF(F4, [[1, 1, 1]])),
+            GccLevel(LinearCode(F4, [[1, 2, 3, 1], [0, 1, 1, 2]]), 1, MatrixGF(F4, [[0, 1, 2]])),
+        ))
+        path = tmp_path / "gf4.gcc"
+        save_gcc_spec(spec, path)
+        assert path.read_text().splitlines()[:5] == ["[gcc]", "q=4", "p=2", "m=2", "modulus=1,1,1"]
+        loaded = load_gcc_spec(path)
+        assert loaded.base_field == F4
         assert np.array_equal(gcc_generator(loaded).G.a, gcc_generator(spec).G.a)
 
     def test_pyramid_round_trip(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the package in src/."""
+"""Every script under demos/ runs to completion against the package in src/
+and prints, byte for byte, the stdout recorded in tests/demo_stdout/."""
 
 import os
 import subprocess
@@ -15,6 +16,6 @@ _ROOT = Path(__file__).resolve().parent.parent
 def test_demo_exits_0(demo):
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     result = subprocess.run([sys.executable, str(_ROOT / "demos" / f"{demo}.py")],
-                            capture_output=True, text=True, env=env, timeout=120)
+                            capture_output=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout
+    assert result.stdout == (_ROOT / "tests" / "demo_stdout" / f"{demo}.txt").read_bytes()

@@ -110,6 +110,30 @@ def test_rank_deficient_generator_rejected():
         code_from_parity_check(F, [[1, 1, 0], [1, 1, 0]])
 
 
+def _repetition4():
+    return LinearCode(field_new(2), [[1, 1, 1, 1]])
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: LinearCode(field_new(2), MatrixGF(field_new(3), [[1, 2]])),
+     "generator field mismatch"),
+    (lambda: LinearCode(field_new(2), np.zeros((0, 3), dtype=np.int64)),
+     "code needs k >= 1 and n >= 1"),
+    (lambda: LinearCode(field_new(2), [[1, 0], [0, 1], [1, 1]]),
+     "generator has more rows than columns"),
+    (lambda: _repetition4().locality_profile(mode="tight"), "unknown profile mode 'tight'"),
+    (lambda: _repetition4().verify_profile(_repetition4().locality_profile(), mode="tight"),
+     "unknown profile mode 'tight'"),
+    (lambda: _repetition4().verify_profile(LocalityProfile((LocalityClass(1, (0, 1, 2)),))),
+     "profile does not cover the code's coordinates"),
+], ids=["field", "empty", "rows", "profile-mode", "verify-mode", "verify-cover"])
+def test_refusals_keep_their_type_and_text(call, text):
+    with pytest.raises(PreconditionError) as refused:
+        call()
+    assert type(refused.value) is PreconditionError
+    assert str(refused.value) == text
+
+
 # ---------------------------------------------------------------------------
 # minimum distance
 # ---------------------------------------------------------------------------
