@@ -43,7 +43,6 @@ from .constructions import (
     load_pyramid_spec,
     ml_pyramid,
     predict_shortened_profile,
-    pyramid_bound_shape,
     pyramid_profile,
     rate_dimension_limit,
     reed_solomon,

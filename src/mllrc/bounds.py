@@ -134,7 +134,8 @@ def load_kopt_table(path) -> dict[tuple[int, int, int], tuple[int, str]]:
     """Read a table file of lines ``q n d k provenance...``.
 
     Blank lines and lines starting with '#' are ignored.  Entries violating
-    the Singleton or Griesmer bound are rejected.
+    the Singleton or Griesmer bound are rejected.  Every refusal is a
+    ParseError that names ``<path>:<line>``.
     """
     table: dict[tuple[int, int, int], tuple[int, str]] = {}
     text = _read_ascii(path)
@@ -151,7 +152,10 @@ def load_kopt_table(path) -> dict[tuple[int, int, int], tuple[int, str]]:
             q, n, d, k = (int(x) for x in parts[:4])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-integer field: {exc}") from exc
-        _validate_table_entry(q, n, d, k)
+        try:
+            _validate_table_entry(q, n, d, k)
+        except ParseError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
         key = (q, n, d)
         if key in table and table[key][0] != k:
             raise ParseError(f"{path}:{lineno}: conflicting duplicate entry {key}")

@@ -35,7 +35,6 @@ from .bounds import (
 from .constructions import (
     PyramidSpec,
     ml_pyramid,
-    pyramid_bound_shape,
     pyramid_profile,
     rate_dimension_limit,
 )
@@ -71,8 +70,8 @@ class Certificate:
     """Recomputed parameters, profile, and optimality verdicts of one code.
 
     alphabet_optimal is True / False / None (= unknown under an inexact
-    oracle); alphabet_exact records whether every consulted oracle value was
-    exact.  accounting is "all-symbol" for plain certificates and
+    oracle); alphabet_bound.exact records whether every consulted oracle
+    value was exact.  accounting is "all-symbol" for plain certificates and
     "information-symbol" for parity-splitting constructions, whose alphabet
     side is not applicable (alphabet_bound None).
     """
@@ -88,7 +87,6 @@ class Certificate:
     singleton_optimal: bool
     alphabet_bound: BoundReport | None
     alphabet_optimal: bool | None
-    alphabet_exact: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,11 +144,6 @@ def _certify(code, oracle, mode, budget, witnesses: bool) -> Certificate:
     profile = code.locality_profile(mode=mode, budget=budget, keep_witnesses=witnesses)
     shape = profile.shape()
     sb = ml_singleton(shape, code.k)
-    if d > sb.bound_value:
-        raise PreconditionError(
-            f"recomputed distance {d} exceeds the Singleton-type bound "
-            f"{sb.bound_value}; this cannot happen for a correct bound"
-        )
     ab = ml_alphabet(shape, d, code.q, oracle=oracle)
     if code.k > ab.bound_value:
         raise PreconditionError(
@@ -163,19 +156,29 @@ def _certify(code, oracle, mode, budget, witnesses: bool) -> Certificate:
         a_opt = False
     else:
         a_opt = None
+    return _certificate(code, d, mode, "all-symbol", profile, sb, ab, a_opt)
+
+
+def _certificate(code, d, mode, accounting, profile, sb, ab, a_opt) -> Certificate:
+    """The tail shared by certify and certify_pyramid: refuse a recomputed
+    distance above the Singleton-type bound sb, else the Certificate."""
+    if d > sb.bound_value:
+        raise PreconditionError(
+            f"recomputed distance {d} exceeds the Singleton-type bound "
+            f"{sb.bound_value}; this cannot happen for a correct bound"
+        )
     return Certificate(
         n=code.n,
         k=code.k,
         d=d,
         q=code.q,
         mode=mode,
-        accounting="all-symbol",
+        accounting=accounting,
         profile=profile,
         singleton_bound=sb,
         singleton_optimal=(d == sb.bound_value),
         alphabet_bound=ab,
         alphabet_optimal=a_opt,
-        alphabet_exact=ab.exact,
     )
 
 
@@ -195,6 +198,7 @@ def certify_pyramid(
     over-assigning dimension to small-locality classes."""
     code = ml_pyramid(spec)
     d = code.min_distance(budget)
+    profile = pyramid_profile(spec)
     sb = BoundReport(
         name="ml-singleton-information",
         bound_value=code.n - code.k + 2 - sum(spec.kappas),
@@ -203,27 +207,9 @@ def certify_pyramid(
         mode_flags=(),
         skipped=(),
         collapse_applied=False,
-        effective_shape=pyramid_bound_shape(spec),
+        effective_shape=profile.shape(),
     )
-    if d > sb.bound_value:
-        raise PreconditionError(
-            f"recomputed distance {d} exceeds the Singleton-type bound "
-            f"{sb.bound_value}; this cannot happen for a correct bound"
-        )
-    return Certificate(
-        n=code.n,
-        k=code.k,
-        d=d,
-        q=code.q,
-        mode="declared",
-        accounting="information-symbol",
-        profile=pyramid_profile(spec),
-        singleton_bound=sb,
-        singleton_optimal=(d == sb.bound_value),
-        alphabet_bound=None,
-        alphabet_optimal=None,
-        alphabet_exact=False,
-    )
+    return _certificate(code, d, "declared", "information-symbol", profile, sb, None, None)
 
 
 def check_dominance(profile, k: int, d: int, q: int) -> DominanceReport:

@@ -64,7 +64,7 @@ from .constructions import (
 )
 from .errors import BudgetError, ParseError, PreconditionError
 from .linear_code import (
-    LinearCode,
+    _write_lines,
     code_to_lines,
     load_code,
     parse_profile_shape,
@@ -120,16 +120,10 @@ def _profile_arg(args) -> tuple[tuple[int, int], ...]:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
-def _emit_code(code: LinearCode, out: str | None) -> None:
-    _emit(code_to_lines(code), out)
+        _write_lines(out, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +147,7 @@ def _cmd_construct(args) -> int:
             code = algorithm1_ml_lrc(base, args.r1, args.n1, repair_groups=groups)
         else:
             code = algorithm3_ml_lrc(base, args.r1, args.alpha, repair_groups=groups)
-    _emit_code(code, args.out)
+    _emit(code_to_lines(code), args.out)
     return 0
 
 
@@ -163,7 +157,7 @@ def _cmd_shorten(args) -> int:
         code = code.shorten(*_parse_positions(args.at, code.n))
     except PreconditionError as exc:
         raise PreconditionError(f"cannot shorten at position {exc.at + 1}: {exc}") from exc
-    _emit_code(code, args.out)
+    _emit(code_to_lines(code), args.out)
     return 0
 
 

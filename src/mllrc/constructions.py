@@ -46,6 +46,7 @@ from .linear_code import (
     _field_from_header,
     _normalize_shape,
     _read_ascii,
+    _write_lines,
     code_from_lines,
     code_to_lines,
     format_profile_shape,
@@ -70,7 +71,6 @@ __all__ = [
     "load_pyramid_spec",
     "ml_pyramid",
     "predict_shortened_profile",
-    "pyramid_bound_shape",
     "pyramid_profile",
     "rate_dimension_limit",
     "reed_solomon",
@@ -110,20 +110,8 @@ def extended_rs(field: FiniteField, k: int) -> LinearCode:
     q = field.q
     if not 1 <= k <= q:
         raise PreconditionError(f"need 1 <= k <= q={q}, got k={k}")
-    pts = np.arange(q, dtype=np.int64)
-    G = np.zeros((k, q + 1), dtype=np.int64)
-    for i in range(k):
-        G[i, :q] = [field.pow(int(x), i) for x in pts]
-    G[k - 1, q] = 1
-    return LinearCode(field, G)
-
-
-def _systematic_generator(code: LinearCode) -> np.ndarray:
-    """Row-reduced generator (I | P); requires the first k columns independent."""
-    R, piv = mat_rref(code.G)
-    if piv != tuple(range(code.k)):
-        raise PreconditionError("leading coordinates are not an information set")
-    return R.a
+    G = reed_solomon(field, q, k).G.a
+    return LinearCode(field, np.hstack([G, np.eye(k, dtype=np.int64)[:, k - 1 :]]))
 
 
 def tamo_barg(q: int, n: int, k: int, r: int) -> LinearCode:
@@ -511,8 +499,10 @@ def ml_pyramid(spec: PyramidSpec) -> LinearCode:
             f"pyramid construction needs {units} units for the "
             f"{k} x {k + d - 1} base; budget is {budget}"
         )
-    base = reed_solomon(F, k + d - 1, k)
-    P = _systematic_generator(base)[:, k:]  # k x (d-1), all entries nonzero
+    R, piv = mat_rref(reed_solomon(F, k + d - 1, k).G)  # (I | P)
+    if piv != tuple(range(k)):
+        raise PreconditionError("leading coordinates are not an information set")
+    P = R.a[:, k:]  # k x (d-1), all entries nonzero
     G = np.zeros((k, spec.n), dtype=np.int64)
     G[:, :k] = np.eye(k, dtype=np.int64)
     col, off = k, 0
@@ -538,16 +528,6 @@ def pyramid_profile(spec: PyramidSpec) -> LocalityProfile:
         classes.append(LocalityClass(r_i, coords))
         off, col = off + k_i, col + kappa
     return LocalityProfile(tuple(classes))
-
-
-def pyramid_bound_shape(spec: PyramidSpec) -> tuple[tuple[int, int], ...]:
-    """Information-symbol size accounting used for optimality checks: class i
-    counts its information plus block-parity coordinates, n_i = k_i + kappa_i
-    = ceil(k_i*(r_i+1)/r_i).  The d-2 shared parities belong to no class and
-    are charged only to the total length."""
-    return tuple(
-        (k_i + kappa, r_i) for (k_i, r_i), kappa in zip(spec.dims, spec.kappas)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +894,7 @@ def save_gcc_spec(spec: GccSpec, path) -> None:
         lines.append(f"[band {i}]")
         for row in lvl.band.tolist():
             lines.append(" ".join(str(v) for v in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_gcc_spec(path) -> GccSpec:
@@ -992,8 +971,7 @@ def save_pyramid_spec(spec: PyramidSpec, path) -> None:
         f"d={spec.d}",
         "classes=" + format_profile_shape(spec.dims),
     ]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_pyramid_spec(path) -> PyramidSpec:
@@ -1009,7 +987,10 @@ def load_pyramid_spec(path) -> PyramidSpec:
     d = _kv_int(kv, "d", f"{path} [pyramid]")
     if "classes" not in kv:
         raise ParseError(f"{path} [pyramid]: missing required key 'classes'")
-    dims = parse_profile_shape(kv["classes"])
+    try:
+        dims = parse_profile_shape(kv["classes"])
+    except ParseError as exc:
+        raise ParseError(f"{path} [pyramid]: {exc}") from exc
     try:
         return PyramidSpec(q, d, dims)
     except PreconditionError as exc:

@@ -55,19 +55,6 @@ _ELIM_TABLE_MAX = 1 << 8
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n by trial division (n <= 2^16 here)."""
     out = []
@@ -80,6 +67,15 @@ def _prime_factors(n: int) -> list[int]:
         f += 1
     if n > 1:
         out.append(n)
+    return out
+
+
+def _digits(a: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of a, low-order first."""
+    out = []
+    for _ in range(m):
+        out.append(a % p)
+        a //= p
     return out
 
 
@@ -119,12 +115,7 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         return False
     for d in range(1, m // 2 + 1):
         for j in range(p**d):
-            div = []
-            t = j
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)  # monic
+            div = _digits(j, p, d) + [1]  # monic
             rem = _poly_rem(list(coeffs), tuple(div), p)
             if _poly_deg(tuple(rem)) < 0:
                 return False
@@ -140,14 +131,9 @@ def default_modulus(p: int, m: int) -> tuple[int, ...] | None:
     if m == 1:
         return None
     for j in range(p**m):
-        c = []
-        t = j
-        for _ in range(m):
-            c.append(t % p)
-            t //= p
-        c.append(1)
-        if is_irreducible(tuple(c), p):
-            return tuple(c)
+        c = tuple(_digits(j, p, m) + [1])
+        if is_irreducible(c, p):
+            return c
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
@@ -164,7 +150,7 @@ class FiniteField:
             raise PreconditionError(
                 f"field characteristic {p} exceeds supported maximum {MAX_FIELD_SIZE}"
             )
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise PreconditionError(f"field characteristic must be prime, got {p}")
         if m < 1:
             raise PreconditionError(f"extension degree must be >= 1, got {m}")
@@ -209,13 +195,6 @@ class FiniteField:
 
     # -- raw (scalar, table-free) arithmetic --------------------------------
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
     def _encode(self, digits: list[int]) -> int:
         v = 0
         for d in reversed(digits[: self.m]):
@@ -227,7 +206,7 @@ class FiniteField:
         p, m = self.p, self.m
         if m == 1:
             return (a * b) % p
-        da, db = self._digits(a), self._digits(b)
+        da, db = _digits(a, p, m), _digits(b, p, m)
         prod = [0] * (2 * m - 1)
         for i, x in enumerate(da):
             if x:
@@ -444,18 +423,12 @@ def field_from_order(q: int, modulus: tuple[int, ...] | None = None) -> FiniteFi
         raise PreconditionError(f"field order must be >= 2, got {q}")
     if q > MAX_FIELD_SIZE:  # before the trial division, which takes sqrt(q)
         raise PreconditionError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    m, t = 0, q
-    while t % p == 0:
-        t //= p
-        m += 1
-    if t != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise PreconditionError(f"{q} is not a prime power")
+    p, m = factors[0], 1
+    while p**m < q:
+        m += 1
     return field_new(p, m, modulus)
 
 

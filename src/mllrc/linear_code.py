@@ -138,7 +138,7 @@ def resolve_budget(budget: int | None = None) -> int:
 class LinearCode:
     """[n, k] linear code over GF(p^m), held as a full-rank generator matrix."""
 
-    def __init__(self, field: FiniteField, G, *, parity_check: MatrixGF | None = None):
+    def __init__(self, field: FiniteField, G):
         Gm = G if isinstance(G, MatrixGF) else MatrixGF(field, G)
         if Gm.field != field:
             raise PreconditionError("generator field mismatch")
@@ -150,7 +150,7 @@ class LinearCode:
             raise PreconditionError("generator matrix must have full row rank")
         self.field = field
         self.G = Gm
-        self._H = parity_check
+        self._H: MatrixGF | None = None
         self._d: int | None = None
         # support -> {target: (locality or None, witness or None)}, exact
         # results of _repairs; a witness of None with a locality was not asked
@@ -572,8 +572,7 @@ def code_from_parity_check(field: FiniteField, H) -> LinearCode:
     Hm = H if isinstance(H, MatrixGF) else MatrixGF(field, H)
     if mat_rank(Hm) != Hm.nrows:
         raise PreconditionError("parity-check matrix must have full row rank")
-    G = mat_kernel(Hm)
-    return LinearCode(field, G, parity_check=Hm)
+    return LinearCode(field, mat_kernel(Hm))
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +659,14 @@ def code_from_lines(lines, where: str = "code text") -> LinearCode:
 
 def save_code(code: LinearCode, path) -> None:
     """Write the text format: header line, modulus line (m >= 2), G rows."""
+    _write_lines(path, code_to_lines(code))
+
+
+def _write_lines(path, lines) -> None:
+    """Write lines to an ASCII text file, each ended by a newline: the one
+    writer of code files, spec files and CLI --out files."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(code_to_lines(code)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_ascii(path) -> str:

@@ -70,14 +70,6 @@ class LocalityProfile:
                 raise PreconditionError("classes must be pairwise disjoint")
             seen |= set(c.coordinates)
 
-    @property
-    def n(self) -> int:
-        return sum(c.size for c in self.classes)
-
-    @property
-    def s(self) -> int:
-        return len(self.classes)
-
     def shape(self) -> tuple[tuple[int, int], ...]:
         """((n_1, r_1), ..., (n_s, r_s))."""
         return tuple((c.size, c.locality) for c in self.classes)

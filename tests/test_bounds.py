@@ -519,6 +519,12 @@ def _table_with_conflict(tmp_path):
     return path
 
 
+def _table_over_singleton(tmp_path):
+    path = tmp_path / "singleton.table"
+    path.write_text("# k = 9 > n - d + 1 = 3\n2 5 3 9 too large\n")
+    return path
+
+
 @pytest.mark.parametrize("call, error, text", [
     (lambda tmp: griesmer_max_k(1, 5, 2), PreconditionError,
      "alphabet size must be >= 2, got 1"),
@@ -528,7 +534,13 @@ def _table_with_conflict(tmp_path):
      "duplicate stage in oracle mode 'table,analytic,table'"),
     (lambda tmp: singleton_r_local(5, 3, 0), PreconditionError,
      "locality must be >= 1, got 0"),
-], ids=["griesmer-q", "table-conflict", "oracle-duplicate-stage", "singleton-r"])
+    # a table file's entry refusals name the file and line, like its other errors
+    (lambda tmp: load_kopt_table(_table_over_singleton(tmp)), ParseError,
+     "{tmp}/singleton.table:2: table entry (q=2, n=5, d=3, k=9) violates the Singleton bound"),
+    (lambda tmp: KOptOracle("table", table={(2, 5, 3): (9, "too large")}), ParseError,
+     "table entry (q=2, n=5, d=3, k=9) violates the Singleton bound"),
+], ids=["griesmer-q", "table-conflict", "oracle-duplicate-stage", "singleton-r",
+        "table-file-entry", "table-dict-entry"])
 def test_refusals_keep_their_type_and_text(tmp_path, call, error, text):
     with pytest.raises(error) as refused:
         call(tmp_path)

@@ -85,7 +85,7 @@ class TestCertify:
         # an attained upper bound certifies optimality even when inexact
         assert cert.alphabet_bound.bound_value == 6
         assert cert.alphabet_optimal is True
-        assert cert.alphabet_exact is False
+        assert cert.alphabet_bound.exact is False
 
     def test_two_class_shortened_code_singleton_optimal(self):
         code = algorithm1_ml_lrc(tamo_barg(13, 12, 6, 3), 2, 3)
@@ -129,13 +129,13 @@ class TestCertify:
         # so the bound is min(4, 1+3, 2+1, 3+0) = 3 > k = 2, all cells exact
         assert cert.alphabet_bound.bound_value == 3
         assert cert.alphabet_bound.witness == (3,)
-        assert cert.alphabet_exact is True
+        assert cert.alphabet_bound.exact is True
         assert cert.alphabet_optimal is False
 
     def test_unknown_verdict_under_inexact_oracle(self):
         cert = certify(doubled_identity(), oracle=KOptOracle("analytic"))
         assert cert.alphabet_bound.bound_value == 3
-        assert cert.alphabet_exact is False
+        assert cert.alphabet_bound.exact is False
         assert cert.alphabet_optimal is None
 
     def test_attained_inexact_bound_still_certifies(self):
@@ -149,7 +149,7 @@ class TestCertify:
         assert cert.singleton_optimal is False
         assert cert.alphabet_bound.bound_value == 3
         assert cert.alphabet_bound.witness == (3, 0)
-        assert cert.alphabet_exact is False
+        assert cert.alphabet_bound.exact is False
         assert cert.alphabet_optimal is True
 
     def test_strict_mode_recorded(self):
@@ -275,6 +275,49 @@ class TestCertifyPyramid:
         assert "(declared, information-symbol)" in text
         kv = render_certificate_kv(cert)
         assert "alphabet.optimal=not-applicable" in kv.splitlines()
+
+
+_CERTIFY = sys.modules["mllrc.certify"]
+
+
+class TestRefusalsOnlyAWrongBoundReaches:
+    """Refusals that a correct bound or scan never reaches, forced by
+    patching the bound on both routes into the shared certificate tail, and
+    the profile verification of full_analysis."""
+
+    @pytest.mark.parametrize("route", ["certify", "full_analysis"])
+    def test_all_symbol_route(self, monkeypatch, route):
+        real = _CERTIFY.ml_singleton
+        monkeypatch.setattr(_CERTIFY, "ml_singleton",
+                            lambda shape, k: dataclasses.replace(real(shape, k), bound_value=5))
+        with pytest.raises(PreconditionError) as refused:
+            getattr(_CERTIFY, route)(tamo_barg(13, 12, 6, 3))
+        assert type(refused.value) is PreconditionError
+        assert str(refused.value) == (
+            "recomputed distance 6 exceeds the Singleton-type bound 5; this "
+            "cannot happen for a correct bound")
+
+    def test_information_symbol_route(self, monkeypatch):
+        def lowered(**fields):
+            return BoundReport(**{**fields, "bound_value": fields["bound_value"] - 1})
+
+        monkeypatch.setattr(_CERTIFY, "BoundReport", lowered)
+        with pytest.raises(PreconditionError) as refused:
+            certify_pyramid(PyramidSpec(7, 4, ((4, 2),)))
+        assert type(refused.value) is PreconditionError
+        assert str(refused.value) == (
+            "recomputed distance 4 exceeds the Singleton-type bound 3; this "
+            "cannot happen for a correct bound")
+
+    @pytest.mark.parametrize("verified", [(False, {}), (True, {0: None})])
+    def test_profile_that_fails_its_own_verification(self, monkeypatch, verified):
+        monkeypatch.setattr(LinearCode, "verify_profile", lambda *args, **kwargs: verified)
+        with pytest.raises(PreconditionError) as refused:
+            full_analysis(tamo_barg(13, 12, 6, 3))
+        assert type(refused.value) is PreconditionError
+        assert str(refused.value) == (
+            "recomputed profile failed its own verification; this cannot "
+            "happen for a correct scan")
 
 
 def _random_shape(rng: random.Random) -> tuple[tuple[int, int], ...]:
@@ -515,7 +558,7 @@ class TestFullAnalysis:
         assert cert.singleton_optimal is True
         assert cert.alphabet_bound.bound_value == 1
         assert cert.alphabet_optimal is True
-        assert cert.alphabet_exact is True
+        assert cert.alphabet_bound.exact is True
 
     def test_binary_concatenated_pipeline(self):
         rep = full_analysis(construction2_binary_lrc(2, 0))
@@ -604,7 +647,7 @@ class TestConsistencyInvariant:
             dom = check_dominance(cert.profile.shape(), cert.k, cert.d, cert.q)
             assert dom.singleton_feasible is True
             assert dom.holds is True
-            if cert.singleton_optimal and cert.alphabet_exact:
+            if cert.singleton_optimal and cert.alphabet_bound.exact:
                 assert cert.alphabet_optimal is True
 
 

@@ -354,6 +354,13 @@ class TestCertify:
         assert "(declared, information-symbol)" in out
         assert "not applicable" in out
 
+    def test_pyramid_profile_error_names_the_file(self, cli, tmp_path):
+        spec_file = tmp_path / "dup.spec"
+        spec_file.write_text("[pyramid]\nq=7\nd=3\nclasses=(3,1),(3,1)\n")
+        assert cli("certify", "--pyramid", str(spec_file)) == (
+            2, "", f"parse error: {spec_file} [pyramid]: profile localities must be "
+            "distinct: '(3,1),(3,1)'\n")
+
     def test_pyramid_excludes_code_files(self, cli, tmp_path, spc_file):
         spec_file = tmp_path / "pyr.spec"
         save_pyramid_spec(PyramidSpec(7, 4, ((4, 2),)), spec_file)

@@ -39,7 +39,6 @@ from mllrc.constructions import (
     load_pyramid_spec,
     ml_pyramid,
     predict_shortened_profile,
-    pyramid_bound_shape,
     pyramid_profile,
     rate_dimension_limit,
     reed_solomon,
@@ -998,7 +997,7 @@ class TestPyramid:
 
     def test_single_class_meets_size_bound(self):
         spec = PyramidSpec(7, 4, ((4, 2),))
-        shape = pyramid_bound_shape(spec)
+        shape = pyramid_profile(spec).shape()
         assert shape == ((6, 2),)
         # declared-dimension evaluation: n - k + 2 - sum(ceil(k_i/r_i))
         assert spec.n - spec.k + 2 - 2 == 4
@@ -1019,7 +1018,7 @@ class TestPyramid:
         assert code.n == 4 + 2 + 1 + 1 == 8
         d = brute_distance(code)
         assert d == 3
-        shape = pyramid_bound_shape(spec)
+        shape = pyramid_profile(spec).shape()
         assert shape == ((4, 1), (3, 2))
         # declared-dimension evaluation: n - k + 2 - (kappa_1 + kappa_2)
         assert spec.n - spec.k + 2 - (2 + 1) == 3 == d
@@ -1039,7 +1038,7 @@ class TestPyramid:
         # exactly its information plus block-parity coordinates
         for dims in [((4, 2),), ((2, 1), (2, 2)), ((3, 2), (4, 3))]:
             spec = PyramidSpec(23, 3, dims)
-            shape = pyramid_bound_shape(spec)
+            shape = pyramid_profile(spec).shape()
             for (k_i, r_i), (size, r_out) in zip(dims, shape):
                 assert r_out == r_i
                 assert size == k_i + -(-k_i // r_i)
@@ -1296,12 +1295,44 @@ class TestConstruction2:
     (lambda: algorithm3_ml_lrc(tamo_barg(13, 12, 6, 3), 4, 1,
                                repair_groups=[(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]),
      "target locality r1 = 4 exceeds the group locality r2 = 3"),
-], ids=["no-groups", "no-auto-groups", "n1", "r1", "r1-above-r2"])
+    (lambda: tamo_barg(13, 0, 6, 3), "need n, k, r >= 1, got n=0, k=6, r=3"),
+    (lambda: tamo_barg(13, 12, 0, 3), "need n, k, r >= 1, got n=12, k=0, r=3"),
+    (lambda: tamo_barg(13, 12, 6, 0), "need n, k, r >= 1, got n=12, k=6, r=0"),
+    (lambda: GccSpec(F2, (GccLevel(LinearCode(F2, [[1, 1]]), 1,
+                                   MatrixGF(field_new(3), [[1, 2]])),)),
+     "level 1: band must be over the base field"),
+    (lambda: entropy_set(LocalityClass(1, (0, 1)), {0: (1,), 1: None}, 1),
+     "repair set for coordinate 0 must be a RepairSet targeting it"),
+    (lambda: entropy_set(LocalityClass(1, (0, 1)), {0: RepairSet(1, (0,), (1,))}, 1),
+     "repair set for coordinate 0 must be a RepairSet targeting it"),
+], ids=["no-groups", "no-auto-groups", "n1", "r1", "r1-above-r2", "tb-n", "tb-k", "tb-r",
+        "band-field", "entropy-not-repair-set", "entropy-wrong-target"])
 def test_refusals_keep_their_type_and_text(call, text):
     with pytest.raises(PreconditionError) as refused:
         call()
     assert type(refused.value) is PreconditionError
     assert str(refused.value) == text
+
+
+_GCC_ONE_LEVEL = ("[gcc]\nq=2\nlevels=1\nmultiplicities=1\n"
+                  "[outer 1]\nq=2 p=2 m=1 n=2 k=1\n1 1\n[band 1]\n1 1\n")
+
+
+@pytest.mark.parametrize("content, text", [
+    ("# only a comment\n\n", "{path}: empty spec file"),
+    (_GCC_ONE_LEVEL.replace("multiplicities=1", "multiplicities=1,x"),
+     "{path} [gcc]: malformed multiplicities"),
+    (_GCC_ONE_LEVEL + "[outer 1]\nq=2 p=2 m=1 n=2 k=1\n1 1\n",
+     "{path}: bad or repeated [outer] section"),
+    (_GCC_ONE_LEVEL + "[band 1]\n1 1\n", "{path}: bad or repeated [band] section"),
+], ids=["empty", "multiplicities", "repeated-outer", "repeated-band"])
+def test_spec_refusals_keep_their_type_and_text(tmp_path, content, text):
+    path = tmp_path / "refused.spec"
+    path.write_text(content)
+    with pytest.raises(ParseError) as refused:
+        load_gcc_spec(path)
+    assert type(refused.value) is ParseError
+    assert str(refused.value) == text.format(path=path)
 
 
 class TestEntropySet:
@@ -1485,5 +1516,7 @@ class TestSpecFiles:
         for i, content in enumerate(cases):
             p = tmp_path / f"bad{i}.pyramid"
             p.write_text(content)
-            with pytest.raises(ParseError):
+            with pytest.raises(ParseError) as refused:
                 load_pyramid_spec(p)
+            # every refusal names the file, the profile grammar's included
+            assert str(refused.value).startswith(f"{p}"), refused.value

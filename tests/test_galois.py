@@ -408,6 +408,22 @@ def test_kronecker_rank_and_mixed_product():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: FiniteField(2, 0), PreconditionError, "extension degree must be >= 1, got 0"),
+    (lambda: setattr(MatrixGF(field_new(3), [[1]]), "a", None), AttributeError,
+     "MatrixGF is immutable"),
+    (lambda: MatrixGF(field_new(3), [[1]]) @ MatrixGF(field_new(5), [[1]]),
+     PreconditionError, "field mismatch in matrix product"),
+    (lambda: MatrixGF(field_new(3), [[1, 2]]) @ MatrixGF(field_new(3), [[1, 2]]),
+     PreconditionError, "shape mismatch (1, 2) @ (1, 2)"),
+], ids=["degree", "immutable", "matmul-field", "matmul-shape"])
+def test_refusals_keep_their_type_and_text(call, error, text):
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == text
+
+
 def test_matrix_immutability_and_validation():
     F = field_new(3)
     M = MatrixGF(F, [[0, 1], [2, 2]])

@@ -126,7 +126,12 @@ def _repetition4():
      "unknown profile mode 'tight'"),
     (lambda: _repetition4().verify_profile(LocalityProfile((LocalityClass(1, (0, 1, 2)),))),
      "profile does not cover the code's coordinates"),
-], ids=["field", "empty", "rows", "profile-mode", "verify-mode", "verify-cover"])
+    (lambda: LocalityClass(0, (0, 1)), "locality must be >= 1, got 0"),
+    (lambda: LocalityClass(1, ()), "locality class cannot be empty"),
+    (lambda: LocalityClass(1, (1, 0)), "class coordinates must be sorted and distinct"),
+    (lambda: LocalityClass(1, (0, 0, 1)), "class coordinates must be sorted and distinct"),
+], ids=["field", "empty", "rows", "profile-mode", "verify-mode", "verify-cover",
+        "class-locality", "class-empty", "class-unsorted", "class-repeated"])
 def test_refusals_keep_their_type_and_text(call, text):
     with pytest.raises(PreconditionError) as refused:
         call()
