@@ -25,6 +25,7 @@ product table and, in odd characteristic, a difference table (XOR in
 characteristic 2), 64 KiB each at q = 2^8, built on first use.  Larger
 extension fields use the field's own mul and sub.  The table routes return
 uint8 arrays, which _pivot_step writes into the int64 matrix in place.
+LinearCode reduces its generator once, by _rref, and keeps that RREF.
 """
 
 from __future__ import annotations

@@ -182,19 +182,21 @@ class _SplitTable:
                 skip = 0
 
 
-def _information_sets(F: FiniteField, G: np.ndarray):
+def _information_sets(F: FiniteField, G: np.ndarray, reduced=None):
     """Disjoint information sets of the row space of G, chosen greedily in
     column order, yielded as (rank r, generator) pairs.
 
     Set j is the RREF pivots among the columns no earlier set took.  Its
     generator is the RREF of G with those columns moved first (then the
     taken columns), put back in G's column order, so it is [I_r; 0] on the
-    set's columns: rows r.. vanish there.  Ranks never increase from one
-    set to the next."""
+    set's columns: rows r.. vanish there.  Ranks never increase.  The first
+    set reduces G in its own column order: `reduced`, G's RREF and pivots
+    if the caller has them, is read for it, never for a later set."""
     rest, used = list(range(G.shape[1])), []
     while rest:
         order = rest + used
-        R, piv = _rref(F, G[:, order])
+        R, piv = reduced or _rref(F, G[:, order])
+        reduced = None
         chosen = {rest[p] for p in piv if p < len(rest)}
         if not chosen:  # only zero columns left
             return

@@ -11,23 +11,26 @@ every word of a row space (the MacWilliams route), and Brouwer-Zimmermann
 levels visit words lightest-first, one walk (kernel._BZWalk) shared by the
 distance and the locality dual scan.
 
-Minimum distance has two routes.  Brouwer-Zimmermann takes disjoint
-information sets greedily in column order (_information_sets); set j has
-rank r_j and a generator that is [I; 0] on its columns.  Level w enumerates,
-on a set, the messages of weight w whose first nonzero entry is 1
-(_MessageLevels); once every set has had its levels up to w_j, each unseen
-codeword weighs at least sum_j max(0, w_j + 1 - (k - r_j)), and the least
-weight found is d as soon as that bound reaches it.  Level 1 is the rows of
-the sets' generators and costs nothing.  The plan of the later levels
-(_bz_plan) is charged against the budget before any is enumerated, with the
-least weight of those rows as the target; when it does not fit, the
-MacWilliams route (the weight distribution of the q^(n-k) dual words) runs
-if those fit, and otherwise BudgetError ("minimum distance of <code> needs
-<q^(n-k)> dual words or <plan> information-set words; budget is <b>") is
-raised before any level.  Before each level, MacWilliams also takes over
-when its words fit the budget and number fewer than _DUAL_WORDS_PER_WORD
-times the level's words.  A code whose q^k words fit the budget is never
-refused: the plan never exceeds the first set alone.
+Minimum distance: a code whose q^k words fit one low codebook
+(kernel._LOW_WORDS) and the budget is read as one block of all its words
+(kernel._all_words), before any information set.  Any other code takes one
+of two routes.  Brouwer-Zimmermann takes disjoint information sets greedily
+in column order (_information_sets); set j has rank r_j and a generator that
+is [I; 0] on its columns.  Level w enumerates, on a set, the messages of
+weight w whose first nonzero entry is 1 (_MessageLevels); once every set has
+had its levels up to w_j, each unseen codeword weighs at least
+sum_j max(0, w_j + 1 - (k - r_j)), and the least weight found is d as soon
+as that bound reaches it.  Level 1 is the rows of the sets' generators and
+costs nothing.  The plan of the later levels (_bz_plan) is charged against
+the budget before any is enumerated, with the least weight of those rows as
+the target; when it does not fit, the MacWilliams route (the weight
+distribution of the q^(n-k) dual words) runs if those fit, and otherwise
+BudgetError ("minimum distance of <code> needs <q^(n-k)> dual words or
+<plan> information-set words; budget is <b>") is raised before any level.
+Before each level, MacWilliams also takes over when its words fit the
+budget and number fewer than _DUAL_WORDS_PER_WORD times the level's words.
+A code whose q^k words fit the budget is never refused: the plan never
+exceeds the first set alone.
 
 Locality has a second route, span search: coordinate t has locality s when
 s is the least size of a set S of other allowed coordinates whose generator
@@ -146,10 +149,13 @@ class LinearCode:
             raise PreconditionError("code needs k >= 1 and n >= 1")
         if Gm.nrows > Gm.ncols:
             raise PreconditionError("generator has more rows than columns")
-        if mat_rank(Gm) != Gm.nrows:
+        R, piv = _rref(field, Gm.a)
+        if len(piv) != Gm.nrows:
             raise PreconditionError("generator matrix must have full row rank")
+        R.setflags(write=False)
         self.field = field
         self.G = Gm
+        self._reduced = (R, piv)  # G's RREF and pivots, read wherever G is reduced as is
         self._H: MatrixGF | None = None
         self._d: int | None = None
         # support -> {target: (locality or None, witness or None)}, exact
@@ -174,7 +180,7 @@ class LinearCode:
     def H(self) -> MatrixGF:
         """Parity-check matrix (kernel of G); empty (0 x n) when k = n."""
         if self._H is None:
-            self._H = mat_kernel(self.G)
+            self._H = MatrixGF(self.field, _kernel_basis(self.field, *self._reduced))
         return self._H
 
     def __eq__(self, other) -> bool:
@@ -203,12 +209,14 @@ class LinearCode:
         return self._d
 
     def _distance_scan(self, b: int) -> int:
-        """Exact distance by Brouwer-Zimmermann or MacWilliams under budget
-        b, by the cost rule of the module docstring."""
+        """Exact distance under budget b: one listing, Brouwer-Zimmermann or
+        MacWilliams, by the rules of the module docstring."""
         k, q = self.k, self.q
+        if q**k <= min(kernel._LOW_WORDS, b):
+            return int(kernel._all_words(self.field, self.G.a)[0].min())
         dual_words = q ** (self.n - k)
         ranks, gens, best = [], [], self.n
-        for r, G in kernel._information_sets(self.field, self.G.a):
+        for r, G in kernel._information_sets(self.field, self.G.a, self._reduced):
             ranks.append(r)
             gens.append(G)
             best = min(best, int(np.count_nonzero(G, axis=1).min()))
@@ -426,20 +434,20 @@ class LinearCode:
     def _locality_scan(self, support, targets, budget, cap, witnesses):
         """Exact (locality, witness) per target, by span search or dual scan.
 
-        Span search (see the module docstring) charges nothing for level 1.
+        The support is ascending, so |support| = n means G's own columns,
+        whose kept RREF is read.  Span search charges nothing for level 1.
         Before each level s >= 2 its cost is predicted as (open targets) x
         C(|support| - 1, s) rank tests of k(s+1) units each, charged against
         the budget.  The open targets go to the dual scan instead, charged
         its nominal q^dim words whatever order it visits them in, when those
         fit the budget and are predicted cheaper, or when the level does not
-        fit; when neither fits, BudgetError.  Targets
-        still open after level `cap` are left out of the result.  Every
-        target column must be nonzero.
+        fit; when neither fits, BudgetError.  Targets still open after level
+        `cap` are left out of the result.  Every target column must be nonzero.
         """
         F, k = self.field, self.k
         b = resolve_budget(budget)
         m = len(support)
-        R, piv = _rref(F, self.G.a[:, list(support)])
+        R, piv = self._reduced if m == self.n else _rref(F, self.G.a[:, list(support)])
         A = R[: len(piv)]
         free = [j for j in range(m) if j not in piv]
         dual_words = F.q ** len(free)
@@ -483,7 +491,7 @@ class LinearCode:
         return out
 
     def _check_no_zero_column(self) -> None:
-        zero_cols = [int(j) for j in range(self.n) if not self.G.a[:, j].any()]
+        zero_cols = np.flatnonzero(~self.G.a.any(axis=0)).tolist()
         if zero_cols:
             raise PreconditionError(
                 f"coordinates {zero_cols} are identically zero; locality is undefined"

@@ -35,6 +35,9 @@ from mllrc import (
 )
 import mllrc.bounds as bounds_module
 import mllrc.cli as cli_module
+import mllrc.galois as galois_module
+import mllrc.kernel as kernel_module
+import mllrc.linear_code as linear_code_module
 from mllrc.cli import run
 from mllrc.errors import PreconditionError
 from mllrc.galois import field_new
@@ -345,6 +348,29 @@ class TestCertify:
         rc, _, err = cli("certify", "--in", str(good), str(bad), "--oracle", "table")
         assert rc == 2
         assert err.startswith(f"parse error: {bad}:")
+
+    @pytest.mark.parametrize("cmd", ["certify", "analyze"])
+    def test_generator_is_row_reduced_once(self, cli, tmp_path, monkeypatch, cmd):
+        # the code keeps G's RREF from its rank check: the distance's first
+        # information set, the loose locality scan and H read it, so a loaded
+        # code's G is reduced in its own column order once (at load)
+        code = construction2_binary_lrc(4, 0) if cmd == "certify" else tamo_barg(13, 12, 6, 3)
+        path = tmp_path / "c.code"
+        save_code(code, path)
+        G = load_code(path).G.a
+        own = []
+        real = galois_module._rref
+
+        def rref(F, A):
+            own.append(A.shape == G.shape and bool(np.array_equal(A, G)))
+            return real(F, A)
+
+        for module in (galois_module, kernel_module, linear_code_module):
+            monkeypatch.setattr(module, "_rref", rref)
+        argv = ["--oracle", "table"] if cmd == "certify" else []
+        rc, out, _ = cli(cmd, "--in", str(path), "--format", "kv", *argv)
+        assert rc == 0 and "d=6" in out.splitlines()
+        assert sum(own) == 1 and len(own) > 1
 
     def test_pyramid_certificate(self, cli, tmp_path):
         spec_file = tmp_path / "pyr.spec"

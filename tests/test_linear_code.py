@@ -824,16 +824,17 @@ def test_message_levels_match_reference(monkeypatch, field, chunk):
 
 @pytest.fixture
 def distance_spy(monkeypatch):
-    """Runs every distance on one route and records what ran: "bz" never
-    hands over to MacWilliams, "dual" hands over before level 2, and
-    "switch" hands over after its first level >= 2."""
+    """Runs every distance on one route and records what ran, with the
+    code's q^k words: "bz" never hands over to MacWilliams, "dual" hands
+    over before level 2, and "switch" hands over after its first level >= 2.
+    A code answered by the one-codebook listing records ["list"] alone."""
     calls = []
     real_scan, real_dual = LinearCode._distance_scan, LinearCode._distance_via_dual
-    real_weights = kernel._MessageLevels.weights
+    real_weights, real_all = kernel._MessageLevels.weights, kernel._all_words
     state = {"route": "bz"}
 
     def scan(self, b):
-        calls.append((state["route"], []))
+        calls.append((state["route"], [], self.q ** self.k))
         ratio = 10**30 if state["route"] == "dual" else 0
         monkeypatch.setattr(linear_code, "_DUAL_WORDS_PER_WORD", ratio)
         return real_scan(self, b)
@@ -850,9 +851,14 @@ def distance_spy(monkeypatch):
         calls[-1][1].append("dual")
         return real_dual(self)
 
+    def all_words(F, G):
+        calls[-1][1].append("list")
+        return real_all(F, G)
+
     monkeypatch.setattr(LinearCode, "_distance_scan", scan)
     monkeypatch.setattr(LinearCode, "_distance_via_dual", dual)
     monkeypatch.setattr(kernel._MessageLevels, "weights", weights)
+    monkeypatch.setattr(kernel, "_all_words", all_words)
     return state, calls
 
 
@@ -883,16 +889,133 @@ def test_distance_routes_match_reference(monkeypatch, distance_spy, field, chunk
         for route in ("bz", "dual", "switch"):
             state["route"] = route
             assert LinearCode(F, A).min_distance() == want, (route, A)
-    # every route ran as intended, and the switch happened mid-scan
-    ran = {route: [lv for r, lv in calls if r == route and lv]
+    # the listing answered exactly the codes of at most `chunk` words (the
+    # default budget holds them all), on every route, and nothing else ran
+    assert all((lv == ["list"]) == (words <= chunk) for _, lv, words in calls)
+    assert sum(lv == ["list"] for _, lv, _ in calls) == 3 * sum(
+        F.q ** len(A) <= chunk for A in codes)
+    # on the others every route ran as intended, and the switch happened
+    # mid-scan; at chunk = 2^12 only the fields above one codebook keep any
+    ran = {route: [lv for r, lv, _ in calls if r == route and lv and lv != ["list"]]
            for route in ("bz", "dual", "switch")}
     assert not any("dual" in lv for lv in ran["bz"])
     assert all(lv == ["dual"] for lv in ran["dual"])
     assert all(lv[0] == 2 and lv.count("dual") <= (lv[-1] == "dual")
                for lv in ran["switch"])
-    assert all(len(lvs) >= len(deep) for lvs in ran.values())
-    if F.q == 2:
-        assert [2, 2, "dual"] in ran["switch"]  # the Golay code
+    walked = [A for A in deep if F.q ** len(A) > chunk]
+    assert len(walked) >= (2 if kmax > 2 and F.q ** kmax > chunk else 0)
+    assert all(len(lvs) >= len(walked) for lvs in ran.values())
+    if F.q == 2 and chunk < 2**12:  # the Golay code's 2^12 words are listed at 2^12
+        assert [2, 2, "dual"] in ran["switch"]
+
+
+@pytest.fixture
+def listed(monkeypatch):
+    """The dimensions of the row spaces read whole by kernel._all_words."""
+    dims = []
+    real = kernel._all_words
+    monkeypatch.setattr(kernel, "_all_words", lambda F, G: dims.append(len(G)) or real(F, G))
+    return dims
+
+
+@pytest.mark.parametrize("field", sorted(_DISTANCE_FIELDS), ids=lambda f: f"{f[0]}^{f[1]}")
+def test_listing_matches_reference_at_the_codebook_edge(listed, field):
+    # the largest k with q^k <= 2^12 is listed, the next k is not, and a
+    # budget below q^k falls through to Brouwer-Zimmermann, which answers
+    # as before (its plan never exceeds (q^k - 1)/(q - 1) words)
+    F = field_new(*field)
+    edge = kernel._low_rows(F.q, 64)
+    assert F.q ** edge <= kernel._LOW_WORDS < F.q ** (edge + 1)
+    rng = random.Random(f"listing/{field}")
+    for k in (edge, edge + 1):
+        for _ in range(2):
+            A = _random_full_code(F, k + rng.randint(1, 4), k, rng).G.tolist()
+            want = _ref_distance(F, A)
+            for budget, lists in ((None, k == edge), (F.q**k - 1, False), (F.q**k, k == edge)):
+                listed.clear()
+                assert LinearCode(F, A).min_distance(budget=budget) == want, (A, budget)
+                assert listed == ([k] if lists else []), (A, budget)
+
+
+def test_listing_leaves_refusals_and_large_fields_alone(listed):
+    # the Golay code's 2^12 words need the budget: below its 572-word plan
+    # the refusal is the Brouwer-Zimmermann one, below 2^12 the walk answers
+    C = _golay()
+    with pytest.raises(BudgetError) as exc:
+        LinearCode(C.field, C.G.a).min_distance(budget=571)
+    assert str(exc.value) == (
+        "minimum distance of LinearCode[24,12]_2 needs 4096 dual words or 572 "
+        "information-set words; budget is 571"
+    )
+    assert LinearCode(C.field, C.G.a).min_distance(budget=4095) == 8
+    assert listed == []
+    assert LinearCode(C.field, C.G.a).min_distance(budget=4096) == 8
+    assert listed == [12]
+    # k = 1: q words are listed only when q <= 2^12 (no clamp to one row)
+    for q, lists in ((4093, True), (65521, False)):
+        listed.clear()
+        assert LinearCode(field_new(q), [[1, 5, 0, q - 1, 9]]).min_distance() == 4
+        assert listed == ([1] if lists else [])
+
+
+def test_kept_reduction_is_the_rref_of_g():
+    # the form kept by __init__ is mat_rref(G), write-protected, and H is
+    # read from it
+    rng = random.Random("kept-rref")
+    for field in sorted(_DISTANCE_FIELDS):
+        F = field_new(*field)
+        codes = [_random_full_code(F, k + extra, k, rng) for k, extra in ((1, 3), (3, 2), (2, 0))]
+        codes.append(codes[1].shorten(0))
+        for C in codes:
+            R, piv = mat_rref(C.G)
+            assert np.array_equal(C._reduced[0], R.a) and C._reduced[1] == piv
+            with pytest.raises(ValueError):
+                C._reduced[0][0, 0] = 0
+            assert C.H == linear_code.mat_kernel(C.G)
+            assert C.H.shape == (C.n - C.k, C.n)
+
+
+def test_information_sets_read_the_kept_reduction_for_the_first_set_only():
+    # later sets reduce column permutations of G, never the kept form
+    rng = random.Random("kept-sets")
+    for field in sorted(_DISTANCE_FIELDS):
+        F = field_new(*field)
+        k = min(_DISTANCE_FIELDS[field], 4)
+        C = LinearCode(F, _chain_code(F, k, rng))
+        got = list(kernel._information_sets(F, C.G.a, C._reduced))
+        want = list(kernel._information_sets(F, C.G.a))
+        assert [r for r, _ in got] == [r for r, _ in want] == [k, k - 1, 1]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+def test_strict_scan_never_reads_the_kept_reduction():
+    # every class is a proper support: its scan reduces its own columns
+    class Tripwire:
+        def __iter__(self):
+            raise AssertionError("kept reduction read for a proper support")
+
+    # [11,5]_13 (span search) and [45,23]_2 (dual scan), two classes each
+    for D in (tamo_barg(13, 12, 6, 3).shorten(1), construction2_binary_lrc(4, 0)):
+        want = LinearCode(D.field, D.G.a)
+        want = (_outcome(want.locality_profile, "strict", keep_witnesses=True),)
+        fresh = LinearCode(D.field, D.G.a)
+        loose = fresh.locality_profile(keep_witnesses=True)  # the full support, kept
+        assert len(loose.classes) > 1
+        fresh._reduced = Tripwire()
+        got = (_outcome(fresh.locality_profile, "strict", keep_witnesses=True),)
+        assert got == want
+        if isinstance(got[0], LocalityProfile):
+            assert fresh.verify_profile(got[0], "strict")[0]
+
+
+def test_zero_columns_are_named_in_order():
+    C = LinearCode(field_new(5), [[1, 0, 2, 0, 3, 0], [0, 0, 1, 0, 4, 1]])
+    msg = "coordinates [1, 3] are identically zero; locality is undefined"
+    for call in (C.locality_profile, lambda: C.verify_profile(
+            LocalityProfile((LocalityClass(1, tuple(range(6))),)))):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert str(exc.value) == msg
 
 
 def test_macwilliams_matches_reference():
