@@ -300,12 +300,8 @@ def _normalize_groups(code: LinearCode, repair_groups) -> tuple[tuple[int, ...],
             f"repair groups must partition all {code.n} coordinates "
             f"(got {len(flat)})"
         )
-    try:
-        flags = _full_support_flags(code.field, code.G.a, np.array(groups))
-    except BudgetError:  # lazily, one group at a time: errors come in group order
-        flags = (_full_support_flags(code.field, code.G.a, np.array([g]))[0] for g in groups)
-    for i, ok in enumerate(flags, 1):
-        if not ok:
+    for i, g in enumerate(groups, 1):  # one at a time: errors come in group order
+        if not _full_support_flags(code.field, code.G.a, np.array([g]))[0]:
             raise PreconditionError(
                 f"repair group {i} of {len(groups)} carries no dual word with "
                 "full support"

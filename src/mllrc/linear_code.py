@@ -12,7 +12,8 @@ levels visit words lightest-first, one walk (kernel._BZWalk) shared by the
 distance and the locality dual scan.
 
 Minimum distance: a code whose q^k words fit one low codebook
-(kernel._LOW_WORDS) and the budget is read as one block of all its words
+(kernel._LOW_WORDS) and the budget, in at most 2^18 cells (q^k n, a 2 MiB
+block of int64), is read as one block of all its words
 (kernel._all_words), before any information set.  Any other code takes one
 of two routes.  Brouwer-Zimmermann takes disjoint information sets greedily
 in column order (_information_sets); set j has rank r_j and a generator that
@@ -212,7 +213,7 @@ class LinearCode:
         """Exact distance under budget b: one listing, Brouwer-Zimmermann or
         MacWilliams, by the rules of the module docstring."""
         k, q = self.k, self.q
-        if q**k <= min(kernel._LOW_WORDS, b):
+        if q**k <= min(kernel._LOW_WORDS, b) and q**k * self.n <= kernel._LOW_WORDS << 6:
             return int(kernel._all_words(self.field, self.G.a)[0].min())
         dual_words = q ** (self.n - k)
         ranks, gens, best = [], [], self.n

@@ -588,28 +588,6 @@ class TestFullSupportFlags:
             over_cap
         )
 
-    def test_normalize_checks_all_groups_in_one_call(self, monkeypatch):
-        # nothing raises: one _full_support_flags batch answers every group,
-        # of a valid partition and of one where groups 2 and 3 swapped a
-        # coordinate (the first of them is named)
-        calls = []
-        real = constructions._full_support_flags
-        monkeypatch.setattr(constructions, "_full_support_flags",
-                            lambda F, A, S: calls.append(len(S)) or real(F, A, S))
-        for code in (tamo_barg(17, 16, 9, 3), construction2_binary_lrc(3, 0)):
-            groups = detect_repair_groups(code, 3)
-            calls.clear()
-            assert constructions._normalize_groups(code, groups[::-1]) == groups
-            assert calls == [len(groups)]
-            swapped = [list(g) for g in groups]
-            swapped[1][0], swapped[2][0] = swapped[2][0], swapped[1][0]
-            calls.clear()
-            assert outcome(constructions._normalize_groups, code, swapped) == (
-                "PreconditionError",
-                f"repair group 2 of {len(groups)} carries no dual word with full support",
-            )
-            assert calls == [len(groups)]
-
     @pytest.mark.parametrize("chunk", [1, 2, 3, constructions._SUBSET_CHUNK])
     @pytest.mark.parametrize("q", sorted(REFERENCE_SIZES))
     def test_detect_and_normalize_match_reference(self, monkeypatch, q, chunk):

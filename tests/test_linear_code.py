@@ -956,6 +956,11 @@ def test_listing_leaves_refusals_and_large_fields_alone(listed):
         listed.clear()
         assert LinearCode(field_new(q), [[1, 5, 0, q - 1, 9]]).min_distance() == 4
         assert listed == ([1] if lists else [])
+    # and only in at most 2^18 cells (q^k n): [64,1]_4093 is listed, [65,1]_4093 walked
+    for n, lists in ((64, True), (65, False)):
+        listed.clear()
+        assert LinearCode(field_new(4093), [[1 + j % 5 for j in range(n)]]).min_distance() == n
+        assert listed == ([1] if lists else [])
 
 
 def test_kept_reduction_is_the_rref_of_g():
